@@ -40,6 +40,7 @@ from .errors import (
     EmptySpecList,
     ExhaustiveTooLarge,
     FanInViolation,
+    InvalidAssignment,
     InvariantViolation,
     MissingInput,
     MissingStageMetadata,

@@ -43,6 +43,10 @@ class UnknownInput(AdderLabError):
     """Evaluation assignment names a port that does not exist."""
 
 
+class InvalidAssignment(AdderLabError, ValueError):
+    """Evaluation assignment holds a non-bit value or arrays of clashing shapes."""
+
+
 # -- adder builders --------------------------------------------------------
 
 class ZeroWidth(AdderLabError):

@@ -74,7 +74,7 @@ def _field(doc: dict, key: str, kind: type):
     if key not in doc:
         raise ParseError(f"document lacks '{key}'")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(f"'{key}' must be {kind.__name__}")
     return value
 
@@ -186,6 +186,7 @@ def import_json(text: str) -> Netlist:
             nets[entry["net"]] = builder.constant(entry["value"])
         for gi in _doc_topo(norm_gates):
             gate = norm_gates[gi]
+            claim(gate["output"], f"gate {gi}")
             feeds = []
             for ref in gate["inputs"]:
                 if ref not in nets:

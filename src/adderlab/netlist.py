@@ -6,7 +6,11 @@ is the only supported way to grow one; after ``finish()`` the result is
 immutable and safe to share.
 
 Evaluation accepts plain 0/1 integers or numpy arrays of them, so a whole
-input space can be simulated in one vectorized pass.  Timing uses a
+input space can be simulated in one vectorized pass.  The checkers use a
+faster path: on its first simulation a netlist is lowered to a program
+of two-operand bitwise steps over net indices, which ``simulate_planes``
+runs on uint64 bit-planes, 64 cases per word (parallel-pattern
+simulation).  Timing uses a
 ``DelayModel`` that assigns a base delay per gate kind, optionally scaled
 by ceil(log2(fan-in)) for wide gates.
 """
@@ -27,6 +31,7 @@ from .errors import (
     CombinationalLoop,
     DuplicatePortName,
     FanInViolation,
+    InvalidAssignment,
     MissingInput,
     NetlistFrozen,
     UnknownInput,
@@ -142,15 +147,29 @@ def _as_bit(value, name: str):
     """Validate one assignment value: a 0/1 scalar or an integer/bool array of 0/1."""
     if isinstance(value, np.ndarray):
         if value.dtype.kind not in "bui" or not np.all((value == 0) | (value == 1)):
-            raise ValueError(f"input '{name}' must contain only bits 0 and 1")
+            raise InvalidAssignment(f"input '{name}' must contain only bits 0 and 1")
         return value.astype(np.uint8) if value.dtype.kind == "b" else value
     if isinstance(value, (bool, np.bool_)):
         return int(value)
     if isinstance(value, (int, np.integer)):
         if value not in (0, 1):
-            raise ValueError(f"input '{name}' must be 0 or 1, got {value}")
+            raise InvalidAssignment(f"input '{name}' must be 0 or 1, got {value}")
         return int(value)
-    raise ValueError(f"input '{name}' must be a bit or an array of bits")
+    raise InvalidAssignment(f"input '{name}' must be a bit or an array of bits")
+
+
+Step = tuple[np.ufunc, int, int, int]
+_PLANE_OPS = {GateKind.AND: np.bitwise_and, GateKind.OR: np.bitwise_or, GateKind.XOR: np.bitwise_xor}
+
+
+def _lower(gate: Gate, ones: int) -> list[Step]:
+    """The steps that compute ``gate``'s output; ``ones`` is the all-ones slot."""
+    ins = [nid.index for nid in gate.inputs]
+    out = gate.output.index
+    if gate.kind is GateKind.NOT:
+        return [(np.bitwise_xor, ins[0], ones, out)]
+    op = _PLANE_OPS[gate.kind]
+    return [(op, ins[0], ins[1], out)] + [(op, out, index, out) for index in ins[2:]]
 
 
 def _apply_gate(kind: GateKind, vals: list):
@@ -186,6 +205,7 @@ class Netlist:
         self.carry_merges = carry_merges
         self._owner = _owner
         self._topo: tuple[int, ...] | None = None
+        self._compiled: tuple[Step, ...] | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -261,21 +281,37 @@ class Netlist:
 
     # -- simulation ----------------------------------------------------------
 
+    def _check_input_names(self, assignment: Mapping[str, object]) -> None:
+        """Reject a name that is no input port, then an input port left out."""
+        declared = set(self.input_names)
+        if assignment.keys() == declared:
+            return
+        for key in assignment:
+            if key not in declared:
+                raise UnknownInput(f"netlist '{self.name}' has no input port '{key}'")
+        missing = next(name for name in self.input_names if name not in assignment)
+        raise MissingInput(f"no value for input port '{missing}'")
+
     def evaluate_nets(self, assignment: Mapping[str, object]) -> list:
         """Value of every net under ``assignment`` (indexed by net id).
 
         Values may be scalars or numpy arrays; arrays are processed
         elementwise so one call simulates many cases.
         """
-        declared = set(self.input_names)
-        for key in assignment:
-            if key not in declared:
-                raise UnknownInput(f"netlist '{self.name}' has no input port '{key}'")
+        self._check_input_names(assignment)
         values: list = [None] * len(self.nets)
+        shapes = set()
         for name, nid in self.inputs:
-            if name not in assignment:
-                raise MissingInput(f"no value for input port '{name}'")
-            values[nid.index] = _as_bit(assignment[name], name)
+            value = values[nid.index] = _as_bit(assignment[name], name)
+            if isinstance(value, np.ndarray):
+                shapes.add(value.shape)
+        if len(shapes) > 1:
+            try:
+                np.broadcast_shapes(*shapes)
+            except ValueError:
+                raise InvalidAssignment(
+                    f"input arrays of shapes {sorted(shapes)} do not broadcast together"
+                ) from None
         for net in self.nets:
             if isinstance(net.driver, Constant):
                 values[net.id.index] = net.driver.value
@@ -289,6 +325,49 @@ class Netlist:
         """Output-port values under ``assignment``, keyed by port name."""
         values = self.evaluate_nets(assignment)
         return {name: values[nid.index] for name, nid in self.outputs}
+
+    def compiled(self) -> tuple[Step, ...]:
+        """The simulation program, lowered on first use and cached.
+
+        Each step (op, left, right, out) stores op(slot left, slot right)
+        in slot ``out``, ``op`` being numpy's bitwise AND, OR or XOR.
+        Slots 0..n-1 are the n nets, indexed by net id; slots n and n+1
+        hold all zeros and all ones.  A constant net copies one of them,
+        NOT x runs as x XOR ones, and a gate of fan-in f becomes f - 1
+        steps, in ``topo_order()``.
+        """
+        if self._compiled is None:
+            zeros, ones = len(self.nets), len(self.nets) + 1
+            constants = [
+                (np.bitwise_or, ones if net.driver.value else zeros, zeros, net.id.index)
+                for net in self.nets
+                if isinstance(net.driver, Constant)
+            ]
+            gates = [step for gi in self.topo_order() for step in _lower(self.gates[gi], ones)]
+            self._compiled = tuple(constants + gates)
+        return self._compiled
+
+    def simulate_planes(self, planes: Mapping[str, np.ndarray], words: int) -> list[np.ndarray]:
+        """Bit-plane of every net (indexed by net id), 64 cases per word.
+
+        ``planes`` maps each input port to a uint64 array of ``words``
+        words; bit k of word j is that input's value in case 64*j + k.
+        Every returned plane has the same layout.  Planes may share
+        memory with the inputs and with each other, so treat them as
+        read-only.  Lanes no case occupies may hold any value, so callers
+        mask them out.
+        """
+        self._check_input_names(planes)
+        zeros = np.zeros(words, dtype=np.uint64)
+        values: list = [None] * len(self.nets) + [zeros, ~zeros]
+        for name, nid in self.inputs:
+            plane = planes[name]
+            if not isinstance(plane, np.ndarray) or plane.dtype != np.uint64 or plane.shape != (words,):
+                raise InvalidAssignment(f"input '{name}' must be a uint64 array of {words} words")
+            values[nid.index] = plane
+        for op, left, right, out in self.compiled():
+            values[out] = op(values[left], values[right])
+        return values[: len(self.nets)]
 
     # -- timing ----------------------------------------------------------------
 

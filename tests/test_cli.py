@@ -1,6 +1,9 @@
 """Command line behavior: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +55,22 @@ def test_main_raises_system_exit():
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 2  # no argv: argparse sees pytest's args
+
+
+@pytest.mark.parametrize("archs,code", [("rca", 0), ("rca,kogge_stone", 2)])
+def test_module_invocation_runs_the_cli(archs, code):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adderlab.cli", "compare", "--archs", archs, "--width", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.splitlines()[0].split()[:4] == ["arch", "width", "block", "gates"]
+        assert proc.stdout.splitlines()[1].split() == ["rca", "4", "-", "20", "9.00", "true", "n/a"]
+    else:
+        assert "unknown architecture 'kogge_stone'" in proc.stderr
 
 
 # -- build -------------------------------------------------------------------

@@ -170,6 +170,30 @@ def test_import_rejects_structural_violations():
         import_json(doc_of([], constants=({"net": 2, "value": 5},)))
 
 
+def test_import_rejects_gate_outputs_shadowing_other_drivers():
+    # y = x AND const1; a gate that also drives the constant's net (or an
+    # input's) would silently change what y computes
+    with pytest.raises(InvariantViolation):
+        import_json(doc_of(
+            [
+                {"kind": "AND", "inputs": [0, 1], "output": 2},
+                {"kind": "NOT", "inputs": [0], "output": 1},
+            ],
+            inputs=("x",), outputs=(("y", 2),), constants=({"net": 1, "value": 1},),
+        ))
+    with pytest.raises(InvariantViolation):
+        import_json(doc_of(
+            [{"kind": "NOT", "inputs": [1], "output": 0}],
+            outputs=(("y", 0),),
+        ))
+
+
+def test_import_rejects_bool_format_version():
+    doc = json.loads(doc_of([]))
+    with pytest.raises(ParseError):
+        import_json(json.dumps(doc | {"format_version": True}))
+
+
 def test_import_accepts_non_canonical_gate_order():
     # gates listed consumer-first still import; export then normalizes
     text = doc_of([

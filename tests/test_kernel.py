@@ -1,0 +1,157 @@
+"""The bit-plane kernel and the checkers built on it, against the slow paths.
+
+``Netlist.evaluate_nets`` and the per-case checkers in ``oracle.py`` are
+the references: every result of ``simulate_planes``, ``check_exhaustive``
+and ``check_random`` must equal theirs exactly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adderlab import verify
+from adderlab import (
+    Architecture,
+    GateKind,
+    InvalidAssignment,
+    MissingInput,
+    NetlistBuilder,
+    UnknownInput,
+    build_cia,
+    build_half_adder,
+    build_rca,
+    check_exhaustive,
+    check_random,
+    probe_invariant_carry_exclusive,
+)
+from oracle import reference_check_exhaustive, reference_check_random
+
+
+def lanes(plane: np.ndarray) -> np.ndarray:
+    """One uint8 per case: bit k of word j becomes element 64*j + k."""
+    return np.unpackbits(plane.astype("<u8").view(np.uint8), bitorder="little")
+
+
+def kind_swap_mutants(netlist):
+    """Every netlist that differs from ``netlist`` in exactly one gate's kind."""
+    for index, gate in enumerate(netlist.gates):
+        for kind in GateKind:
+            if kind is not gate.kind and kind.arity_ok(len(gate.inputs)):
+                yield netlist.with_gate_kind(index, kind)
+
+
+# -- kernel against evaluate_nets ----------------------------------------------
+
+@st.composite
+def netlists(draw):
+    """Builder netlists with constants, wide AND/OR gates and port-tapping outputs."""
+    b = NetlistBuilder("random")
+    nets = [b.add_input(f"x{k}") for k in range(draw(st.integers(1, 4)))]
+    for value in draw(st.sets(st.sampled_from([0, 1]))):
+        nets.append(b.constant(value))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        fanin = {GateKind.NOT: 1, GateKind.XOR: 2}.get(kind) or draw(st.integers(2, 5))
+        ins = draw(st.lists(st.sampled_from(nets), min_size=fanin, max_size=fanin))
+        nets.append(b.add_gate(kind, ins))
+    taps = draw(st.lists(st.sampled_from(nets), min_size=1, max_size=4))
+    for k, net in enumerate(taps):
+        b.add_output(f"y{k}", net)
+    return b.finish()
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlists(), st.data())
+def test_kernel_matches_evaluate_nets_on_every_net(netlist, data):
+    words = data.draw(st.integers(1, 3))
+    planes = {
+        name: np.array(
+            data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=words, max_size=words)),
+            dtype=np.uint64,
+        )
+        for name in netlist.input_names
+    }
+    got = netlist.simulate_planes(planes, words)
+    want = netlist.evaluate_nets({name: lanes(plane) for name, plane in planes.items()})
+    assert len(got) == len(want) == len(netlist.nets)
+    for index, (plane, value) in enumerate(zip(got, want)):
+        assert plane.shape == (words,), index
+        expected = np.broadcast_to(np.asarray(value, dtype=np.uint8), (64 * words,))
+        assert np.array_equal(lanes(plane), expected), f"net {index}"
+
+
+def test_kernel_rejects_bad_planes():
+    nl = build_half_adder()
+    ok = np.zeros(2, dtype=np.uint64)
+    with pytest.raises(MissingInput):
+        nl.simulate_planes({"a": ok}, 2)
+    with pytest.raises(UnknownInput):
+        nl.simulate_planes({"a": ok, "b": ok, "q": ok}, 2)
+    with pytest.raises(InvalidAssignment):
+        nl.simulate_planes({"a": ok, "b": np.zeros(3, dtype=np.uint64)}, 2)
+    with pytest.raises(InvalidAssignment):
+        nl.simulate_planes({"a": ok, "b": np.zeros(2, dtype=np.uint8)}, 2)
+
+
+def test_mutant_does_not_reuse_parent_compiled_form():
+    parent = build_rca(4)
+    before = parent.compiled()
+    mutant = parent.with_gate_kind(0, GateKind.AND)
+    assert mutant.compiled() is not before
+    assert mutant.compiled()[0][0] is np.bitwise_and
+    assert parent.compiled() is before
+    assert before[0][0] is np.bitwise_xor
+    assert check_exhaustive(parent, 4).ok
+    assert not check_exhaustive(mutant, 4).ok
+
+
+# -- checkers against the per-case references ---------------------------------------
+
+@pytest.mark.parametrize("netlist,width", [
+    (build_cia(8, 4, Architecture.CLA), 8),
+    (build_rca(4), 4),
+], ids=["cia_cla_w8_b4", "rca_w4"])
+def test_every_kind_swap_mutant_reports_like_the_reference(netlist, width):
+    mutants = 0
+    for mutant in kind_swap_mutants(netlist):
+        assert check_exhaustive(mutant, width) == reference_check_exhaustive(mutant, width), mutant.name
+        mutants += 1
+    assert mutants > len(netlist.gates)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_exhaustive_partial_word_matches_reference(width):
+    # 8 and 32 cases: one word whose upper lanes hold no case
+    clean = build_rca(width)
+    for netlist in (clean, *kind_swap_mutants(clean)):
+        report = check_exhaustive(netlist, width)
+        assert report == reference_check_exhaustive(netlist, width), netlist.name
+        assert report.failure_count <= 1 << (2 * width + 1)
+
+
+@pytest.mark.parametrize("samples", [0, 1, 59, 60, 61, 64, 65])
+def test_random_partial_word_matches_reference(samples):
+    # the four corner cases come first, so 60 samples fill exactly one word
+    clean = build_rca(4)
+    for netlist in (clean, clean.with_gate_kind(4, GateKind.AND), clean.with_gate_kind(0, GateKind.OR)):
+        report = check_random(netlist, 4, samples, seed=11)
+        assert report == reference_check_random(netlist, 4, samples, seed=11), netlist.name
+        assert report.failure_count <= samples + 4
+
+
+def test_random_matches_reference_on_wide_operands():
+    clean = build_cia(64, 8, Architecture.CLA)
+    mutant = clean.with_gate_kind(len(clean.gates) - 1, GateKind.AND)
+    for netlist in (clean, mutant):
+        assert check_random(netlist, 64, 300, seed=5) == reference_check_random(netlist, 64, 300, seed=5)
+
+
+def test_chunk_boundaries_do_not_change_reports(monkeypatch):
+    # one word per chunk: w4's 512 cases and 304 random cases span many chunks
+    monkeypatch.setattr(verify, "_WORDS", 1)
+    clean = build_cia(4, 2, Architecture.RCA)
+    assert probe_invariant_carry_exclusive(clean, 4)
+    for netlist in (clean, *kind_swap_mutants(clean)):
+        assert check_exhaustive(netlist, 4) == reference_check_exhaustive(netlist, 4), netlist.name
+        assert check_random(netlist, 4, 300, seed=2) == reference_check_random(netlist, 4, 300, seed=2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adderlab import (
+    AdderLabError,
     CombinationalLoop,
     Constant,
     DelayModel,
@@ -15,6 +16,7 @@ from adderlab import (
     Gate,
     GateKind,
     GateOutput,
+    InvalidAssignment,
     MissingInput,
     Net,
     NetId,
@@ -146,6 +148,15 @@ def test_non_bit_values_rejected():
         nl.evaluate({"a": np.array([0, 2]), "b": np.array([1, 1])})
     with pytest.raises(ValueError):
         nl.evaluate({"a": 0.5, "b": 0})
+
+
+def test_mismatched_array_lengths_raise_adderlab_error():
+    nl = build_half_adder()
+    with pytest.raises(InvalidAssignment) as exc:
+        nl.evaluate({"a": np.array([0, 1]), "b": np.array([1, 1, 0])})
+    assert isinstance(exc.value, AdderLabError) and isinstance(exc.value, ValueError)
+    # arrays that broadcast together still evaluate as before
+    assert list(nl.evaluate({"a": np.array([1]), "b": np.array([0, 1])})["s"]) == [1, 0]
 
 
 def test_evaluate_is_pure():
