@@ -41,6 +41,7 @@ from .errors import (
     ExhaustiveTooLarge,
     FanInViolation,
     InvalidAssignment,
+    InvalidIdentifier,
     InvariantViolation,
     MissingInput,
     MissingStageMetadata,

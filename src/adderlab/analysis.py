@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .builders import AdderSpec, build_adder
 from .errors import AdderLabError, EmptySpecList
@@ -69,9 +70,11 @@ def area_report(netlist: Netlist) -> AreaReport:
 
 def delay_report(netlist: Netlist, model: DelayModel) -> DelayReport:
     delay, path = netlist.critical_path(model)
-    arrivals = netlist.arrival_times(model)
-    steps = tuple((gi, arrivals[netlist.gates[gi].output.index]) for gi in path)
-    return DelayReport(model_name=model.name, delay=delay, path=steps)
+    # Running sums from 0.0 repeat arrival_times' additions in order: equal bit for bit.
+    gates = (netlist.gates[gi] for gi in path)
+    arrivals = accumulate((model.gate_delay(g.kind, len(g.inputs)) for g in gates), initial=0.0)
+    next(arrivals)
+    return DelayReport(model_name=model.name, delay=delay, path=tuple(zip(path, arrivals)))
 
 
 def compare(specs, model: DelayModel, verify_widths: bool = True) -> ComparisonTable:
@@ -105,27 +108,20 @@ def compare(specs, model: DelayModel, verify_widths: bool = True) -> ComparisonT
     return ComparisonTable(tuple(rows), model.name)
 
 
-def _verified_text(row: ComparisonRow) -> str:
+def _row_cells(row: ComparisonRow) -> tuple[str, ...]:
+    """The arch, width, block, gates, delay and verified cells of one row, as text."""
+    spec = row.spec
+    head = (spec.arch.value, str(spec.width), str(spec.block_size) if spec.arch.is_cia else "-")
     if row.error is not None:
-        return "error"
-    if row.verified is None:
-        return "n/a"
-    return "true" if row.verified else "false"
+        return (*head, "-", "-", "error")
+    verified = {True: "true", False: "false", None: "n/a"}[row.verified]
+    return (*head, str(row.area.total_gates), f"{row.delay.delay:.2f}", verified)
 
 
 def format_comparison(table: ComparisonTable) -> str:
     """Human-readable table; one row per spec plus the fine print."""
     header = ("arch", "width", "block", "gates", f"delay_{table.model_name}", "verified", "power_mW")
-    body = []
-    for row in table.rows:
-        spec = row.spec
-        block = str(spec.block_size) if spec.arch.is_cia else "-"
-        if row.error is not None:
-            gates, delay = "-", "-"
-        else:
-            gates = str(row.area.total_gates)
-            delay = f"{row.delay.delay:.2f}"
-        body.append((spec.arch.value, str(spec.width), block, gates, delay, _verified_text(row), "n/a"))
+    body = [(*_row_cells(row), "n/a") for row in table.rows]
     widths = [max([len(col)] + [len(r[i]) for r in body]) for i, col in enumerate(header)]
     lines = ["  ".join(col.rjust(w) for col, w in zip(header, widths))]
     for r in body:

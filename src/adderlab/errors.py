@@ -105,3 +105,7 @@ class InvariantViolation(AdderLabError):
 
 class NameCollisionAfterSanitization(AdderLabError):
     """Two distinct names sanitize to the same Verilog identifier."""
+
+
+class InvalidIdentifier(AdderLabError, ValueError):
+    """A name is no Verilog identifier even after sanitizing, e.g. '1a' or ''."""

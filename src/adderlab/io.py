@@ -2,27 +2,28 @@
 Verilog, and CSV comparison tables.
 
 JSON is the only round-trippable format.  Export is canonical (keys
-sorted, gates in topological order, nets renumbered densely), so equal
-circuits serialize to identical bytes.  DOT and Verilog are one-way
-views; CSV serializes comparison tables.
+sorted, nets renumbered densely, gates in lowest-index-first topological
+order), so rebuilds and re-imports give identical bytes.  DOT and
+Verilog are one-way views; CSV serializes comparison tables.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import re
 
-from .analysis import ComparisonTable
+from .analysis import ComparisonTable, _row_cells
 from .errors import (
     AdderLabError,
+    CombinationalLoop,
+    InvalidIdentifier,
     InvariantViolation,
     NameCollisionAfterSanitization,
     ParseError,
     UnknownGateKind,
     UnsupportedVersion,
 )
-from .netlist import Constant, GateKind, GateOutput, InputPort, Netlist, NetlistBuilder
+from .netlist import Constant, GateKind, InputPort, Netlist, NetlistBuilder, topo_sort
 from .verify import EquivalenceReport
 
 FORMAT_VERSION = 1
@@ -85,35 +86,23 @@ def _net_ref(value, where: str) -> int:
     return value
 
 
-def _doc_topo(gates: list[dict]) -> list[int]:
-    """Topological order of document gates, keyed by output net ids."""
+def _doc_order(gates: list[dict]) -> list[int]:
+    """Topological order of document gates, which name their nets by id."""
     driver_of = {}
     for gi, gate in enumerate(gates):
         out = gate["output"]
         if out in driver_of:
             raise InvariantViolation(f"net {out} has more than one driver")
         driver_of[out] = gi
-    consumers: dict[int, list[int]] = {gi: [] for gi in range(len(gates))}
-    indeg = [0] * len(gates)
+    consumers: list[list[int]] = [[] for _ in gates]
     for gi, gate in enumerate(gates):
         for ref in gate["inputs"]:
             if ref in driver_of:
                 consumers[driver_of[ref]].append(gi)
-                indeg[gi] += 1
-    ready = [gi for gi in range(len(gates)) if indeg[gi] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in consumers[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != len(gates):
-        stuck = min(set(range(len(gates))) - set(order))
-        raise InvariantViolation(f"gate {stuck} sits on a combinational loop")
-    return order
+    try:
+        return topo_sort(consumers, "document")
+    except CombinationalLoop as exc:
+        raise InvariantViolation(f"gate {exc.gates[0]} sits on a combinational loop") from None
 
 
 def import_json(text: str) -> Netlist:
@@ -148,7 +137,7 @@ def import_json(text: str) -> Netlist:
         if not isinstance(entry, dict):
             raise ParseError("constants must be objects")
         _net_ref(entry.get("net"), "constant net")
-        if entry.get("value") not in (0, 1):
+        if type(entry.get("value")) is not int or entry["value"] not in (0, 1):
             raise InvariantViolation("constant value must be 0 or 1")
     norm_gates = []
     for gi, entry in enumerate(gates):
@@ -184,7 +173,7 @@ def import_json(text: str) -> Netlist:
         for entry in constants:
             claim(entry["net"], "constant")
             nets[entry["net"]] = builder.constant(entry["value"])
-        for gi in _doc_topo(norm_gates):
+        for gi in _doc_order(norm_gates):
             gate = norm_gates[gi]
             claim(gate["output"], f"gate {gi}")
             feeds = []
@@ -285,7 +274,7 @@ def export_verilog(netlist: Netlist) -> str:
     def reserve(raw: str, what: str) -> str:
         ident = _sanitize(raw)
         if not _IDENT.match(ident):
-            raise ValueError(f"{what} '{raw}' is not an identifier even after sanitizing")
+            raise InvalidIdentifier(f"{what} '{raw}' is not an identifier even after sanitizing")
         if ident in taken:
             raise NameCollisionAfterSanitization(
                 f"{what} '{raw}' collides with {taken[ident]} as '{ident}'"
@@ -345,13 +334,5 @@ def export_csv(table: ComparisonTable) -> str:
     """Comparison table as CSV; reals use fixed two-decimal format."""
     lines = ["arch,width,block,gates,delay_gd,verified"]
     for row in table.rows:
-        spec = row.spec
-        block = str(spec.block_size) if spec.arch.is_cia else "-"
-        if row.error is not None:
-            gates, delay, verified = "-", "-", "error"
-        else:
-            gates = str(row.area.total_gates)
-            delay = f"{row.delay.delay:.2f}"
-            verified = {True: "true", False: "false", None: "n/a"}[row.verified]
-        lines.append(f"{spec.arch.value},{spec.width},{block},{gates},{delay},{verified}")
+        lines.append(",".join(_row_cells(row)))
     return "\n".join(lines) + "\n"

@@ -10,9 +10,10 @@ input space can be simulated in one vectorized pass.  The checkers use a
 faster path: on its first simulation a netlist is lowered to a program
 of two-operand bitwise steps over net indices, which ``simulate_planes``
 runs on uint64 bit-planes, 64 cases per word (parallel-pattern
-simulation).  Timing uses a
-``DelayModel`` that assigns a base delay per gate kind, optionally scaled
-by ceil(log2(fan-in)) for wide gates.
+simulation).  Timing uses a ``DelayModel`` that assigns a base delay per
+gate kind, optionally scaled by ceil(log2(fan-in)) for wide gates.
+``topo_sort`` is the one topological sort: ``Netlist.topo_order`` and
+``io.import_json`` both order gates with it.
 """
 
 from __future__ import annotations
@@ -182,6 +183,33 @@ def _apply_gate(kind: GateKind, vals: list):
     return vals[0] ^ 1
 
 
+def topo_sort(consumers: Sequence[Sequence[int]], name: str) -> list[int]:
+    """Kahn order of nodes 0..n-1 putting each before its consumers, lowest index first.
+
+    ``consumers[u]`` lists the nodes that read node u, once per read.  A
+    cycle raises CombinationalLoop for netlist ``name``, listing every
+    node left unordered.
+    """
+    indeg = [0] * len(consumers)
+    for v in itertools.chain.from_iterable(consumers):
+        indeg[v] += 1
+    ready = [u for u, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
+    order: list[int] = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in consumers[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(ready, v)
+    if len(order) != len(consumers):
+        stuck = sorted(set(range(len(consumers))) - set(order))
+        raise CombinationalLoop(
+            f"netlist '{name}' has a combinational loop through gate {stuck[0]}", gates=stuck
+        )
+    return order
+
+
 class Netlist:
     """Immutable combinational circuit.  Build one with ``NetlistBuilder``."""
 
@@ -230,32 +258,12 @@ class Netlist:
     def topo_order(self) -> tuple[int, ...]:
         """Gate indices in dependency order; ties broken by ascending index."""
         if self._topo is None:
-            n = len(self.gates)
-            consumers: list[list[int]] = [[] for _ in range(n)]
-            indeg = [0] * n
+            consumers: list[list[int]] = [[] for _ in self.gates]
             for gi, gate in enumerate(self.gates):
                 for nid in gate.inputs:
-                    drv = self.nets[nid.index].driver
-                    if isinstance(drv, GateOutput):
+                    if isinstance(drv := self.nets[nid.index].driver, GateOutput):
                         consumers[drv.gate].append(gi)
-                        indeg[gi] += 1
-            ready = [gi for gi in range(n) if indeg[gi] == 0]
-            heapq.heapify(ready)
-            order: list[int] = []
-            while ready:
-                u = heapq.heappop(ready)
-                order.append(u)
-                for v in consumers[u]:
-                    indeg[v] -= 1
-                    if indeg[v] == 0:
-                        heapq.heappush(ready, v)
-            if len(order) != n:
-                stuck = sorted(set(range(n)) - set(order))
-                raise CombinationalLoop(
-                    f"netlist '{self.name}' has a combinational loop through gate {stuck[0]}",
-                    gates=stuck,
-                )
-            self._topo = tuple(order)
+            self._topo = tuple(topo_sort(consumers, self.name))
         return self._topo
 
     def with_gate_kind(self, gate_index: int, kind: GateKind) -> "Netlist":
@@ -388,25 +396,15 @@ class Netlist:
         outputs).  Ties are broken toward the earliest-declared port and
         the first maximal gate input, so the witness is deterministic.
         """
-        arr = [0.0] * len(self.nets)
-        pred: list[NetId | None] = [None] * len(self.gates)
-        for gi in self.topo_order():
-            gate = self.gates[gi]
-            best = max(gate.inputs, key=lambda nid: arr[nid.index])
-            pred[gi] = best
-            arr[gate.output.index] = arr[best.index] + model.gate_delay(gate.kind, len(gate.inputs))
+        arr = self.arrival_times(model)
         if not self.outputs:
             return 0.0, []
-        end = max((nid for _, nid in self.outputs), key=lambda nid: arr[nid.index])
-        delay = arr[end.index]
-        path: list[int] = []
-        net = end
-        while isinstance(self.nets[net.index].driver, GateOutput):
-            gi = self.nets[net.index].driver.gate
-            path.append(gi)
-            net = pred[gi]
-        path.reverse()
-        return delay, path
+        net = max((nid for _, nid in self.outputs), key=lambda nid: arr[nid.index])
+        delay, path = arr[net.index], []
+        while isinstance(driver := self.nets[net.index].driver, GateOutput):
+            path.append(driver.gate)
+            net = max(self.gates[driver.gate].inputs, key=lambda nid: arr[nid.index])
+        return delay, path[::-1]
 
 
 _owner_counter = itertools.count(1)
@@ -444,34 +442,25 @@ class NetlistBuilder:
         if not isinstance(nid, NetId) or nid.owner != self._owner or not 0 <= nid.index < len(self._nets):
             raise UnknownNet(f"net {nid!r} does not belong to netlist '{self.name}'")
 
-    def declare_port(self, direction: str, name: str, net: NetId | None = None) -> NetId:
-        """Declare a named port.  Inputs mint a fresh net; outputs tap an existing one."""
-        self._require_open()
-        if direction == "input":
-            if net is not None:
-                raise ValueError("input ports mint their own net; pass net=None")
-            if name in self._input_names:
-                raise DuplicatePortName(f"input port '{name}' already declared")
-            nid = self._new_net(InputPort(name), label=name)
-            self._input_names.add(name)
-            self._inputs.append((name, nid))
-            return nid
-        if direction == "output":
-            if net is None:
-                raise ValueError("output ports need an existing net")
-            if name in self._output_names:
-                raise DuplicatePortName(f"output port '{name}' already declared")
-            self._check_net(net)
-            self._output_names.add(name)
-            self._outputs.append((name, net))
-            return net
-        raise ValueError(f"direction must be 'input' or 'output', got {direction!r}")
-
     def add_input(self, name: str) -> NetId:
-        return self.declare_port("input", name)
+        """Declare an input port; it mints and returns a fresh net."""
+        self._require_open()
+        if name in self._input_names:
+            raise DuplicatePortName(f"input port '{name}' already declared")
+        nid = self._new_net(InputPort(name), label=name)
+        self._input_names.add(name)
+        self._inputs.append((name, nid))
+        return nid
 
     def add_output(self, name: str, net: NetId) -> NetId:
-        return self.declare_port("output", name, net)
+        """Declare an output port tapping the existing ``net``; returns ``net``."""
+        self._require_open()
+        if name in self._output_names:
+            raise DuplicatePortName(f"output port '{name}' already declared")
+        self._check_net(net)
+        self._output_names.add(name)
+        self._outputs.append((name, net))
+        return net
 
     def constant(self, value: int) -> NetId:
         """Net pinned to 0 or 1; one shared net per value."""

@@ -103,6 +103,15 @@ def _check_contract(netlist: Netlist, width: int) -> None:
         )
 
 
+def _exhaustive_size(netlist: Netlist, width: int, case_cap: int) -> int:
+    """Cases in a full sweep of ``netlist``, once its ports and the cap allow one."""
+    _check_contract(netlist, width)
+    cases = 1 << (2 * width + 1)
+    if cases > case_cap:
+        raise ExhaustiveTooLarge(f"width {width} needs {cases} cases, over the cap of {case_cap}")
+    return cases
+
+
 def _to_planes(columns: np.ndarray) -> np.ndarray:
     """Transpose per-case bytes into uint64 bit-planes.
 
@@ -241,12 +250,7 @@ def check_exhaustive(netlist: Netlist, width: int, case_cap: int = DEFAULT_CASE_
     case_cap : int
         Refuse sweeps larger than this many cases (ExhaustiveTooLarge).
     """
-    _check_contract(netlist, width)
-    cases = 1 << (2 * width + 1)
-    if cases > case_cap:
-        raise ExhaustiveTooLarge(
-            f"width {width} needs {cases} cases, over the cap of {case_cap}"
-        )
+    cases = _exhaustive_size(netlist, width, case_cap)
     failure_count, failures = _sweep(netlist, width, _exhaustive_chunks(width))
     return EquivalenceReport(
         netlist=netlist.name,
@@ -308,12 +312,7 @@ def probe_invariant_carry_exclusive(
     """
     if netlist.carry_merges is None:
         raise MissingStageMetadata(f"netlist '{netlist.name}' has no carry-stage metadata")
-    _check_contract(netlist, width)
-    cases = 1 << (2 * width + 1)
-    if cases > case_cap:
-        raise ExhaustiveTooLarge(
-            f"width {width} needs {cases} cases, over the cap of {case_cap}"
-        )
+    _exhaustive_size(netlist, width, case_cap)
     if not netlist.carry_merges:
         return True
     for _, _, planes in _exhaustive_inputs(width):

@@ -9,6 +9,9 @@ The reference equivalence checkers are the obvious path the bit-plane
 checkers in ``adderlab.verify`` are tested against: operands unpacked
 into one uint8 array per input port, simulated with ``Netlist.evaluate``,
 and packed back into integers for comparison.
+
+``reference_doc_order`` is the quadratic form of the lowest-index-first
+topological sort that ``import_json`` runs on a document's gate list.
 """
 
 import numpy as np
@@ -42,6 +45,28 @@ def brute_force_delay(netlist, model):
     for _, nid in netlist.outputs:
         best = max(best, max(iter_path_delays(netlist, model, nid)))
     return best
+
+
+# -- document gate order ---------------------------------------------------------
+
+def reference_doc_order(gates):
+    """Document gate indices in the order ``import_json`` builds them.
+
+    Over and over, place the lowest-index unplaced gate none of whose
+    inputs is driven by an unplaced gate.  On a loop this stops early:
+    the gates never placed are the ones on or behind the loop.
+    """
+    driver = {gate["output"]: gi for gi, gate in enumerate(gates)}
+    placed = []
+
+    def ready(gi):
+        return gi not in placed and all(
+            ref not in driver or driver[ref] in placed for ref in gates[gi]["inputs"]
+        )
+
+    while (gi := next((gi for gi in range(len(gates)) if ready(gi)), None)) is not None:
+        placed.append(gi)
+    return placed
 
 
 # -- per-case equivalence checkers ---------------------------------------------

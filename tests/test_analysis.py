@@ -1,5 +1,7 @@
 """Area census, delay reports, and the comparison table."""
 
+from collections import Counter
+
 import pytest
 
 from adderlab import (
@@ -8,7 +10,9 @@ from adderlab import (
     DelayModel,
     EmptySpecList,
     GateKind,
+    Netlist,
     area_report,
+    build_adder,
     build_cia,
     build_cla_block,
     build_half_adder,
@@ -73,6 +77,41 @@ def test_delay_report_path_arrivals_strictly_increase(cia_rca_8_4, unit, log2):
         arrivals = [arrival for _, arrival in report.path]
         assert all(x < y for x, y in zip(arrivals, arrivals[1:]))
         assert arrivals[-1] == report.delay
+
+
+ODD = DelayModel("odd", {GateKind.AND: 0.3, GateKind.OR: 0.7, GateKind.XOR: 1.1, GateKind.NOT: 0.1})
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_delay_report_arrivals_equal_arrival_times(arch, unit, log2):
+    netlist = build_adder(AdderSpec(arch, 11, 4))
+    for model in (unit, log2, ODD):
+        arrivals = netlist.arrival_times(model)
+        report = delay_report(netlist, model)
+        assert report.path
+        for gi, arrival in report.path:
+            assert arrival == arrivals[netlist.gates[gi].output.index], (model.name, gi)
+        assert report.delay == report.path[-1][1]
+
+
+def test_one_delay_report_runs_one_forward_pass(monkeypatch, cia_cla_8_4, unit):
+    calls = Counter()
+    arrival_times, gate_delay = Netlist.arrival_times, DelayModel.gate_delay
+
+    def counted_arrival_times(self, model):
+        calls["arrival_times"] += 1
+        return arrival_times(self, model)
+
+    def counted_gate_delay(self, kind, fanin):
+        calls["gate_delay"] += 1
+        return gate_delay(self, kind, fanin)
+
+    monkeypatch.setattr(Netlist, "arrival_times", counted_arrival_times)
+    monkeypatch.setattr(DelayModel, "gate_delay", counted_gate_delay)
+    report = delay_report(cia_cla_8_4, unit)
+    assert calls["arrival_times"] == 1
+    # one delay per gate in the forward pass, one per path gate for the arrivals
+    assert calls["gate_delay"] == len(cia_cla_8_4.gates) + len(report.path)
 
 
 def test_delay_rca_formula(unit):

@@ -4,13 +4,18 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adderlab import (
+    AdderLabError,
     AdderSpec,
     Architecture,
     DelayModel,
     GateKind,
+    InvalidIdentifier,
     InvariantViolation,
     NameCollisionAfterSanitization,
     NetlistBuilder,
@@ -33,6 +38,8 @@ from adderlab import (
     import_json,
 )
 from adderlab.analysis import ComparisonTable
+from oracle import reference_doc_order
+from strategies import netlists
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -170,6 +177,16 @@ def test_import_rejects_structural_violations():
         import_json(doc_of([], constants=({"net": 2, "value": 5},)))
 
 
+@pytest.mark.parametrize("value", [True, 1.0, 0.0, None])
+def test_import_rejects_constants_that_are_no_int_bit(value):
+    # 1.0 or true would pass as a bit and export as Verilog 1'b1.0 or 1'bTrue
+    with pytest.raises(InvariantViolation, match="^constant value must be 0 or 1$"):
+        import_json(doc_of(
+            [{"kind": "AND", "inputs": [0, 2], "output": 3}],
+            outputs=(("y", 3),), constants=({"net": 2, "value": value},),
+        ))
+
+
 def test_import_rejects_gate_outputs_shadowing_other_drivers():
     # y = x AND const1; a gate that also drives the constant's net (or an
     # input's) would silently change what y computes
@@ -204,6 +221,97 @@ def test_import_accepts_non_canonical_gate_order():
     assert [g.kind for g in nl.gates] == [GateKind.AND, GateKind.OR]
     assert nl.evaluate({"a": 1, "b": 1})["y"] == 1
     assert export_json(import_json(export_json(nl))) == export_json(nl)
+
+
+def canonical(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def renumbered(doc, order):
+    """Canonical ``doc`` with its gates listed in ``order`` and their outputs renumbered to match."""
+    first = len(doc["inputs"]) + len(doc["constants"])
+    ids = {doc["gates"][gi]["output"]: first + k for k, gi in enumerate(order)}
+    gates = [
+        {"kind": gate["kind"], "inputs": [ids.get(r, r) for r in gate["inputs"]], "output": ids[gate["output"]]}
+        for gate in (doc["gates"][gi] for gi in order)
+    ]
+    outputs = [{"name": port["name"], "net": ids.get(port["net"], port["net"])} for port in doc["outputs"]]
+    return doc | {"gates": gates, "outputs": outputs}
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlists(), st.data())
+def test_gate_shuffled_documents_import_in_reference_order(netlist, data):
+    # Import builds gates in the lowest-index-first topological order of
+    # the shuffled list, so export gives the original document relabelled
+    # into that order: the original bytes whenever the order is unchanged.
+    doc = json.loads(export_json(netlist))
+    doc["gates"] = data.draw(st.permutations(doc["gates"]))
+    back = import_json(canonical(doc))
+    order = reference_doc_order(doc["gates"])
+    assert export_json(back) == canonical(renumbered(doc, order))
+    cases = np.arange(1 << len(netlist.inputs))
+    assignment = {name: (cases >> i) & 1 for i, name in enumerate(netlist.input_names)}
+    want, got = netlist.evaluate(assignment), back.evaluate(assignment)
+    for name in netlist.output_names:
+        assert np.array_equal(np.broadcast_to(got[name], cases.shape), np.broadcast_to(want[name], cases.shape))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.sampled_from([0.0, 1.0]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def slots(node):
+    """Every (container, key) pair inside a JSON value."""
+    keys = list(range(len(node))) if isinstance(node, list) else list(node) if isinstance(node, dict) else []
+    for key in keys:
+        yield node, key
+        yield from slots(node[key])
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlists(), st.data())
+def test_mutated_documents_import_or_raise_library_errors(netlist, data):
+    doc = json.loads(export_json(netlist))
+    for _ in range(data.draw(st.integers(1, 3))):
+        node, key = data.draw(st.sampled_from(list(slots(doc))))
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(json_values)
+    try:
+        back = import_json(json.dumps(doc))
+    except AdderLabError:
+        return
+    # an accepted document is a working netlist with a canonical form
+    text = export_json(back)
+    assert export_json(import_json(text)) == text
+    assert all(type(c["value"]) is int for c in json.loads(text)["constants"])
+    back.evaluate({name: 1 for name in back.input_names})
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlists(), st.data())
+def test_looped_documents_name_the_first_gate_left_unordered(netlist, data):
+    doc = json.loads(export_json(netlist))
+    gates = doc["gates"]
+    assume(gates)
+    # Feed gate i from the output of gate i or of a gate downstream of it.
+    i = data.draw(st.integers(0, len(gates) - 1))
+    downstream = {gates[i]["output"]}
+    for gate in gates[i + 1 :]:
+        if downstream.intersection(gate["inputs"]):
+            downstream.add(gate["output"])
+    slot = data.draw(st.integers(0, len(gates[i]["inputs"]) - 1))
+    gates[i]["inputs"][slot] = data.draw(st.sampled_from(sorted(downstream)))
+    doc["gates"] = data.draw(st.permutations(gates))
+    stuck = min(set(range(len(gates))) - set(reference_doc_order(doc["gates"])))
+    with pytest.raises(InvariantViolation) as exc:
+        import_json(json.dumps(doc))
+    assert str(exc.value) == f"gate {stuck} sits on a combinational loop"
 
 
 def test_imported_netlists_lose_stage_metadata(cia_rca_8_4):
@@ -285,6 +393,17 @@ def test_verilog_collision_after_sanitization():
     b.add_output("z", b.add_gate(GateKind.AND, [x, y]))
     with pytest.raises(NameCollisionAfterSanitization):
         export_verilog(b.finish())
+
+
+@pytest.mark.parametrize("name", ["1a", ""])
+def test_verilog_rejects_names_that_stay_no_identifier(name):
+    netlist = import_json(doc_of(
+        [{"kind": "NOT", "inputs": [0], "output": 1}], inputs=(name,), outputs=(("y", 1),)
+    ))
+    with pytest.raises(InvalidIdentifier) as exc:
+        export_verilog(netlist)
+    assert isinstance(exc.value, AdderLabError) and isinstance(exc.value, ValueError)
+    assert str(exc.value) == f"input port '{name}' is not an identifier even after sanitizing"
 
 
 def test_verilog_output_alias_uses_buf():

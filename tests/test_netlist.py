@@ -104,6 +104,15 @@ def test_duplicate_port_names_rejected():
         b.add_output("y", x)
 
 
+def test_output_port_needs_a_net_of_this_builder():
+    b = NetlistBuilder("t")
+    b.add_input("x")
+    with pytest.raises(UnknownNet):
+        b.add_output("y", None)
+    with pytest.raises(UnknownNet):
+        b.add_output("y", NetlistBuilder("other").add_input("x"))
+
+
 def test_finish_freezes_builder():
     b = NetlistBuilder("t")
     x = b.add_input("x")
@@ -293,6 +302,15 @@ def test_critical_path_matches_brute_force(builder, expected, unit):
     # the witness path must account for exactly the reported delay
     total = sum(unit.gate_delay(nl.gates[gi].kind, len(nl.gates[gi].inputs)) for gi in path)
     assert total == delay
+
+
+def test_critical_path_ties_go_to_first_port_and_first_input(unit):
+    b = NetlistBuilder("t")
+    x, y = b.add_input("x"), b.add_input("y")
+    nx, ny = b.add_gate(GateKind.NOT, [x]), b.add_gate(GateKind.NOT, [y])
+    b.add_output("early", b.add_gate(GateKind.AND, [ny, nx]))
+    b.add_output("late", b.add_gate(GateKind.OR, [nx, ny]))
+    assert b.finish().critical_path(unit) == (2.0, [1, 2])
 
 
 def test_critical_path_witness_is_connected(cia_cla_8_4, unit):
