@@ -42,6 +42,7 @@ from .errors import (
     FanInViolation,
     InvalidAssignment,
     InvalidIdentifier,
+    InvalidParameter,
     InvariantViolation,
     MissingInput,
     MissingStageMetadata,
@@ -65,14 +66,10 @@ from .io import (
     import_json,
 )
 from .netlist import (
-    Constant,
     DelayModel,
     FaninPenalty,
     Gate,
     GateKind,
-    GateOutput,
-    InputPort,
-    Net,
     NetId,
     Netlist,
     NetlistBuilder,

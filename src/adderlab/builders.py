@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadFanIn, BlockTooLarge, ZeroWidth
+from .errors import BadFanIn, BlockTooLarge, InvalidParameter, ZeroWidth
 from .netlist import GateKind, NetId, Netlist, NetlistBuilder
 
 
@@ -251,7 +251,7 @@ def build_cia(
     if block_size > width:
         raise BlockTooLarge(f"block size {block_size} exceeds width {width}")
     if block_kind not in (Architecture.RCA, Architecture.CLA):
-        raise ValueError(f"block kind must be RCA or CLA, got {block_kind}")
+        raise InvalidParameter(f"block kind must be RCA or CLA, got {block_kind}")
     _check_fanin(max_fanin)
     if name is None:
         name = f"cia_{block_kind.value}_w{width}_b{block_size}"
@@ -280,7 +280,7 @@ def build_cia(
         inc_stage = f"inc{k}"
         bumped, inc_carry = _increment_slice(b, partial, eff, inc_stage)
         sums.extend(bumped)
-        eff = b.add_gate(GateKind.OR, [block_carry, inc_carry], label=f"eff{k}", stage=inc_stage)
+        eff = b.add_gate(GateKind.OR, [block_carry, inc_carry], stage=inc_stage)
         merges.append(CarryMerge(k, block_carry, inc_carry, b.gate_count - 1))
     return _finish_adder(b, sums, eff, carry_merges=merges)
 

@@ -9,6 +9,11 @@ class AdderLabError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class InvalidParameter(AdderLabError, ValueError):
+    """An argument is outside its domain: a negative sample count, a non-bit
+    constant, a delay that is no finite real >= 0, or an unknown block kind."""
+
+
 # -- netlist construction and analysis ------------------------------------
 
 class FanInViolation(AdderLabError):

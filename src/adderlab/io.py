@@ -23,7 +23,7 @@ from .errors import (
     UnknownGateKind,
     UnsupportedVersion,
 )
-from .netlist import Constant, GateKind, InputPort, Netlist, NetlistBuilder, topo_sort
+from .netlist import GateKind, Netlist, NetlistBuilder, topo_sort
 from .verify import EquivalenceReport
 
 FORMAT_VERSION = 1
@@ -36,9 +36,8 @@ def _dense_ids(netlist: Netlist) -> dict[int, int]:
     mapping: dict[int, int] = {}
     for _, nid in netlist.inputs:
         mapping[nid.index] = len(mapping)
-    consts = [net for net in netlist.nets if isinstance(net.driver, Constant)]
-    for net in sorted(consts, key=lambda net: net.driver.value):
-        mapping[net.id.index] = len(mapping)
+    for _, nid in netlist.constants:
+        mapping[nid.index] = len(mapping)
     for gi in netlist.topo_order():
         mapping[netlist.gates[gi].output.index] = len(mapping)
     return mapping
@@ -51,14 +50,7 @@ def export_json(netlist: Netlist) -> str:
         "name": netlist.name,
         "inputs": [{"name": name, "net": ids[nid.index]} for name, nid in netlist.inputs],
         "outputs": [{"name": name, "net": ids[nid.index]} for name, nid in netlist.outputs],
-        "constants": sorted(
-            (
-                {"net": ids[net.id.index], "value": net.driver.value}
-                for net in netlist.nets
-                if isinstance(net.driver, Constant)
-            ),
-            key=lambda c: c["value"],
-        ),
+        "constants": [{"net": ids[nid.index], "value": value} for value, nid in netlist.constants],
         "gates": [
             {
                 "kind": netlist.gates[gi].kind.value,
@@ -212,23 +204,13 @@ def export_report(report: EquivalenceReport) -> str:
 
 # -- DOT -------------------------------------------------------------------------
 
-def _dot_source(netlist: Netlist, nid) -> str:
-    driver = netlist.nets[nid.index].driver
-    if isinstance(driver, InputPort):
-        return f'"in:{driver.name}"'
-    if isinstance(driver, Constant):
-        return f'"const{driver.value}"'
-    return f"g{driver.gate}"
-
-
 def export_dot(netlist: Netlist) -> str:
     """Graphviz rendering; carry-increment stages become clusters."""
     lines = [f'digraph "{netlist.name}" {{', "  rankdir=LR;"]
     for name, _ in netlist.inputs:
         lines.append(f'  "in:{name}" [shape=ellipse, label="{name}"];')
-    consts = [net for net in netlist.nets if isinstance(net.driver, Constant)]
-    for net in sorted(consts, key=lambda net: net.driver.value):
-        lines.append(f'  "const{net.driver.value}" [shape=diamond, label="{net.driver.value}"];')
+    for value, _ in netlist.constants:
+        lines.append(f'  "const{value}" [shape=diamond, label="{value}"];')
     stages: dict[str, list[int]] = {}
     flat: list[int] = []
     for gi, gate in enumerate(netlist.gates):
@@ -248,11 +230,14 @@ def export_dot(netlist: Netlist) -> str:
         lines.append("  }")
     for name, _ in netlist.outputs:
         lines.append(f'  "out:{name}" [shape=doubleoctagon, label="{name}"];')
+    source = {nid.index: f'"in:{name}"' for name, nid in netlist.inputs}
+    source.update((nid.index, f'"const{value}"') for value, nid in netlist.constants)
+    source.update((gate.output.index, f"g{gi}") for gi, gate in enumerate(netlist.gates))
     for gi, gate in enumerate(netlist.gates):
         for nid in gate.inputs:
-            lines.append(f"  {_dot_source(netlist, nid)} -> g{gi};")
+            lines.append(f"  {source[nid.index]} -> g{gi};")
     for name, nid in netlist.outputs:
-        lines.append(f'  {_dot_source(netlist, nid)} -> "out:{name}";')
+        lines.append(f'  {source[nid.index]} -> "out:{name}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -268,7 +253,7 @@ def _sanitize(name: str) -> str:
 
 def export_verilog(netlist: Netlist) -> str:
     """Gate-primitive structural Verilog: one instance per gate, g<index>."""
-    names: dict[int, str] = {}
+    names = {nid.index: f"1'b{value}" for value, nid in netlist.constants}
     taken: dict[str, str] = {}
 
     def reserve(raw: str, what: str) -> str:
@@ -291,25 +276,20 @@ def export_verilog(netlist: Netlist) -> str:
         names[nid.index] = ident
         in_ports.append(ident)
     out_ports = []
-    aliases = []  # output ports tapping an already-named or constant net; wired with a buf
+    aliases = []  # output ports tapping an already-named net (input, constant, earlier output); wired with a buf
     for name, nid in netlist.outputs:
         ident = reserve(name, "output port")
-        if nid.index in names or isinstance(netlist.nets[nid.index].driver, Constant):
+        if nid.index in names:
             aliases.append((ident, nid))
         else:
             names[nid.index] = ident
         out_ports.append(ident)
 
     wires = []
-    for net in netlist.nets:
-        if net.id.index in names:
-            continue
-        if isinstance(net.driver, Constant):
-            names[net.id.index] = f"1'b{net.driver.value}"
-        else:
-            wire = reserve(f"n{net.id.index}", "wire")
-            names[net.id.index] = wire
-            wires.append(wire)
+    for index in range(len(netlist.drivers)):
+        if index not in names:
+            names[index] = reserve(f"n{index}", "wire")
+            wires.append(names[index])
 
     lines = [f"module {module} ({', '.join(in_ports + out_ports)});"]
     for ident in in_ports:

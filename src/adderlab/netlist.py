@@ -1,9 +1,12 @@
 """Combinational gate-level netlists: construction, evaluation, timing.
 
-A netlist is a directed acyclic graph of AND/OR/XOR/NOT gates over
-single-driver nets, with named input and output ports.  ``NetlistBuilder``
-is the only supported way to grow one; after ``finish()`` the result is
-immutable and safe to share.
+A netlist is named input ports, constants and AND/OR/XOR/NOT gates over
+nets numbered 0..n-1.  Each net has one source: an input port, a constant
+or one gate's output.  ``drivers[i]`` is the gate that drives net i, or
+None for an input or constant net; ``constants`` lists (value, net) pairs
+in ascending value order; output ports tap any net.  The gates form a
+directed acyclic graph.  ``NetlistBuilder`` is the only supported way to
+grow one; after ``finish()`` the result is immutable and safe to share.
 
 Evaluation accepts plain 0/1 integers or numpy arrays of them, so a whole
 input space can be simulated in one vectorized pass.  The checkers use a
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -33,6 +38,7 @@ from .errors import (
     DuplicatePortName,
     FanInViolation,
     InvalidAssignment,
+    InvalidParameter,
     MissingInput,
     NetlistFrozen,
     UnknownInput,
@@ -65,37 +71,6 @@ class NetId:
 
 
 @dataclass(frozen=True, slots=True)
-class InputPort:
-    """Net driver: the named primary input."""
-
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class Constant:
-    """Net driver: a hard 0 or 1."""
-
-    value: int
-
-
-@dataclass(frozen=True, slots=True)
-class GateOutput:
-    """Net driver: the output of gate ``gate``."""
-
-    gate: int
-
-
-Driver = InputPort | Constant | GateOutput
-
-
-@dataclass(frozen=True, slots=True)
-class Net:
-    id: NetId
-    driver: Driver
-    label: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class Gate:
     kind: GateKind
     inputs: tuple[NetId, ...]
@@ -124,9 +99,10 @@ class DelayModel:
     def __post_init__(self) -> None:
         for kind in GateKind:
             if kind not in self.base:
-                raise ValueError(f"delay model '{self.name}' lacks a delay for {kind.value}")
-            if self.base[kind] < 0:
-                raise ValueError(f"delay for {kind.value} must be >= 0")
+                raise InvalidParameter(f"delay model '{self.name}' lacks a delay for {kind.value}")
+            d = self.base[kind]
+            if isinstance(d, bool) or not isinstance(d, numbers.Real) or not 0 <= d < math.inf:
+                raise InvalidParameter(f"delay for {kind.value} must be >= 0")
 
     def gate_delay(self, kind: GateKind, fanin: int) -> float:
         d = self.base[kind]
@@ -216,18 +192,20 @@ class Netlist:
     def __init__(
         self,
         name: str,
-        nets: tuple[Net, ...],
+        drivers: tuple[int | None, ...],
         gates: tuple[Gate, ...],
         inputs: tuple[tuple[str, NetId], ...],
         outputs: tuple[tuple[str, NetId], ...],
+        constants: tuple[tuple[int, NetId], ...] = (),
         carry_merges=None,
         _owner: int = 0,
     ):
         self.name = name
-        self.nets = nets
+        self.drivers = drivers
         self.gates = gates
         self.inputs = inputs
         self.outputs = outputs
+        self.constants = constants
         # Per-stage carry metadata attached by the carry-increment builder;
         # None means "not an increment-style build", () means single block.
         self.carry_merges = carry_merges
@@ -245,24 +223,14 @@ class Netlist:
     def output_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.outputs)
 
-    def net(self, net_id: NetId) -> Net:
-        """Resolve a handle, rejecting ids issued by another netlist."""
-        if (
-            not isinstance(net_id, NetId)
-            or net_id.owner != self._owner
-            or not 0 <= net_id.index < len(self.nets)
-        ):
-            raise UnknownNet(f"net {net_id!r} does not belong to netlist '{self.name}'")
-        return self.nets[net_id.index]
-
     def topo_order(self) -> tuple[int, ...]:
         """Gate indices in dependency order; ties broken by ascending index."""
         if self._topo is None:
             consumers: list[list[int]] = [[] for _ in self.gates]
             for gi, gate in enumerate(self.gates):
                 for nid in gate.inputs:
-                    if isinstance(drv := self.nets[nid.index].driver, GateOutput):
-                        consumers[drv.gate].append(gi)
+                    if (source := self.drivers[nid.index]) is not None:
+                        consumers[source].append(gi)
             self._topo = tuple(topo_sort(consumers, self.name))
         return self._topo
 
@@ -279,10 +247,11 @@ class Netlist:
         gates[gate_index] = Gate(kind, old.inputs, old.output, old.stage)
         return Netlist(
             f"{self.name}~g{gate_index}={kind.value.lower()}",
-            self.nets,
+            self.drivers,
             tuple(gates),
             self.inputs,
             self.outputs,
+            self.constants,
             carry_merges=None,
             _owner=self._owner,
         )
@@ -307,7 +276,7 @@ class Netlist:
         elementwise so one call simulates many cases.
         """
         self._check_input_names(assignment)
-        values: list = [None] * len(self.nets)
+        values: list = [None] * len(self.drivers)
         shapes = set()
         for name, nid in self.inputs:
             value = values[nid.index] = _as_bit(assignment[name], name)
@@ -320,9 +289,8 @@ class Netlist:
                 raise InvalidAssignment(
                     f"input arrays of shapes {sorted(shapes)} do not broadcast together"
                 ) from None
-        for net in self.nets:
-            if isinstance(net.driver, Constant):
-                values[net.id.index] = net.driver.value
+        for value, nid in self.constants:
+            values[nid.index] = value
         for gi in self.topo_order():
             gate = self.gates[gi]
             vals = [values[nid.index] for nid in gate.inputs]
@@ -345,11 +313,10 @@ class Netlist:
         steps, in ``topo_order()``.
         """
         if self._compiled is None:
-            zeros, ones = len(self.nets), len(self.nets) + 1
+            zeros, ones = len(self.drivers), len(self.drivers) + 1
             constants = [
-                (np.bitwise_or, ones if net.driver.value else zeros, zeros, net.id.index)
-                for net in self.nets
-                if isinstance(net.driver, Constant)
+                (np.bitwise_or, ones if value else zeros, zeros, nid.index)
+                for value, nid in self.constants
             ]
             gates = [step for gi in self.topo_order() for step in _lower(self.gates[gi], ones)]
             self._compiled = tuple(constants + gates)
@@ -367,7 +334,7 @@ class Netlist:
         """
         self._check_input_names(planes)
         zeros = np.zeros(words, dtype=np.uint64)
-        values: list = [None] * len(self.nets) + [zeros, ~zeros]
+        values: list = [None] * len(self.drivers) + [zeros, ~zeros]
         for name, nid in self.inputs:
             plane = planes[name]
             if not isinstance(plane, np.ndarray) or plane.dtype != np.uint64 or plane.shape != (words,):
@@ -375,13 +342,13 @@ class Netlist:
             values[nid.index] = plane
         for op, left, right, out in self.compiled():
             values[out] = op(values[left], values[right])
-        return values[: len(self.nets)]
+        return values[: len(self.drivers)]
 
     # -- timing ----------------------------------------------------------------
 
     def arrival_times(self, model: DelayModel) -> list[float]:
         """Latest-arrival time of every net; inputs and constants arrive at 0."""
-        arr = [0.0] * len(self.nets)
+        arr = [0.0] * len(self.drivers)
         for gi in self.topo_order():
             gate = self.gates[gi]
             arr[gate.output.index] = max(arr[nid.index] for nid in gate.inputs) + model.gate_delay(
@@ -401,9 +368,9 @@ class Netlist:
             return 0.0, []
         net = max((nid for _, nid in self.outputs), key=lambda nid: arr[nid.index])
         delay, path = arr[net.index], []
-        while isinstance(driver := self.nets[net.index].driver, GateOutput):
-            path.append(driver.gate)
-            net = max(self.gates[driver.gate].inputs, key=lambda nid: arr[nid.index])
+        while (gi := self.drivers[net.index]) is not None:
+            path.append(gi)
+            net = max(self.gates[gi].inputs, key=lambda nid: arr[nid.index])
         return delay, path[::-1]
 
 
@@ -416,7 +383,7 @@ class NetlistBuilder:
     def __init__(self, name: str = "netlist"):
         self.name = name
         self._owner = next(_owner_counter)
-        self._nets: list[Net] = []
+        self._drivers: list[int | None] = []
         self._gates: list[Gate] = []
         self._inputs: list[tuple[str, NetId]] = []
         self._outputs: list[tuple[str, NetId]] = []
@@ -433,13 +400,13 @@ class NetlistBuilder:
         if self._finished:
             raise NetlistFrozen(f"netlist '{self.name}' is already finished")
 
-    def _new_net(self, driver: Driver, label: str | None) -> NetId:
-        nid = NetId(len(self._nets), self._owner)
-        self._nets.append(Net(nid, driver, label))
+    def _new_net(self, gate: int | None = None) -> NetId:
+        nid = NetId(len(self._drivers), self._owner)
+        self._drivers.append(gate)
         return nid
 
     def _check_net(self, nid) -> None:
-        if not isinstance(nid, NetId) or nid.owner != self._owner or not 0 <= nid.index < len(self._nets):
+        if not isinstance(nid, NetId) or nid.owner != self._owner or not 0 <= nid.index < len(self._drivers):
             raise UnknownNet(f"net {nid!r} does not belong to netlist '{self.name}'")
 
     def add_input(self, name: str) -> NetId:
@@ -447,7 +414,7 @@ class NetlistBuilder:
         self._require_open()
         if name in self._input_names:
             raise DuplicatePortName(f"input port '{name}' already declared")
-        nid = self._new_net(InputPort(name), label=name)
+        nid = self._new_net()
         self._input_names.add(name)
         self._inputs.append((name, nid))
         return nid
@@ -465,17 +432,16 @@ class NetlistBuilder:
     def constant(self, value: int) -> NetId:
         """Net pinned to 0 or 1; one shared net per value."""
         self._require_open()
-        if value not in (0, 1):
-            raise ValueError(f"constant must be 0 or 1, got {value}")
+        if type(value) is not int or value not in (0, 1):
+            raise InvalidParameter(f"constant must be 0 or 1, got {value}")
         if value not in self._consts:
-            self._consts[value] = self._new_net(Constant(value), label=f"const{value}")
+            self._consts[value] = self._new_net()
         return self._consts[value]
 
     def add_gate(
         self,
         kind: GateKind,
         inputs: Iterable[NetId],
-        label: str | None = None,
         stage: str | None = None,
     ) -> NetId:
         """Append a gate fed by existing nets; returns its freshly minted output net."""
@@ -485,7 +451,7 @@ class NetlistBuilder:
             raise FanInViolation(f"{kind.value} gate cannot take {len(ins)} input(s)")
         for nid in ins:
             self._check_net(nid)
-        out = self._new_net(GateOutput(len(self._gates)), label)
+        out = self._new_net(len(self._gates))
         self._gates.append(Gate(kind, ins, out, stage))
         return out
 
@@ -495,10 +461,11 @@ class NetlistBuilder:
         self._finished = True
         return Netlist(
             self.name,
-            tuple(self._nets),
+            tuple(self._drivers),
             tuple(self._gates),
             tuple(self._inputs),
             tuple(self._outputs),
+            tuple(sorted(self._consts.items())),
             carry_merges=None if carry_merges is None else tuple(carry_merges),
             _owner=self._owner,
         )

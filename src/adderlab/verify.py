@@ -20,6 +20,7 @@ import numpy as np
 from .builders import adder_port_names
 from .errors import (
     ExhaustiveTooLarge,
+    InvalidParameter,
     MissingStageMetadata,
     OperandOutOfRange,
     PortContractViolation,
@@ -275,7 +276,7 @@ def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> Equiv
     """
     _check_contract(netlist, width)
     if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+        raise InvalidParameter(f"samples must be >= 0, got {samples}")
     rng = np.random.Generator(np.random.PCG64(seed))
     mask = (1 << width) - 1
     nbytes = (width + 7) // 8

@@ -16,7 +16,6 @@ topological sort that ``import_json`` runs on a document's gate list.
 
 import numpy as np
 
-from adderlab.netlist import GateOutput
 from adderlab.verify import (
     FAILURE_CAP,
     EquivalenceReport,
@@ -28,9 +27,9 @@ from adderlab.verify import (
 
 def iter_path_delays(netlist, model, net_id):
     """Yield the summed gate delay of every path ending at ``net_id``."""
-    driver = netlist.nets[net_id.index].driver
-    if isinstance(driver, GateOutput):
-        gate = netlist.gates[driver.gate]
+    gi = netlist.drivers[net_id.index]
+    if gi is not None:
+        gate = netlist.gates[gi]
         d = model.gate_delay(gate.kind, len(gate.inputs))
         for nid in gate.inputs:
             for tail in iter_path_delays(netlist, model, nid):

@@ -10,6 +10,7 @@ from adderlab import (
     BadFanIn,
     BlockTooLarge,
     GateKind,
+    InvalidParameter,
     ZeroWidth,
     adder_port_names,
     build_adder,
@@ -222,6 +223,11 @@ def test_cia_validation():
     with pytest.raises(ZeroWidth):
         build_cia(4, 0, Architecture.RCA)
     with pytest.raises(ValueError):
+        build_cia(8, 4, Architecture.CIA_RCA)
+
+
+def test_cia_bad_block_kind_is_invalid_parameter():
+    with pytest.raises(InvalidParameter, match="block kind must be RCA or CLA, got Architecture.CIA_RCA"):
         build_cia(8, 4, Architecture.CIA_RCA)
 
 

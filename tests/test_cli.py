@@ -162,6 +162,13 @@ def test_verify_infile_mutant_exits_one(tmp_path, capsys):
     assert all(line.startswith("  a=") and "expected s=" in line for line in lines[1:])
 
 
+def test_verify_negative_samples_exits_two(capsys):
+    assert run(["verify", "--arch", "rca", "--width", "4", "--random", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: InvalidParameter: samples must be >= 0, got -5\n"
+
+
 def test_verify_missing_infile_exits_two(tmp_path, capsys):
     assert run(["verify", "--in", str(tmp_path / "nope.json")]) == 2
 

@@ -373,7 +373,7 @@ def test_verilog_wire_per_internal_net(rca4):
     text = export_verilog(rca4)
     wires = [line for line in text.splitlines() if line.lstrip().startswith("wire ")]
     port_nets = {nid.index for _, nid in rca4.inputs} | {nid.index for _, nid in rca4.outputs}
-    internal = [net for net in rca4.nets if net.id.index not in port_nets]
+    internal = [index for index in range(len(rca4.drivers)) if index not in port_nets]
     assert len(wires) == len(internal)
 
 

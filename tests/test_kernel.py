@@ -56,7 +56,7 @@ def test_kernel_matches_evaluate_nets_on_every_net(netlist, data):
     }
     got = netlist.simulate_planes(planes, words)
     want = netlist.evaluate_nets({name: lanes(plane) for name, plane in planes.items()})
-    assert len(got) == len(want) == len(netlist.nets)
+    assert len(got) == len(want) == len(netlist.drivers)
     for index, (plane, value) in enumerate(zip(got, want)):
         assert plane.shape == (words,), index
         expected = np.broadcast_to(np.asarray(value, dtype=np.uint8), (64 * words,))

@@ -4,21 +4,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from adderlab import (
     AdderLabError,
     CombinationalLoop,
-    Constant,
     DelayModel,
     DuplicatePortName,
     FanInViolation,
     FaninPenalty,
     Gate,
     GateKind,
-    GateOutput,
     InvalidAssignment,
+    InvalidParameter,
     MissingInput,
-    Net,
     NetId,
     Netlist,
     NetlistBuilder,
@@ -26,12 +25,14 @@ from adderlab import (
     UnknownInput,
     UnknownNet,
     build_cia,
+    build_cla_block,
     build_full_adder,
     build_half_adder,
     build_rca,
     Architecture,
 )
 from oracle import brute_force_delay
+from strategies import netlists
 
 
 # -- builder rules ---------------------------------------------------------
@@ -85,15 +86,6 @@ def test_foreign_net_rejected():
         b2.add_output("y", x1)
 
 
-def test_net_lookup_rejects_foreign_handle():
-    nl1 = build_half_adder()
-    nl2 = build_half_adder()
-    foreign = nl2.inputs[0][1]
-    with pytest.raises(UnknownNet):
-        nl1.net(foreign)
-    assert nl1.net(nl1.inputs[0][1]).driver.name == "a"
-
-
 def test_duplicate_port_names_rejected():
     b = NetlistBuilder("t")
     x = b.add_input("x")
@@ -137,6 +129,15 @@ def test_constants_share_one_net_per_value():
     assert nl.evaluate({})["z"] == 0
     with pytest.raises(ValueError):
         NetlistBuilder("t").constant(2)
+
+
+@pytest.mark.parametrize("value", [1.0, True, 2, -1, "1", None])
+def test_constant_accepts_only_int_bits(value):
+    b = NetlistBuilder("t")
+    with pytest.raises(InvalidParameter):
+        b.constant(value)
+    b.add_output("z", b.constant(1))
+    assert b.finish().constants[0][0] == 1
 
 
 # -- evaluation ------------------------------------------------------------
@@ -219,9 +220,9 @@ def test_topo_order_is_deterministic_and_consistent():
     position = {gi: k for k, gi in enumerate(order)}
     for gi, gate in enumerate(nl.gates):
         for nid in gate.inputs:
-            driver = nl.nets[nid.index].driver
-            if isinstance(driver, GateOutput):
-                assert position[driver.gate] < position[gi]
+            source = nl.drivers[nid.index]
+            if source is not None:
+                assert position[source] < position[gi]
 
 
 def test_builder_order_is_already_topological():
@@ -235,12 +236,11 @@ def test_combinational_loop_detected():
     owner = 999
     n0 = NetId(0, owner)
     n1 = NetId(1, owner)
-    nets = (Net(n0, GateOutput(1)), Net(n1, GateOutput(0)))
     gates = (
         Gate(GateKind.NOT, (n0,), n1),
         Gate(GateKind.NOT, (n1,), n0),
     )
-    looped = Netlist("loop", nets, gates, (), (), _owner=owner)
+    looped = Netlist("loop", (1, 0), gates, (), (), _owner=owner)
     with pytest.raises(CombinationalLoop) as exc:
         looped.topo_order()
     assert set(exc.value.gates) == {0, 1}
@@ -266,6 +266,14 @@ def test_delay_model_validation():
         DelayModel("bad", {GateKind.AND: -1.0, GateKind.OR: 1.0, GateKind.XOR: 1.0, GateKind.NOT: 1.0})
     with pytest.raises(ValueError):
         DelayModel("partial", {GateKind.AND: 1.0})
+    with pytest.raises(InvalidParameter, match="lacks a delay for OR"):
+        DelayModel("partial", {GateKind.AND: 1.0})
+    for bad in (-1.0, float("nan"), float("inf"), "1", None, True):
+        base = {kind: 1.0 for kind in GateKind} | {GateKind.XOR: bad}
+        with pytest.raises(InvalidParameter, match="delay for XOR must be >= 0"):
+            DelayModel("bad", base)
+    # zero, ints and numpy floats are finite reals >= 0
+    DelayModel("ok", {GateKind.AND: 0, GateKind.OR: 2, GateKind.XOR: np.float64(1.5), GateKind.NOT: 0.0})
 
 
 # -- critical path ------------------------------------------------------------------
@@ -356,3 +364,52 @@ def test_with_gate_kind_swaps_without_touching_original(rca4):
         rca4.with_gate_kind(0, GateKind.NOT)
     with pytest.raises(UnknownNet):
         rca4.with_gate_kind(99, GateKind.AND)
+
+
+# -- net tables -----------------------------------------------------------------------
+
+def check_net_tables(nl):
+    """Each net has exactly one source, and ``drivers``/``constants`` agree with it."""
+    sources = [[] for _ in nl.drivers]
+    for name, nid in nl.inputs:
+        sources[nid.index].append(("input", name))
+    for value, nid in nl.constants:
+        sources[nid.index].append(("constant", value))
+    for gi, gate in enumerate(nl.gates):
+        sources[gate.output.index].append(("gate", gi))
+    assert all(len(s) == 1 for s in sources), sources
+    driven = {gate.output.index: gi for gi, gate in enumerate(nl.gates)}
+    assert nl.drivers == tuple(driven.get(i) for i in range(len(nl.drivers)))
+    values = [value for value, _ in nl.constants]
+    assert values == sorted(set(values)) and set(values) <= {0, 1}
+    for gi, gate in enumerate(nl.gates):
+        kind = next((k for k in GateKind if k is not gate.kind and k.arity_ok(len(gate.inputs))), None)
+        if kind is not None:
+            mutant = nl.with_gate_kind(gi, kind)
+            assert mutant.drivers is nl.drivers and mutant.constants is nl.constants
+            break
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlists())
+def test_net_tables_of_random_netlists(nl):
+    check_net_tables(nl)
+
+
+@pytest.mark.parametrize(
+    "nl",
+    [build_rca(5), build_cla_block(6, 3), build_cia(9, 4, Architecture.RCA), build_cia(9, 2, Architecture.CLA, 2)],
+    ids=["rca", "cla", "cia_rca", "cia_cla"],
+)
+def test_net_tables_of_builders(nl):
+    assert bool(nl.constants) == nl.name.startswith("cia")  # later cia blocks add with a hard 0
+    check_net_tables(nl)
+
+
+def test_constants_sort_by_value_not_creation_order():
+    b = NetlistBuilder("t")
+    one, zero = b.constant(1), b.constant(0)
+    b.add_output("z", b.add_gate(GateKind.AND, [one, zero]))
+    nl = b.finish()
+    assert nl.constants == ((0, zero), (1, one))
+    assert nl.drivers == (None, None, 0)

@@ -1,0 +1,80 @@
+"""The names ``import adderlab`` exposes, pinned so that any change to them shows in a diff."""
+
+import types
+
+import adderlab
+
+PUBLIC_NAMES = [
+    "AdderLabError",
+    "AdderSpec",
+    "Architecture",
+    "AreaReport",
+    "BadFanIn",
+    "BlockTooLarge",
+    "CarryMerge",
+    "CombinationalLoop",
+    "ComparisonRow",
+    "ComparisonTable",
+    "DelayModel",
+    "DelayReport",
+    "DuplicatePortName",
+    "EmptySpecList",
+    "EquivalenceReport",
+    "ExhaustiveTooLarge",
+    "Failure",
+    "FanInViolation",
+    "FaninPenalty",
+    "Gate",
+    "GateKind",
+    "InvalidAssignment",
+    "InvalidIdentifier",
+    "InvalidParameter",
+    "InvariantViolation",
+    "MissingInput",
+    "MissingStageMetadata",
+    "NameCollisionAfterSanitization",
+    "NetId",
+    "Netlist",
+    "NetlistBuilder",
+    "NetlistFrozen",
+    "OperandOutOfRange",
+    "ParseError",
+    "PortContractViolation",
+    "UnknownGateKind",
+    "UnknownInput",
+    "UnknownNet",
+    "UnsupportedVersion",
+    "ZeroWidth",
+    "adder_port_names",
+    "area_report",
+    "boundary_cases",
+    "build_adder",
+    "build_cia",
+    "build_cla_block",
+    "build_full_adder",
+    "build_half_adder",
+    "build_incrementer",
+    "build_rca",
+    "check_exhaustive",
+    "check_random",
+    "compare",
+    "delay_report",
+    "export_csv",
+    "export_dot",
+    "export_json",
+    "export_report",
+    "export_verilog",
+    "format_comparison",
+    "import_json",
+    "oracle_add",
+    "probe_invariant_carry_exclusive",
+]
+
+
+def test_public_names_are_pinned():
+    public = sorted(
+        name
+        for name in dir(adderlab)
+        if not name.startswith("_") and not isinstance(getattr(adderlab, name), types.ModuleType)
+    )
+    assert public == PUBLIC_NAMES
