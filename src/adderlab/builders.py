@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BadFanIn, BlockTooLarge, InvalidParameter, ZeroWidth
-from .netlist import GateKind, NetId, Netlist, NetlistBuilder
+from .netlist import GateKind, NetId, Netlist, NetlistBuilder, _require_int
 
 
 class Architecture(Enum):
@@ -73,12 +73,16 @@ def adder_port_names(width: int) -> tuple[list[str], list[str]]:
 
 
 def _check_width(width: int, what: str = "width") -> None:
+    _require_int(width, what)
     if width < 1:
         raise ZeroWidth(f"{what} must be >= 1, got {width}")
 
 
 def _check_fanin(max_fanin: int | None) -> None:
-    if max_fanin is not None and max_fanin < 2:
+    if max_fanin is None:
+        return
+    _require_int(max_fanin, "max_fanin")
+    if max_fanin < 2:
         raise BadFanIn(f"max_fanin must be >= 2 or unlimited, got {max_fanin}")
 
 

@@ -10,8 +10,9 @@ class AdderLabError(Exception):
 
 
 class InvalidParameter(AdderLabError, ValueError):
-    """An argument is outside its domain: a negative sample count, a non-bit
-    constant, a delay that is no finite real >= 0, or an unknown block kind."""
+    """An argument is outside its domain: a width, count, seed or index that
+    is no integer, a negative sample count or seed, a non-bit constant, a
+    delay that is no finite real >= 0, or an unknown block kind."""
 
 
 # -- netlist construction and analysis ------------------------------------
@@ -33,7 +34,8 @@ class DuplicatePortName(AdderLabError):
 
 
 class CombinationalLoop(AdderLabError):
-    """The gate graph is cyclic.  ``gates`` lists indices on a cycle."""
+    """A gate reads a net driven by itself or a later gate, so the gates are
+    cyclic or out of dependency order.  ``gates`` is (reader, driver)."""
 
     def __init__(self, message: str, gates=()):
         super().__init__(message)
@@ -105,7 +107,8 @@ class UnsupportedVersion(AdderLabError):
 
 
 class InvariantViolation(AdderLabError):
-    """Document is well-formed but describes an illegal netlist."""
+    """A well-formed document, or the tables handed to ``Netlist``, describe an
+    illegal netlist."""
 
 
 class NameCollisionAfterSanitization(AdderLabError):

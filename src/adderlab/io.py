@@ -2,20 +2,21 @@
 Verilog, and CSV comparison tables.
 
 JSON is the only round-trippable format.  Export is canonical (keys
-sorted, nets renumbered densely, gates in lowest-index-first topological
-order), so rebuilds and re-imports give identical bytes.  DOT and
-Verilog are one-way views; CSV serializes comparison tables.
+sorted, nets renumbered densely, gates in stored order), so rebuilds and
+re-imports give identical bytes; import sorts a document's gates, which
+may come in any order.  DOT and Verilog are one-way views; CSV
+serializes comparison tables.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 
 from .analysis import ComparisonTable, _row_cells
 from .errors import (
     AdderLabError,
-    CombinationalLoop,
     InvalidIdentifier,
     InvariantViolation,
     NameCollisionAfterSanitization,
@@ -23,7 +24,7 @@ from .errors import (
     UnknownGateKind,
     UnsupportedVersion,
 )
-from .netlist import GateKind, Netlist, NetlistBuilder, topo_sort
+from .netlist import GateKind, Netlist, NetlistBuilder
 from .verify import EquivalenceReport
 
 FORMAT_VERSION = 1
@@ -38,8 +39,8 @@ def _dense_ids(netlist: Netlist) -> dict[int, int]:
         mapping[nid.index] = len(mapping)
     for _, nid in netlist.constants:
         mapping[nid.index] = len(mapping)
-    for gi in netlist.topo_order():
-        mapping[netlist.gates[gi].output.index] = len(mapping)
+    for gate in netlist.gates:
+        mapping[gate.output.index] = len(mapping)
     return mapping
 
 def export_json(netlist: Netlist) -> str:
@@ -53,11 +54,11 @@ def export_json(netlist: Netlist) -> str:
         "constants": [{"net": ids[nid.index], "value": value} for value, nid in netlist.constants],
         "gates": [
             {
-                "kind": netlist.gates[gi].kind.value,
-                "inputs": [ids[nid.index] for nid in netlist.gates[gi].inputs],
-                "output": ids[netlist.gates[gi].output.index],
+                "kind": gate.kind.value,
+                "inputs": [ids[nid.index] for nid in gate.inputs],
+                "output": ids[gate.output.index],
             }
-            for gi in netlist.topo_order()
+            for gate in netlist.gates
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -79,7 +80,7 @@ def _net_ref(value, where: str) -> int:
 
 
 def _doc_order(gates: list[dict]) -> list[int]:
-    """Topological order of document gates, which name their nets by id."""
+    """Kahn order of document gates, which name their nets by id; lowest index first."""
     driver_of = {}
     for gi, gate in enumerate(gates):
         out = gate["output"]
@@ -87,14 +88,25 @@ def _doc_order(gates: list[dict]) -> list[int]:
             raise InvariantViolation(f"net {out} has more than one driver")
         driver_of[out] = gi
     consumers: list[list[int]] = [[] for _ in gates]
+    indeg = [0] * len(gates)
     for gi, gate in enumerate(gates):
         for ref in gate["inputs"]:
             if ref in driver_of:
                 consumers[driver_of[ref]].append(gi)
-    try:
-        return topo_sort(consumers, "document")
-    except CombinationalLoop as exc:
-        raise InvariantViolation(f"gate {exc.gates[0]} sits on a combinational loop") from None
+                indeg[gi] += 1
+    ready = [gi for gi, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
+    order: list[int] = []
+    while ready:
+        gi = heapq.heappop(ready)
+        order.append(gi)
+        for reader in consumers[gi]:
+            indeg[reader] -= 1
+            if indeg[reader] == 0:
+                heapq.heappush(ready, reader)
+    if len(order) != len(gates):
+        stuck = min(set(range(len(gates))) - set(order))
+        raise InvariantViolation(f"gate {stuck} sits on a combinational loop")
+    return order
 
 
 def import_json(text: str) -> Netlist:
@@ -204,11 +216,16 @@ def export_report(report: EquivalenceReport) -> str:
 
 # -- DOT -------------------------------------------------------------------------
 
+def _dot_str(text: str) -> str:
+    """``text`` as a quoted DOT id or label, with its quotes and backslashes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(netlist: Netlist) -> str:
     """Graphviz rendering; carry-increment stages become clusters."""
-    lines = [f'digraph "{netlist.name}" {{', "  rankdir=LR;"]
+    lines = [f"digraph {_dot_str(netlist.name)} {{", "  rankdir=LR;"]
     for name, _ in netlist.inputs:
-        lines.append(f'  "in:{name}" [shape=ellipse, label="{name}"];')
+        lines.append(f"  {_dot_str('in:' + name)} [shape=ellipse, label={_dot_str(name)}];")
     for value, _ in netlist.constants:
         lines.append(f'  "const{value}" [shape=diamond, label="{value}"];')
     stages: dict[str, list[int]] = {}
@@ -223,21 +240,21 @@ def export_dot(netlist: Netlist) -> str:
     for gi in flat:
         lines.append(gate_line(gi, "  "))
     for stage, members in stages.items():
-        lines.append(f'  subgraph "cluster_{stage}" {{')
-        lines.append(f'    label="{stage}";')
+        lines.append(f"  subgraph {_dot_str('cluster_' + stage)} {{")
+        lines.append(f"    label={_dot_str(stage)};")
         for gi in members:
             lines.append(gate_line(gi, "    "))
         lines.append("  }")
     for name, _ in netlist.outputs:
-        lines.append(f'  "out:{name}" [shape=doubleoctagon, label="{name}"];')
-    source = {nid.index: f'"in:{name}"' for name, nid in netlist.inputs}
+        lines.append(f"  {_dot_str('out:' + name)} [shape=doubleoctagon, label={_dot_str(name)}];")
+    source = {nid.index: _dot_str("in:" + name) for name, nid in netlist.inputs}
     source.update((nid.index, f'"const{value}"') for value, nid in netlist.constants)
     source.update((gate.output.index, f"g{gi}") for gi, gate in enumerate(netlist.gates))
     for gi, gate in enumerate(netlist.gates):
         for nid in gate.inputs:
             lines.append(f"  {source[nid.index]} -> g{gi};")
     for name, nid in netlist.outputs:
-        lines.append(f'  {source[nid.index]} -> "out:{name}";')
+        lines.append(f"  {source[nid.index]} -> {_dot_str('out:' + name)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -298,8 +315,7 @@ def export_verilog(netlist: Netlist) -> str:
         lines.append(f"  output {ident};")
     for wire in wires:
         lines.append(f"  wire {wire};")
-    for gi in netlist.topo_order():
-        gate = netlist.gates[gi]
+    for gi, gate in enumerate(netlist.gates):
         ops = [names[gate.output.index]] + [names[nid.index] for nid in gate.inputs]
         lines.append(f"  {gate.kind.value.lower()} g{gi} ({', '.join(ops)});")
     for k, (ident, nid) in enumerate(aliases):

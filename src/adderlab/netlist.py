@@ -4,9 +4,11 @@ A netlist is named input ports, constants and AND/OR/XOR/NOT gates over
 nets numbered 0..n-1.  Each net has one source: an input port, a constant
 or one gate's output.  ``drivers[i]`` is the gate that drives net i, or
 None for an input or constant net; ``constants`` lists (value, net) pairs
-in ascending value order; output ports tap any net.  The gates form a
-directed acyclic graph.  ``NetlistBuilder`` is the only supported way to
-grow one; after ``finish()`` the result is immutable and safe to share.
+in ascending value order; output ports tap any net.  Gates are stored in
+dependency order: each reads only inputs, constants and earlier gates,
+as the builder guarantees and ``Netlist`` checks on construction.
+``NetlistBuilder`` is the only supported way to grow one; after
+``finish()`` the result is immutable and safe to share.
 
 Evaluation accepts plain 0/1 integers or numpy arrays of them, so a whole
 input space can be simulated in one vectorized pass.  The checkers use a
@@ -15,13 +17,10 @@ of two-operand bitwise steps over net indices, which ``simulate_planes``
 runs on uint64 bit-planes, 64 cases per word (parallel-pattern
 simulation).  Timing uses a ``DelayModel`` that assigns a base delay per
 gate kind, optionally scaled by ceil(log2(fan-in)) for wide gates.
-``topo_sort`` is the one topological sort: ``Netlist.topo_order`` and
-``io.import_json`` both order gates with it.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import numbers
@@ -39,6 +38,7 @@ from .errors import (
     FanInViolation,
     InvalidAssignment,
     InvalidParameter,
+    InvariantViolation,
     MissingInput,
     NetlistFrozen,
     UnknownInput,
@@ -120,6 +120,12 @@ class DelayModel:
         return DelayModel("log2", {k: 1.0 for k in GateKind}, FaninPenalty.LOG2)
 
 
+def _require_int(value, what: str) -> None:
+    """Reject anything but an integer (numpy's included), and bools, with InvalidParameter."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+
+
 def _as_bit(value, name: str):
     """Validate one assignment value: a 0/1 scalar or an integer/bool array of 0/1."""
     if isinstance(value, np.ndarray):
@@ -159,33 +165,6 @@ def _apply_gate(kind: GateKind, vals: list):
     return vals[0] ^ 1
 
 
-def topo_sort(consumers: Sequence[Sequence[int]], name: str) -> list[int]:
-    """Kahn order of nodes 0..n-1 putting each before its consumers, lowest index first.
-
-    ``consumers[u]`` lists the nodes that read node u, once per read.  A
-    cycle raises CombinationalLoop for netlist ``name``, listing every
-    node left unordered.
-    """
-    indeg = [0] * len(consumers)
-    for v in itertools.chain.from_iterable(consumers):
-        indeg[v] += 1
-    ready = [u for u, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
-    order: list[int] = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in consumers[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != len(consumers):
-        stuck = sorted(set(range(len(consumers))) - set(order))
-        raise CombinationalLoop(
-            f"netlist '{name}' has a combinational loop through gate {stuck[0]}", gates=stuck
-        )
-    return order
-
-
 class Netlist:
     """Immutable combinational circuit.  Build one with ``NetlistBuilder``."""
 
@@ -198,7 +177,6 @@ class Netlist:
         outputs: tuple[tuple[str, NetId], ...],
         constants: tuple[tuple[int, NetId], ...] = (),
         carry_merges=None,
-        _owner: int = 0,
     ):
         self.name = name
         self.drivers = drivers
@@ -209,9 +187,8 @@ class Netlist:
         # Per-stage carry metadata attached by the carry-increment builder;
         # None means "not an increment-style build", () means single block.
         self.carry_merges = carry_merges
-        self._owner = _owner
-        self._topo: tuple[int, ...] | None = None
         self._compiled: tuple[Step, ...] | None = None
+        self._check_tables()
 
     # -- structure ---------------------------------------------------------
 
@@ -223,19 +200,40 @@ class Netlist:
     def output_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.outputs)
 
-    def topo_order(self) -> tuple[int, ...]:
-        """Gate indices in dependency order; ties broken by ascending index."""
-        if self._topo is None:
-            consumers: list[list[int]] = [[] for _ in self.gates]
-            for gi, gate in enumerate(self.gates):
-                for nid in gate.inputs:
-                    if (source := self.drivers[nid.index]) is not None:
-                        consumers[source].append(gi)
-            self._topo = tuple(topo_sort(consumers, self.name))
-        return self._topo
+    def _check_tables(self) -> None:
+        """Check that every net exists, ``drivers`` names each gate at its own
+        output and nowhere else, and each gate reads only earlier gates."""
+        drivers, n = self.drivers, len(self.drivers)
+        rank = [-1 if gi is None else gi for gi in drivers]  # gate gi may read net i only if rank[i] < gi
+
+        def unknown(nid: NetId) -> UnknownNet:
+            return UnknownNet(f"no net {nid.index} in netlist '{self.name}'")
+
+        for _, nid in (*self.inputs, *self.constants, *self.outputs):
+            if not 0 <= nid.index < n:
+                raise unknown(nid)
+        for _, nid in (*self.inputs, *self.constants):
+            if drivers[nid.index] is not None:
+                raise InvariantViolation(f"net {nid.index} has a port or constant and gate {drivers[nid.index]}")
+        for gi, gate in enumerate(self.gates):
+            if not 0 <= gate.output.index < n:
+                raise unknown(gate.output)
+            if drivers[gate.output.index] != gi:
+                raise InvariantViolation(f"drivers[{gate.output.index}] is not gate {gi}, which drives it")
+            for nid in gate.inputs:
+                if not 0 <= nid.index < n:
+                    raise unknown(nid)
+                if rank[nid.index] >= gi:
+                    raise CombinationalLoop(
+                        f"gate {gi} of netlist '{self.name}' reads gate {rank[nid.index]}, which is not earlier",
+                        gates=(gi, rank[nid.index]),
+                    )
+        if (driven := n - drivers.count(None)) != len(self.gates):
+            raise InvariantViolation(f"drivers name {driven} gate outputs, not {len(self.gates)}")
 
     def with_gate_kind(self, gate_index: int, kind: GateKind) -> "Netlist":
         """Functional update swapping one gate's kind; used for fault injection."""
+        _require_int(gate_index, "gate index")
         if not 0 <= gate_index < len(self.gates):
             raise UnknownNet(f"no gate {gate_index} in netlist '{self.name}'")
         old = self.gates[gate_index]
@@ -253,7 +251,6 @@ class Netlist:
             self.outputs,
             self.constants,
             carry_merges=None,
-            _owner=self._owner,
         )
 
     # -- simulation ----------------------------------------------------------
@@ -291,8 +288,7 @@ class Netlist:
                 ) from None
         for value, nid in self.constants:
             values[nid.index] = value
-        for gi in self.topo_order():
-            gate = self.gates[gi]
+        for gate in self.gates:
             vals = [values[nid.index] for nid in gate.inputs]
             values[gate.output.index] = _apply_gate(gate.kind, vals)
         return values
@@ -310,7 +306,7 @@ class Netlist:
         Slots 0..n-1 are the n nets, indexed by net id; slots n and n+1
         hold all zeros and all ones.  A constant net copies one of them,
         NOT x runs as x XOR ones, and a gate of fan-in f becomes f - 1
-        steps, in ``topo_order()``.
+        steps, in stored gate order.
         """
         if self._compiled is None:
             zeros, ones = len(self.drivers), len(self.drivers) + 1
@@ -318,7 +314,7 @@ class Netlist:
                 (np.bitwise_or, ones if value else zeros, zeros, nid.index)
                 for value, nid in self.constants
             ]
-            gates = [step for gi in self.topo_order() for step in _lower(self.gates[gi], ones)]
+            gates = [step for gate in self.gates for step in _lower(gate, ones)]
             self._compiled = tuple(constants + gates)
         return self._compiled
 
@@ -349,8 +345,7 @@ class Netlist:
     def arrival_times(self, model: DelayModel) -> list[float]:
         """Latest-arrival time of every net; inputs and constants arrive at 0."""
         arr = [0.0] * len(self.drivers)
-        for gi in self.topo_order():
-            gate = self.gates[gi]
+        for gate in self.gates:
             arr[gate.output.index] = max(arr[nid.index] for nid in gate.inputs) + model.gate_delay(
                 gate.kind, len(gate.inputs)
             )
@@ -467,5 +462,4 @@ class NetlistBuilder:
             tuple(self._outputs),
             tuple(sorted(self._consts.items())),
             carry_merges=None if carry_merges is None else tuple(carry_merges),
-            _owner=self._owner,
         )

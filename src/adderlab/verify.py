@@ -26,7 +26,7 @@ from .errors import (
     PortContractViolation,
     ZeroWidth,
 )
-from .netlist import Netlist
+from .netlist import Netlist, _require_int
 
 FAILURE_CAP = 32
 DEFAULT_CASE_CAP = 1 << 21  # full sweep allowed up to width 10
@@ -95,6 +95,7 @@ def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
 
 
 def _check_contract(netlist: Netlist, width: int) -> None:
+    _require_int(width, "width")
     if width < 1:
         raise ZeroWidth(f"width must be >= 1, got {width}")
     want_in, want_out = adder_port_names(width)
@@ -272,11 +273,14 @@ def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> Equiv
     and widths with the same byte count draw the same bytes, masked
     differently; across byte counts the cases are unrelated.  The four
     corner cases (0,0,0), (max,max,1), (max,1,0), (0,0,1) are always
-    prepended.
+    prepended.  ``samples`` and ``seed`` must be integers >= 0.
     """
     _check_contract(netlist, width)
-    if samples < 0:
-        raise InvalidParameter(f"samples must be >= 0, got {samples}")
+    for what, value in (("samples", samples), ("seed", seed)):
+        _require_int(value, what)
+        if value < 0:
+            raise InvalidParameter(f"{what} must be >= 0, got {value}")
+    width, samples, seed = int(width), int(samples), int(seed)  # numpy integers have no to_bytes
     rng = np.random.Generator(np.random.PCG64(seed))
     mask = (1 << width) - 1
     nbytes = (width + 7) // 8

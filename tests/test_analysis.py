@@ -119,6 +119,30 @@ def test_delay_rca_formula(unit):
         assert delay_report(build_rca(width), unit).delay == 2 * width + 1
 
 
+def cia_unit_delay(width, block, kind):
+    """Unit-model delay of a carry-increment adder, in closed form.
+
+    Block 0 delivers its carry after 2*s+1 gates (ripple) or 3 (lookahead:
+    XOR/AND, product AND, carry OR); a lone lookahead block of s >= 2 bits
+    ends on its last sum XOR, at 4.  Each later block of s bits bumps the
+    effective carry through s half-adder ANDs and the merging OR: s + 1.
+    """
+    sizes = [min(block, width - start) for start in range(0, width, block)]
+    if kind is Architecture.RCA:
+        first = 2 * sizes[0] + 1
+    else:
+        first = 4 if len(sizes) == 1 and sizes[0] >= 2 else 3
+    return first + sum(size + 1 for size in sizes[1:])
+
+
+@pytest.mark.parametrize("kind", [Architecture.RCA, Architecture.CLA])
+def test_cia_delay_matches_closed_form(kind, unit):
+    for width in range(1, 33):
+        for block in range(1, width + 1):
+            report = delay_report(build_cia(width, block, kind), unit)
+            assert report.delay == cia_unit_delay(width, block, kind), (width, block)
+
+
 # -- compare --------------------------------------------------------------------------
 
 def test_compare_orders_rows_as_requested(unit):

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from adderlab import (
@@ -229,6 +230,28 @@ def test_cia_validation():
 def test_cia_bad_block_kind_is_invalid_parameter():
     with pytest.raises(InvalidParameter, match="block kind must be RCA or CLA, got Architecture.CIA_RCA"):
         build_cia(8, 4, Architecture.CIA_RCA)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", True])  # None is the unlimited fan-in
+@pytest.mark.parametrize("call,what", [
+    (lambda v: build_rca(v), "width"),
+    (lambda v: build_cla_block(v), "width"),
+    (lambda v: build_incrementer(v), "width"),
+    (lambda v: build_cia(v, 2, Architecture.RCA), "width"),
+    (lambda v: build_cia(8, v, Architecture.CLA), "block size"),
+    (lambda v: build_cla_block(4, v), "max_fanin"),
+    (lambda v: build_cia(8, 4, Architecture.CLA, v), "max_fanin"),
+    (lambda v: build_adder(AdderSpec(Architecture.CIA_RCA, 8, v)), "block size"),
+])
+def test_non_integer_shape_arguments_are_invalid(call, what, bad):
+    with pytest.raises(InvalidParameter, match=f"^{what} must be an integer, got "):
+        call(bad)
+
+
+def test_numpy_integer_shape_arguments_still_build():
+    assert export_json(build_rca(np.int64(3))) == export_json(build_rca(3))
+    same = build_cia(np.int32(8), np.uint8(3), Architecture.CLA, np.int64(2))
+    assert export_json(same) == export_json(build_cia(8, 3, Architecture.CLA, 2))
 
 
 @pytest.mark.parametrize("builder", [build_rca, build_cla_block, build_incrementer])

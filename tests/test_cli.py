@@ -169,6 +169,15 @@ def test_verify_negative_samples_exits_two(capsys):
     assert captured.err == "error: InvalidParameter: samples must be >= 0, got -5\n"
 
 
+@pytest.mark.parametrize("extra", [["--random", "5"], []])  # the fallback for wide operands samples too
+def test_verify_negative_seed_exits_two(extra, capsys):
+    width = "4" if extra else "16"
+    assert run(["verify", "--arch", "rca", "--width", width, *extra, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: InvalidParameter: seed must be >= 0, got -1\n"
+
+
 def test_verify_missing_infile_exits_two(tmp_path, capsys):
     assert run(["verify", "--in", str(tmp_path / "nope.json")]) == 2
 

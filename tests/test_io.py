@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,36 @@ def test_dot_constants_render_once(cia_rca_8_4):
 
 
 # -- Verilog ----------------------------------------------------------------------
+
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def dot_strings(dot: str) -> list[str]:
+    """Every quoted string in ``dot``, unescaped; asserts that each one is well formed."""
+    rest = DOT_STRING.sub("", dot)
+    assert '"' not in rest and "\\" not in rest, rest
+    return [re.sub(r"\\(.)", r"\1", quoted[1:-1]) for quoted in DOT_STRING.findall(dot)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text('ab"\\', min_size=1, max_size=4), min_size=4, max_size=4, unique=True))
+def test_dot_escapes_quotes_and_backslashes(names):
+    netlist, x, stage, y = names
+    b = NetlistBuilder(netlist)
+    net = b.add_input(x)
+    b.add_output(y, b.add_gate(GateKind.NOT, [net], stage=stage))
+    b.add_output(y + "!", net)
+    strings = dot_strings(export_dot(b.finish()))
+    assert {netlist, "in:" + x, x, "cluster_" + stage, stage, "out:" + y, y} <= set(strings)
+
+
+def test_dot_of_imported_names_with_quotes_is_well_formed():
+    doc = json.loads(export_json(build_half_adder())) | {"name": 'my"net'}
+    doc["inputs"][0]["name"] = 'a"b'
+    doc["outputs"][1]["name"] = "c\\"
+    strings = dot_strings(export_dot(import_json(json.dumps(doc))))
+    assert {'my"net', 'in:a"b', 'a"b', "out:c\\", "c\\"} <= set(strings)
+
 
 def test_verilog_half_adder_lines():
     text = export_verilog(build_half_adder())

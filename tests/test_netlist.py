@@ -1,13 +1,16 @@
-"""Core netlist behavior: building, freezing, evaluation, topology, timing."""
+"""Core netlist behavior: building, freezing, evaluation, dependency order, timing."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adderlab import (
     AdderLabError,
+    AdderSpec,
     CombinationalLoop,
     DelayModel,
     DuplicatePortName,
@@ -17,6 +20,7 @@ from adderlab import (
     GateKind,
     InvalidAssignment,
     InvalidParameter,
+    InvariantViolation,
     MissingInput,
     NetId,
     Netlist,
@@ -24,11 +28,14 @@ from adderlab import (
     NetlistFrozen,
     UnknownInput,
     UnknownNet,
+    build_adder,
     build_cia,
     build_cla_block,
     build_full_adder,
     build_half_adder,
     build_rca,
+    export_json,
+    import_json,
     Architecture,
 )
 from oracle import brute_force_delay
@@ -211,39 +218,114 @@ def test_bool_arrays_accepted():
     assert list(out["c"]) == [1, 0]
 
 
-# -- topology ----------------------------------------------------------------
+# -- dependency order ----------------------------------------------------------
 
-def test_topo_order_is_deterministic_and_consistent():
-    nl = build_cia(8, 4, Architecture.CLA)
-    order = nl.topo_order()
-    assert order == nl.topo_order()
-    position = {gi: k for k, gi in enumerate(order)}
+def assert_dependency_order(nl):
+    """Every gate input is an input, a constant or the output of an earlier gate."""
     for gi, gate in enumerate(nl.gates):
         for nid in gate.inputs:
             source = nl.drivers[nid.index]
-            if source is not None:
-                assert position[source] < position[gi]
+            assert source is None or source < gi, (nl.name, gi, source)
 
 
-def test_builder_order_is_already_topological():
-    # builder can only reference existing nets, so indices ascend
-    nl = build_rca(6)
-    assert nl.topo_order() == tuple(range(len(nl.gates)))
+@st.composite
+def adders(draw):
+    """The four builders at widths 1-12, every block size, fan-in none/2/3."""
+    width = draw(st.integers(1, 12))
+    arch = draw(st.sampled_from(list(Architecture)))
+    return build_adder(AdderSpec(arch, width, draw(st.integers(1, width)), draw(st.sampled_from([None, 2, 3]))))
+
+
+@st.composite
+def stored_netlists(draw):
+    """Random and built netlists, as built, as gate-kind mutants or re-imported from gate-shuffled documents."""
+    nl = draw(netlists() | adders())
+    how = draw(st.sampled_from(["as built", "mutant", "shuffled import"]))
+    if how == "mutant" and nl.gates:
+        gi = draw(st.integers(0, len(nl.gates) - 1))
+        arity = len(nl.gates[gi].inputs)
+        nl = nl.with_gate_kind(gi, draw(st.sampled_from([k for k in GateKind if k.arity_ok(arity)])))
+    elif how == "shuffled import":
+        doc = json.loads(export_json(nl))
+        doc["gates"] = draw(st.permutations(doc["gates"]))
+        nl = import_json(json.dumps(doc))
+    return nl
+
+
+@settings(max_examples=300, deadline=None)
+@given(stored_netlists())
+def test_gates_are_stored_in_dependency_order(nl):
+    assert_dependency_order(nl)
+
+
+def hand_built(drivers, gates, inputs=("x", "y"), outputs=(), constants=()):
+    """A Netlist made from raw tables of net indices; input k is net k."""
+    def net(i):
+        return NetId(i, 0)
+
+    return Netlist(
+        "hand",
+        tuple(drivers),
+        tuple(Gate(kind, tuple(map(net, ins)), net(out)) for kind, ins, out in gates),
+        tuple((name, net(i)) for i, name in enumerate(inputs)),
+        tuple((name, net(i)) for name, i in outputs),
+        tuple((value, net(i)) for value, i in constants),
+    )
+
+
+def test_hand_built_tables_in_dependency_order_are_accepted():
+    nl = hand_built((None, None, None, 0, 1), [(GateKind.AND, (0, 2), 3), (GateKind.NOT, (3,), 4)],
+                    outputs=(("z", 4),), constants=((1, 2),))
+    assert nl.evaluate({"x": 1, "y": 0}) == {"z": 0}
 
 
 def test_combinational_loop_detected():
     # builders cannot create cycles, so wire one up by hand
-    owner = 999
-    n0 = NetId(0, owner)
-    n1 = NetId(1, owner)
+    n0, n1 = NetId(0, 999), NetId(1, 999)
     gates = (
         Gate(GateKind.NOT, (n0,), n1),
         Gate(GateKind.NOT, (n1,), n0),
     )
-    looped = Netlist("loop", (1, 0), gates, (), (), _owner=owner)
     with pytest.raises(CombinationalLoop) as exc:
-        looped.topo_order()
+        Netlist("loop", (1, 0), gates, (), ())
     assert set(exc.value.gates) == {0, 1}
+
+
+@pytest.mark.parametrize("gates,pair", [
+    ([(GateKind.NOT, (2,), 2)], (0, 0)),  # reads its own output
+    ([(GateKind.AND, (0, 3), 2), (GateKind.NOT, (1,), 3)], (0, 1)),  # acyclic, but reads a later gate
+])
+def test_gate_reading_no_earlier_gate_is_rejected(gates, pair):
+    drivers = [None, None] + list(range(len(gates)))
+    with pytest.raises(CombinationalLoop, match="which is not earlier") as exc:
+        hand_built(drivers, gates)
+    assert exc.value.gates == pair
+
+
+@pytest.mark.parametrize("tables", [
+    dict(drivers=(None, None, 0), gates=[(GateKind.AND, (0, 9), 2)]),  # gate input
+    dict(drivers=(None, None, 0), gates=[(GateKind.AND, (0, -1), 2)]),  # negative gate input
+    dict(drivers=(None, None, 0), gates=[(GateKind.AND, (0, 1), 7)]),  # gate output
+    dict(drivers=(None, None), gates=[], outputs=(("z", 5),)),  # output port
+    dict(drivers=(None,), gates=[]),  # input port y on net 1
+    dict(drivers=(None, None), gates=[], constants=((0, 2),)),  # constant
+])
+def test_net_outside_the_driver_table_is_unknown(tables):
+    with pytest.raises(UnknownNet, match="^no net -?[0-9] in netlist 'hand'$"):
+        hand_built(**tables)
+
+
+@pytest.mark.parametrize("drivers,gates,constants,message", [
+    ((None, None, None), [(GateKind.AND, (0, 1), 2)], (), r"drivers\[2\] is not gate 0"),
+    ((None, None, 1, 0), [(GateKind.AND, (0, 1), 2), (GateKind.OR, (0, 1), 3)], (), r"drivers\[2\] is not gate 0"),
+    ((None, None, 0, 0), [(GateKind.AND, (0, 1), 2)], (), "drivers name 2 gate outputs, not 1"),
+    ((None, None, 0), [], (), "drivers name 1 gate outputs, not 0"),
+    ((0, None), [(GateKind.AND, (1, 1), 0)], (), "net 0 has a port or constant and gate 0"),
+    ((None, None, 0), [(GateKind.NOT, (0,), 2)], ((1, 2),), "net 2 has a port or constant and gate 0"),
+])
+def test_driver_table_disagreeing_with_the_gates_is_rejected(drivers, gates, constants, message):
+    with pytest.raises(InvariantViolation, match=message):
+        hand_built(drivers, gates, constants=constants)
 
 
 # -- delay models ----------------------------------------------------------------
@@ -364,6 +446,13 @@ def test_with_gate_kind_swaps_without_touching_original(rca4):
         rca4.with_gate_kind(0, GateKind.NOT)
     with pytest.raises(UnknownNet):
         rca4.with_gate_kind(99, GateKind.AND)
+
+
+@pytest.mark.parametrize("index", ["0", 0.0, 1.5, None, True])
+def test_with_gate_kind_needs_an_integer_index(rca4, index):
+    with pytest.raises(InvalidParameter, match="^gate index must be an integer, got "):
+        rca4.with_gate_kind(index, GateKind.OR)
+    assert rca4.with_gate_kind(np.int64(0), GateKind.OR).gates == rca4.with_gate_kind(0, GateKind.OR).gates
 
 
 # -- net tables -----------------------------------------------------------------------

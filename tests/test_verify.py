@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from adderlab import (
@@ -9,6 +10,7 @@ from adderlab import (
     CarryMerge,
     ExhaustiveTooLarge,
     GateKind,
+    InvalidParameter,
     MissingStageMetadata,
     NetlistBuilder,
     OperandOutOfRange,
@@ -146,6 +148,30 @@ def test_random_failures_are_real_mismatches(rca4):
 def test_random_rejects_negative_samples(rca4):
     with pytest.raises(ValueError):
         check_random(rca4, 4, -1, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_random_rejects_negative_seeds(rca4, seed):
+    with pytest.raises(InvalidParameter, match=f"^seed must be >= 0, got {seed}$"):
+        check_random(rca4, 4, 5, seed)
+
+
+@pytest.mark.parametrize("bad", [2.5, 4.0, "4", None, True])
+@pytest.mark.parametrize("call,what", [
+    (lambda nl, v: check_exhaustive(nl, v), "width"),
+    (lambda nl, v: check_random(nl, v, 5, 0), "width"),
+    (lambda nl, v: probe_invariant_carry_exclusive(build_cia(4, 2, Architecture.RCA), v), "width"),
+    (lambda nl, v: check_random(nl, 4, v, 0), "samples"),
+    (lambda nl, v: check_random(nl, 4, 5, v), "seed"),
+])
+def test_non_integer_checker_arguments_are_invalid(rca4, call, what, bad):
+    with pytest.raises(InvalidParameter, match=f"^{what} must be an integer, got "):
+        call(rca4, bad)
+
+
+def test_numpy_integer_checker_arguments_still_work(rca4):
+    assert check_exhaustive(rca4, np.int64(4)) == check_exhaustive(rca4, 4)
+    assert check_random(rca4, np.int64(4), np.int32(50), np.uint8(9)) == check_random(rca4, 4, 50, 9)
 
 
 # -- carry exclusivity probe -------------------------------------------------------
