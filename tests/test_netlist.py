@@ -258,6 +258,31 @@ def test_gates_are_stored_in_dependency_order(nl):
     assert_dependency_order(nl)
 
 
+def gate_order(nl):
+    """The stored gates as (kind, input indices, output index), free of the netlist's owner tag."""
+    return [(g.kind, tuple(n.index for n in g.inputs), g.output.index) for g in nl.gates]
+
+
+def test_topo_order_is_deterministic_and_consistent():
+    nl = build_cia(8, 4, Architecture.CLA)
+    assert gate_order(nl) == gate_order(build_cia(8, 4, Architecture.CLA))
+    assert_dependency_order(nl)
+    doc = json.loads(export_json(nl))
+    doc["gates"].reverse()
+    text = json.dumps(doc)
+    assert gate_order(import_json(text)) == gate_order(import_json(text))
+    assert_dependency_order(import_json(text))
+
+
+def test_builder_order_is_already_topological():
+    # builder can only reference existing nets, so gate outputs ascend in build order
+    nl = build_rca(6)
+    assert_dependency_order(nl)
+    outputs = [gate.output.index for gate in nl.gates]
+    assert outputs == sorted(outputs)
+    assert [nl.drivers[i] for i in outputs] == list(range(len(nl.gates)))
+
+
 def hand_built(drivers, gates, inputs=("x", "y"), outputs=(), constants=()):
     """A Netlist made from raw tables of net indices; input k is net k."""
     def net(i):
