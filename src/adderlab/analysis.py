@@ -15,7 +15,7 @@ from itertools import accumulate
 from .builders import AdderSpec, build_adder
 from .errors import AdderLabError, EmptySpecList
 from .netlist import DelayModel, GateKind, Netlist
-from .verify import check_exhaustive
+from .verify import _check_exhaustive_all
 
 # compare() verifies rows exhaustively up to this operand width
 VERIFY_WIDTH_LIMIT = 12
@@ -82,29 +82,38 @@ def compare(specs, model: DelayModel, verify_widths: bool = True) -> ComparisonT
 
     Rows whose build fails carry the error instead of numbers; the table
     is still returned.  Verification runs exhaustively for widths up to
-    VERIFY_WIDTH_LIMIT and is skipped (verified=None) beyond that.
+    VERIFY_WIDTH_LIMIT and is skipped (verified=None) beyond that.  All
+    rows of one width are verified in one shared sweep, so the oracle's
+    planes for that width are built once.
     """
     specs = list(specs)
     if not specs:
         raise EmptySpecList("no adder specs to compare")
-    rows = []
-    for spec in specs:
+    netlists: dict[int, Netlist] = {}
+    errors: dict[int, str] = {}
+    for k, spec in enumerate(specs):
         try:
-            netlist = build_adder(spec)
+            netlists[k] = build_adder(spec)
         except AdderLabError as exc:
-            rows.append(
-                ComparisonRow(spec, None, None, None, error=f"{type(exc).__name__}: {exc}")
-            )
-            continue
-        verified = None
-        if verify_widths and spec.width <= VERIFY_WIDTH_LIMIT:
-            report = check_exhaustive(
-                netlist, spec.width, case_cap=1 << (2 * VERIFY_WIDTH_LIMIT + 1)
-            )
-            verified = report.ok
-        rows.append(
-            ComparisonRow(spec, area_report(netlist), delay_report(netlist, model), verified)
+            errors[k] = f"{type(exc).__name__}: {exc}"
+    by_width: dict[int, list[int]] = {}
+    for k in netlists:
+        if verify_widths and specs[k].width <= VERIFY_WIDTH_LIMIT:
+            by_width.setdefault(specs[k].width, []).append(k)
+    verified: dict[int, bool] = {}
+    for width, ks in by_width.items():
+        reports = _check_exhaustive_all(
+            [netlists[k] for k in ks], width, case_cap=1 << (2 * VERIFY_WIDTH_LIMIT + 1)
         )
+        verified.update((k, report.ok) for k, report in zip(ks, reports))
+    rows = [
+        ComparisonRow(spec, None, None, None, error=errors[k])
+        if k in errors
+        else ComparisonRow(
+            spec, area_report(netlists[k]), delay_report(netlists[k], model), verified.get(k)
+        )
+        for k, spec in enumerate(specs)
+    ]
     return ComparisonTable(tuple(rows), model.name)
 
 

@@ -263,6 +263,23 @@ def export_dot(netlist: Netlist) -> str:
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+# Reserved keywords of IEEE 1364-2005 (Verilog-2005), Annex B.
+_KEYWORDS = frozenset("""
+    always and assign automatic begin buf bufif0 bufif1 case casex casez cell cmos
+    config deassign default defparam design disable edge else end endcase
+    endconfig endfunction endgenerate endmodule endprimitive endspecify endtable
+    endtask event for force forever fork function generate genvar highz0 highz1
+    if ifnone incdir include initial inout input instance integer join large
+    liblist library localparam macromodule medium module nand negedge nmos nor
+    noshowcancelled not notif0 notif1 or output parameter pmos posedge primitive
+    pull0 pull1 pulldown pullup pulsestyle_ondetect pulsestyle_onevent rcmos
+    real realtime reg release repeat rnmos rpmos rtran rtranif0 rtranif1
+    scalared showcancelled signed small specify specparam strong0 strong1
+    supply0 supply1 table task time tran tranif0 tranif1 tri tri0 tri1 triand
+    trior trireg unsigned use uwire vectored wait wand weak0 weak1 while wire
+    wor xnor xor
+""".split())
+
 
 def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "_", name)
@@ -277,6 +294,8 @@ def export_verilog(netlist: Netlist) -> str:
         ident = _sanitize(raw)
         if not _IDENT.match(ident):
             raise InvalidIdentifier(f"{what} '{raw}' is not an identifier even after sanitizing")
+        if ident in _KEYWORDS:
+            raise InvalidIdentifier(f"{what} '{raw}' is the Verilog keyword '{ident}'")
         if ident in taken:
             raise NameCollisionAfterSanitization(
                 f"{what} '{raw}' collides with {taken[ident]} as '{ident}'"
@@ -285,7 +304,7 @@ def export_verilog(netlist: Netlist) -> str:
         return ident
 
     module = _sanitize(netlist.name) or "netlist"
-    if not _IDENT.match(module):
+    if not _IDENT.match(module) or module in _KEYWORDS:
         module = "netlist"
     in_ports = []
     for name, nid in netlist.inputs:
@@ -305,7 +324,11 @@ def export_verilog(netlist: Netlist) -> str:
     wires = []
     for index in range(len(netlist.drivers)):
         if index not in names:
-            names[index] = reserve(f"n{index}", "wire")
+            ident, suffix = f"n{index}", 0
+            while ident in taken:  # a port already holds the name
+                suffix += 1
+                ident = f"n{index}_{suffix}"
+            names[index] = reserve(ident, "wire")
             wires.append(names[index])
 
     lines = [f"module {module} ({', '.join(in_ports + out_ports)});"]

@@ -236,6 +236,8 @@ class Netlist:
         _require_int(gate_index, "gate index")
         if not 0 <= gate_index < len(self.gates):
             raise UnknownNet(f"no gate {gate_index} in netlist '{self.name}'")
+        if not isinstance(kind, GateKind):
+            raise InvalidParameter(f"gate kind must be a GateKind, got {kind!r}")
         old = self.gates[gate_index]
         if not kind.arity_ok(len(old.inputs)):
             raise FanInViolation(

@@ -1,11 +1,15 @@
 """Functional verification of adder netlists against integer addition.
 
-The reference is integer addition, ``a + b + cin`` per case (``oracle_add``
-for random draws, the same sum over numpy case indices for exhaustive
-sweeps), which shares no code with the netlist simulator.  Both checkers
-run the netlist through ``Netlist.simulate_planes`` in chunks of 65,536
-cases, 64 per uint64 word; the oracle's sums are transposed into expected
-bit-planes so one XOR/OR pass compares a whole chunk.  Exhaustive checks
+The reference is integer addition, ``a + b + cin`` per case (over Python
+ints for random draws, over numpy case indices for exhaustive sweeps;
+``oracle_add`` is the one-case form), which shares no code with the
+netlist simulator.  Both checkers run the netlist through
+``Netlist.simulate_planes`` in chunks of 65,536 cases, 64 per uint64
+word; the oracle's sums are transposed into expected bit-planes so one
+XOR/OR pass compares a whole chunk.  One sweep serves a list of netlists
+of the same width: each chunk's input and expected planes are built once
+and every netlist is simulated and compared against them, which is how
+``analysis.compare`` verifies all rows of a width.  Exhaustive checks
 sweep the full (a, b, cin) space; random checks draw from a seeded PCG64
 stream and always include the corner cases.  Reports cap the failure list
 at 32 entries but keep the exact count.
@@ -81,6 +85,8 @@ class EquivalenceReport:
 
 def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
     """Reference semantics: (a + b + cin) as a width-bit sum and a carry-out."""
+    for what, value in (("a", a), ("b", b), ("cin", cin), ("width", width)):
+        _require_int(value, what)
     if width < 1:
         raise ZeroWidth(f"width must be >= 1, got {width}")
     limit = 1 << width
@@ -191,7 +197,7 @@ def _random_chunks(cases: list[tuple[int, int, int]], width: int):
         planes = {f"a_{i}": a_planes[i] for i in range(width)}
         planes |= {f"b_{i}": b_planes[i] for i in range(width)}
         planes["cin"] = _int_planes([cin for _, _, cin in chunk], 1)[0]
-        sums = [s | cout << width for s, cout in (oracle_add(*case, width) for case in chunk)]
+        sums = [a + b + cin for a, b, cin in chunk]
         yield planes, _int_planes(sums, width // 8 + 1)[: width + 1], len(chunk)
 
 
@@ -200,44 +206,80 @@ def _lane_value(rows, word: int, lane: int) -> int:
     return sum(((int(row[word]) >> lane) & 1) << i for i, row in enumerate(rows))
 
 
-def _sweep(netlist: Netlist, width: int, chunks) -> tuple[int, tuple[Failure, ...]]:
-    """Simulate each chunk, XOR it against the expected planes, and collect mismatches.
+def _mismatches(
+    netlist: Netlist, out_nets: list[int], width: int, chunk, failures: list[Failure]
+) -> int:
+    """Simulate one chunk on ``netlist`` and count the cases whose outputs miss the oracle.
 
-    Returns the exact mismatch count and the first FAILURE_CAP failing
-    cases in chunk order.  Lanes past a chunk's last case never count.
+    Appends failing cases to ``failures`` until it holds FAILURE_CAP.
+    The netlist's planes live only for this call.  Lanes past the
+    chunk's last case never count.
     """
-    ports = dict(netlist.outputs)
-    out_nets = [ports[f"s_{i}"].index for i in range(width)] + [ports["cout"].index]
+    planes, expected, n = chunk
+    values = netlist.simulate_planes(planes, expected.shape[1])
+    bad = values[out_nets[0]] ^ expected[0]
+    for net, want in zip(out_nets[1:], expected[1:]):
+        bad |= values[net] ^ want
+    if n % 64:
+        bad[-1] &= np.uint64((1 << n % 64) - 1)
+    if not bad.any():
+        return 0
+    got = [values[o] for o in out_nets]
     mask = (1 << width) - 1
-    failure_count = 0
-    failures: list[Failure] = []
-    for planes, expected, n in chunks:
-        words = expected.shape[1]
-        values = netlist.simulate_planes(planes, words)
-        got = np.stack([values[i] for i in out_nets])
-        bad = np.bitwise_or.reduce(got ^ expected, axis=0)
-        if n % 64:
-            bad[-1] &= np.uint64((1 << n % 64) - 1)
-        if not bad.any():
-            continue
-        failure_count += int(np.count_nonzero(np.unpackbits(bad.view(np.uint8))))
-        for word in np.flatnonzero(bad)[: FAILURE_CAP - len(failures)]:
-            lanes = int(bad[word])
-            while lanes and len(failures) < FAILURE_CAP:
-                lane = (lanes & -lanes).bit_length() - 1
-                lanes &= lanes - 1
-                want = _lane_value(expected, word, lane)
-                have = _lane_value(got, word, lane)
-                failures.append(
-                    Failure(
-                        _lane_value([planes[f"a_{i}"] for i in range(width)], word, lane),
-                        _lane_value([planes[f"b_{i}"] for i in range(width)], word, lane),
-                        _lane_value([planes["cin"]], word, lane),
-                        want & mask, want >> width,
-                        have & mask, have >> width,
-                    )
+    for word in np.flatnonzero(bad)[: FAILURE_CAP - len(failures)]:
+        lanes = int(bad[word])
+        while lanes and len(failures) < FAILURE_CAP:
+            lane = (lanes & -lanes).bit_length() - 1
+            lanes &= lanes - 1
+            want = _lane_value(expected, word, lane)
+            have = _lane_value(got, word, lane)
+            failures.append(
+                Failure(
+                    _lane_value([planes[f"a_{i}"] for i in range(width)], word, lane),
+                    _lane_value([planes[f"b_{i}"] for i in range(width)], word, lane),
+                    _lane_value([planes["cin"]], word, lane),
+                    want & mask, want >> width,
+                    have & mask, have >> width,
                 )
-    return failure_count, tuple(failures)
+            )
+    return int(np.count_nonzero(np.unpackbits(bad.view(np.uint8))))
+
+
+def _sweep(netlists: list[Netlist], width: int, chunks) -> list[tuple[int, tuple[Failure, ...]]]:
+    """Run every netlist on each chunk and compare it with the chunk's expected planes.
+
+    The chunks (input and oracle planes) are made once and shared by all
+    netlists, which must expose the width-``width`` adder ports.  Returns,
+    per netlist, the exact mismatch count and the first FAILURE_CAP
+    failing cases in chunk order.
+    """
+    out_nets = []
+    for netlist in netlists:
+        ports = dict(netlist.outputs)
+        out_nets.append([ports[f"s_{i}"].index for i in range(width)] + [ports["cout"].index])
+    counts = [0] * len(netlists)
+    failures: list[list[Failure]] = [[] for _ in netlists]
+    for chunk in chunks:
+        for k, netlist in enumerate(netlists):
+            counts[k] += _mismatches(netlist, out_nets[k], width, chunk, failures[k])
+    return [(count, tuple(found)) for count, found in zip(counts, failures)]
+
+
+def _check_exhaustive_all(netlists: list[Netlist], width: int, case_cap: int) -> list[EquivalenceReport]:
+    """check_exhaustive for several netlists of one width, in one shared sweep."""
+    cases = [_exhaustive_size(netlist, width, case_cap) for netlist in netlists]
+    results = _sweep(netlists, width, _exhaustive_chunks(width))
+    return [
+        EquivalenceReport(
+            netlist=netlist.name,
+            width=width,
+            mode="exhaustive",
+            cases_checked=checked,
+            failure_count=failure_count,
+            failures=failures,
+        )
+        for netlist, checked, (failure_count, failures) in zip(netlists, cases, results)
+    ]
 
 
 def check_exhaustive(netlist: Netlist, width: int, case_cap: int = DEFAULT_CASE_CAP) -> EquivalenceReport:
@@ -252,16 +294,7 @@ def check_exhaustive(netlist: Netlist, width: int, case_cap: int = DEFAULT_CASE_
     case_cap : int
         Refuse sweeps larger than this many cases (ExhaustiveTooLarge).
     """
-    cases = _exhaustive_size(netlist, width, case_cap)
-    failure_count, failures = _sweep(netlist, width, _exhaustive_chunks(width))
-    return EquivalenceReport(
-        netlist=netlist.name,
-        width=width,
-        mode="exhaustive",
-        cases_checked=cases,
-        failure_count=failure_count,
-        failures=failures,
-    )
+    return _check_exhaustive_all([netlist], width, case_cap)[0]
 
 
 def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> EquivalenceReport:
@@ -292,7 +325,7 @@ def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> Equiv
     # Sweeping in (a, b, cin) order makes the first failures found the
     # first failures in report order.
     cases.sort()
-    failure_count, failures = _sweep(netlist, width, _random_chunks(cases, width))
+    [(failure_count, failures)] = _sweep([netlist], width, _random_chunks(cases, width))
     return EquivalenceReport(
         netlist=netlist.name,
         width=width,

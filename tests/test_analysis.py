@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from adderlab import analysis, verify
 from adderlab import (
     AdderSpec,
     Architecture,
@@ -185,6 +186,57 @@ def test_compare_skips_verification_above_width_limit(unit):
 def test_compare_can_skip_verification_entirely(unit):
     table = compare([AdderSpec(Architecture.RCA, 4)], unit, verify_widths=False)
     assert table.rows[0].verified is None
+
+
+def test_compare_mixed_rows_keep_request_order_and_verdicts(monkeypatch, unit):
+    specs = [
+        AdderSpec(Architecture.CLA, 6),
+        AdderSpec(Architecture.RCA, 13),  # over the limit: not verified
+        AdderSpec(Architecture.CIA_RCA, 2, 4),  # build fails
+        AdderSpec(Architecture.RCA, 4),
+        AdderSpec(Architecture.CIA_CLA, 6, 2),
+        AdderSpec(Architecture.CIA_RCA, 4, 2),
+    ]
+    table = compare(specs, unit)
+    assert [row.spec for row in table.rows] == specs
+    assert [row.verified for row in table.rows] == [True, None, None, True, True, True]
+    assert [row.error is not None for row in table.rows] == [False, False, True, False, False, False]
+    skipped = compare(specs, unit, verify_widths=False)
+    assert [row.verified for row in skipped.rows] == [None] * len(specs)
+    assert [row.delay for row in skipped.rows] == [row.delay for row in table.rows]
+    # a wrong row must be reported on its own row, not on a neighbor sharing its sweep
+    def build_with_fault(spec):
+        netlist = build_adder(spec)
+        return netlist.with_gate_kind(0, GateKind.OR) if spec == specs[4] else netlist
+    monkeypatch.setattr(analysis, "build_adder", build_with_fault)
+    faulty = compare(specs, unit)
+    assert [row.verified for row in faulty.rows] == [True, None, None, True, False, True]
+
+
+def test_compare_sweeps_each_verifiable_width_once(monkeypatch, unit):
+    calls = []
+    chunks = verify._exhaustive_chunks
+
+    def spy(width):
+        calls.append(width)
+        return chunks(width)
+
+    monkeypatch.setattr(verify, "_exhaustive_chunks", spy)
+    specs = [
+        AdderSpec(Architecture.RCA, 6),
+        AdderSpec(Architecture.CLA, 4),
+        AdderSpec(Architecture.CIA_RCA, 6, 2),
+        AdderSpec(Architecture.RCA, 13),
+        AdderSpec(Architecture.CIA_RCA, 2, 4),
+        AdderSpec(Architecture.CIA_CLA, 4, 2),
+        AdderSpec(Architecture.CIA_CLA, 6, 3),
+    ]
+    table = compare(specs, unit)
+    assert sorted(calls) == [4, 6]
+    assert sum(row.verified is True for row in table.rows) == 5
+    calls.clear()
+    compare(specs, unit, verify_widths=False)
+    assert calls == []
 
 
 def test_compare_is_deterministic(unit):

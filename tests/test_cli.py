@@ -262,6 +262,13 @@ def test_compare_error_row_exits_two(capsys):
     assert "BlockTooLarge" in capsys.readouterr().out
 
 
+def test_compare_all_architectures_matches_golden(capsys):
+    assert run(["compare", "--archs", "rca,cla,cia_rca,cia_cla", "--width", "10", "--block", "4"]) == 0
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / "compare_all_w10.txt").read_text()
+    assert err == ""
+
+
 def test_compare_csv_matches_golden(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code = run([

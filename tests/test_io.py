@@ -437,6 +437,47 @@ def test_verilog_rejects_names_that_stay_no_identifier(name):
     assert str(exc.value) == f"input port '{name}' is not an identifier even after sanitizing"
 
 
+@pytest.mark.parametrize("inputs,output", [
+    (("wire", "x"), "y"),
+    (("x", "n2"), "and"),
+    (("pulsestyle.ondetect", "x"), "y"),  # a keyword only once sanitized
+])
+def test_verilog_rejects_port_names_that_are_keywords(inputs, output):
+    b = NetlistBuilder("t")
+    nets = [b.add_input(name) for name in inputs]
+    b.add_output(output, b.add_gate(GateKind.AND, nets))
+    with pytest.raises(InvalidIdentifier, match="is the Verilog keyword '"):
+        export_verilog(b.finish())
+
+
+@pytest.mark.parametrize("name", ["module", "wire", "endmodule", "xor"])
+def test_verilog_keyword_module_name_falls_back(name):
+    b = NetlistBuilder(name)
+    x = b.add_input("x")
+    b.add_output("y", b.add_gate(GateKind.NOT, [x]))
+    assert export_verilog(b.finish()).startswith("module netlist (x, y);")
+
+
+def test_verilog_wire_names_skip_port_names():
+    # nets 0, 1 are inputs and net 2 an internal wire; ports already hold n2 and n2_1
+    b = NetlistBuilder("t")
+    x, n2 = b.add_input("x"), b.add_input("n2")
+    inner = b.add_gate(GateKind.AND, [x, n2])
+    other = b.add_gate(GateKind.XOR, [inner, x])
+    b.add_output("n2_1", b.add_gate(GateKind.OR, [other, inner]))
+    netlist = b.finish()
+    assert netlist.drivers[2] == 0
+    text = export_verilog(netlist)
+    declared = [
+        line.split()[1].rstrip(";")
+        for line in text.splitlines()
+        if line.lstrip().startswith(("input ", "output ", "wire "))
+    ]
+    assert sorted(declared) == ["n2", "n2_1", "n2_2", "n3", "x"]
+    assert "  and g0 (n2_2, x, n2);" in text
+    assert "  or g2 (n2_1, n3, n2_2);" in text
+
+
 def test_verilog_output_alias_uses_buf():
     b = NetlistBuilder("t")
     x = b.add_input("x")

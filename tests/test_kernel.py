@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from adderlab import verify
 from adderlab import (
+    AdderSpec,
     Architecture,
     GateKind,
     InvalidAssignment,
     MissingInput,
     UnknownInput,
+    build_adder,
     build_cia,
     build_half_adder,
     build_rca,
@@ -137,3 +139,21 @@ def test_chunk_boundaries_do_not_change_reports(monkeypatch):
     for netlist in (clean, *kind_swap_mutants(clean)):
         assert check_exhaustive(netlist, 4) == reference_check_exhaustive(netlist, 4), netlist.name
         assert check_random(netlist, 4, 300, seed=2) == reference_check_random(netlist, 4, 300, seed=2)
+
+
+@pytest.mark.parametrize("words", [1024, 1], ids=["one_chunk", "one_word_chunks"])
+def test_shared_sweep_reports_each_netlist_like_its_own_check(monkeypatch, words):
+    # one sweep, one set of oracle planes, many netlists: no report may leak into another
+    monkeypatch.setattr(verify, "_WORDS", words)
+    rca = build_rca(4)
+    cla = build_adder(AdderSpec(Architecture.CLA, 4))
+    netlists = [rca, *kind_swap_mutants(rca), cla, build_cia(4, 2, Architecture.CLA)]
+    reports = verify._check_exhaustive_all(netlists, 4, verify.DEFAULT_CASE_CAP)
+    assert len(reports) == len(netlists)
+    capped = 0
+    for netlist, report in zip(netlists, reports):
+        assert report == check_exhaustive(netlist, 4), netlist.name
+        assert report == reference_check_exhaustive(netlist, 4), netlist.name
+        capped += report.failure_count > len(report.failures) == verify.FAILURE_CAP
+    assert reports[0].ok and reports[-1].ok and reports[-2].ok
+    assert capped > 0 and not all(report.ok for report in reports[1:-2])

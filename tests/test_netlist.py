@@ -480,6 +480,12 @@ def test_with_gate_kind_needs_an_integer_index(rca4, index):
     assert rca4.with_gate_kind(np.int64(0), GateKind.OR).gates == rca4.with_gate_kind(0, GateKind.OR).gates
 
 
+@pytest.mark.parametrize("kind", ["OR", 0, None, GateKind.OR.value])
+def test_with_gate_kind_needs_a_gate_kind(rca4, kind):
+    with pytest.raises(InvalidParameter, match="^gate kind must be a GateKind, got "):
+        rca4.with_gate_kind(0, kind)
+
+
 # -- net tables -----------------------------------------------------------------------
 
 def check_net_tables(nl):

@@ -48,6 +48,18 @@ def test_oracle_range_checks():
         oracle_add(0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("args,what", [
+    ((1, 2, 0, 2.5), "width"),
+    ((1.5, 2, 0, 4), "a"),
+    ((1, "2", 0, 4), "b"),
+    ((1, 2, True, 4), "cin"),
+    ((1, 2, None, 4), "cin"),
+])
+def test_oracle_rejects_non_integers(args, what):
+    with pytest.raises(InvalidParameter, match=f"^{what} must be an integer, got "):
+        oracle_add(*args)
+
+
 def test_oracle_matches_python_integers():
     for a, b, cin in itertools.product(range(8), range(8), (0, 1)):
         s, cout = oracle_add(a, b, cin, 3)
