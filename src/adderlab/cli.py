@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .analysis import compare, delay_report, area_report, format_comparison
 from .builders import AdderSpec, Architecture, build_adder
-from .errors import AdderLabError
+from .errors import AdderLabError, ParseError
 from .io import export_csv, export_dot, export_json, export_verilog, import_json
 from .netlist import DelayModel
 from .verify import DEFAULT_CASE_CAP, check_exhaustive, check_random
@@ -56,7 +56,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("error: verify takes --arch or --in, not both", file=sys.stderr)
         return 2
     if args.infile:
-        netlist = import_json(Path(args.infile).read_text())
+        try:
+            text = Path(args.infile).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.infile} is not UTF-8 text: {exc}") from None
+        netlist = import_json(text)
     else:
         netlist = build_adder(_spec_from(args))
     if args.random is not None:

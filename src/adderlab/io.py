@@ -3,9 +3,12 @@ Verilog, and CSV comparison tables.
 
 JSON is the only round-trippable format.  Export is canonical (keys
 sorted, nets renumbered densely, gates in stored order), so rebuilds and
-re-imports give identical bytes; import sorts a document's gates, which
-may come in any order.  DOT and Verilog are one-way views; CSV
-serializes comparison tables.
+re-imports give identical bytes; it is written from fixed line templates.
+Import checks every field, then builds the netlist's tables directly.
+A document's gates may come in any order; they are sorted only when
+their output ids do not ascend in dependency order, as an exported
+document's do.  DOT and Verilog are one-way views; CSV serializes
+comparison tables.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from operator import attrgetter, lt
 
 from .analysis import ComparisonTable, _row_cells
 from .errors import (
-    AdderLabError,
     InvalidIdentifier,
     InvariantViolation,
     NameCollisionAfterSanitization,
@@ -24,7 +27,7 @@ from .errors import (
     UnknownGateKind,
     UnsupportedVersion,
 )
-from .netlist import GateKind, Netlist, NetlistBuilder
+from .netlist import Gate, GateKind, NetId, Netlist, _owner_counter
 from .verify import EquivalenceReport
 
 FORMAT_VERSION = 1
@@ -32,36 +35,70 @@ FORMAT_VERSION = 1
 
 # -- JSON ---------------------------------------------------------------------
 
-def _dense_ids(netlist: Netlist) -> dict[int, int]:
-    """Canonical net numbering: input ports, then constants, then gate outputs."""
-    mapping: dict[int, int] = {}
-    for _, nid in netlist.inputs:
-        mapping[nid.index] = len(mapping)
-    for _, nid in netlist.constants:
-        mapping[nid.index] = len(mapping)
-    for gate in netlist.gates:
-        mapping[gate.output.index] = len(mapping)
-    return mapping
+_index = attrgetter("index")
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """A JSON array of preformatted ``items`` at nesting ``depth``, laid out as
+    ``json.dumps(indent=2)`` lays it out."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
 
 def export_json(netlist: Netlist) -> str:
-    """Serialize to the canonical interchange document (byte-deterministic)."""
-    ids = _dense_ids(netlist)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "name": netlist.name,
-        "inputs": [{"name": name, "net": ids[nid.index]} for name, nid in netlist.inputs],
-        "outputs": [{"name": name, "net": ids[nid.index]} for name, nid in netlist.outputs],
-        "constants": [{"net": ids[nid.index], "value": value} for value, nid in netlist.constants],
-        "gates": [
-            {
-                "kind": gate.kind.value,
-                "inputs": [ids[nid.index] for nid in gate.inputs],
-                "output": ids[gate.output.index],
-            }
-            for gate in netlist.gates
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Serialize to the canonical interchange document (byte-deterministic).
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``,
+    written from fixed line templates; only the names go through
+    ``json.dumps``.
+    """
+    # Canonical net numbering: input ports, then constants, then gate outputs.
+    ids: dict[int, str] = {}
+    for _, nid in (*netlist.inputs, *netlist.constants):
+        ids[nid.index] = str(len(ids))
+    for gate in netlist.gates:
+        ids[gate.output.index] = str(len(ids))
+    net = ids.__getitem__
+
+    def ports(table) -> str:
+        return _json_list(
+            [
+                "{\n"
+                f'      "name": {json.dumps(name)},\n'
+                f'      "net": {ids[nid.index]}\n'
+                "    }"
+                for name, nid in table
+            ],
+            1,
+        )
+
+    constants = [
+        "{\n"
+        f'      "net": {ids[nid.index]},\n'
+        f'      "value": {value}\n'
+        "    }"
+        for value, nid in netlist.constants
+    ]
+    gates = [
+        "{\n"
+        f'      "inputs": {_json_list(list(map(net, map(_index, gate.inputs))), 3)},\n'
+        f'      "kind": "{gate.kind.value}",\n'
+        f'      "output": {ids[gate.output.index]}\n'
+        "    }"
+        for gate in netlist.gates
+    ]
+    return (
+        "{\n"
+        f'  "constants": {_json_list(constants, 1)},\n'
+        f'  "format_version": {FORMAT_VERSION},\n'
+        f'  "gates": {_json_list(gates, 1)},\n'
+        f'  "inputs": {ports(netlist.inputs)},\n'
+        f'  "name": {json.dumps(netlist.name)},\n'
+        f'  "outputs": {ports(netlist.outputs)}\n'
+        "}\n"
+    )
 
 
 def _field(doc: dict, key: str, kind: type):
@@ -79,18 +116,18 @@ def _net_ref(value, where: str) -> int:
     return value
 
 
-def _doc_order(gates: list[dict]) -> list[int]:
-    """Kahn order of document gates, which name their nets by id; lowest index first."""
+def _doc_order(refs: list[list[int]], outs: list[int]) -> list[int]:
+    """Kahn order of document gates, gate gi reading nets ``refs[gi]`` and
+    driving net ``outs[gi]`` (document ids); lowest index first."""
     driver_of = {}
-    for gi, gate in enumerate(gates):
-        out = gate["output"]
+    for gi, out in enumerate(outs):
         if out in driver_of:
             raise InvariantViolation(f"net {out} has more than one driver")
         driver_of[out] = gi
-    consumers: list[list[int]] = [[] for _ in gates]
-    indeg = [0] * len(gates)
-    for gi, gate in enumerate(gates):
-        for ref in gate["inputs"]:
+    consumers: list[list[int]] = [[] for _ in outs]
+    indeg = [0] * len(outs)
+    for gi, ins in enumerate(refs):
+        for ref in ins:
             if ref in driver_of:
                 consumers[driver_of[ref]].append(gi)
                 indeg[gi] += 1
@@ -103,8 +140,8 @@ def _doc_order(gates: list[dict]) -> list[int]:
             indeg[reader] -= 1
             if indeg[reader] == 0:
                 heapq.heappush(ready, reader)
-    if len(order) != len(gates):
-        stuck = min(set(range(len(gates))) - set(order))
+    if len(order) != len(outs):
+        stuck = min(set(range(len(outs))) - set(order))
         raise InvariantViolation(f"gate {stuck} sits on a combinational loop")
     return order
 
@@ -115,11 +152,15 @@ def import_json(text: str) -> Netlist:
     Structural problems (multiple drivers, undriven references, bad
     arity, cycles, duplicate ports) raise InvariantViolation; malformed
     documents raise ParseError; foreign kinds or versions raise
-    UnknownGateKind / UnsupportedVersion.
+    UnknownGateKind / UnsupportedVersion.  Every field is checked, in
+    document order, before any net is numbered.  Nets are numbered as
+    ``NetlistBuilder`` would number them: inputs, then one net per
+    constant value, then gate outputs in build order, which is the
+    document's order unless a gate reads a later gate.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too-deep nesting, too-long integers
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
@@ -143,7 +184,9 @@ def import_json(text: str) -> Netlist:
         _net_ref(entry.get("net"), "constant net")
         if type(entry.get("value")) is not int or entry["value"] not in (0, 1):
             raise InvariantViolation("constant value must be 0 or 1")
-    norm_gates = []
+    kinds: list[GateKind] = []
+    refs: list[list[int]] = []  # the document's own lists, not copies
+    outs: list[int] = []
     for gi, entry in enumerate(gates):
         if not isinstance(entry, dict):
             raise ParseError("gates must be objects")
@@ -152,50 +195,72 @@ def import_json(text: str) -> Netlist:
             kind = GateKind(kind_name)
         except ValueError:
             raise UnknownGateKind(f"gate {gi} has unknown kind '{kind_name}'") from None
-        refs = _field(entry, "inputs", list)
-        norm_gates.append(
-            {
-                "kind": kind,
-                "inputs": [_net_ref(r, f"gate {gi} input") for r in refs],
-                "output": _net_ref(entry.get("output"), f"gate {gi} output"),
-            }
-        )
-        if not kind.arity_ok(len(refs)):
-            raise InvariantViolation(f"gate {gi}: {kind.value} cannot take {len(refs)} input(s)")
+        ins = _field(entry, "inputs", list)
+        if ins and (set(map(type, ins)) != {int} or min(ins) < 0):
+            for ref in ins:
+                _net_ref(ref, f"gate {gi} input")
+        outs.append(_net_ref(entry.get("output"), f"gate {gi} output"))
+        if not kind.arity_ok(len(ins)):
+            raise InvariantViolation(f"gate {gi}: {kind.value} cannot take {len(ins)} input(s)")
+        kinds.append(kind)
+        refs.append(ins)
 
-    builder = NetlistBuilder(name)
-    nets: dict[int, object] = {}
-
-    def claim(ref: int, what: str):
+    owner = next(_owner_counter)
+    nets: dict[int, NetId] = {}  # document net id -> net
+    in_ports: list[tuple[str, NetId]] = []
+    taken: set[str] = set()
+    for entry in inputs:
+        ref, port = entry["net"], entry["name"]
         if ref in nets:
-            raise InvariantViolation(f"net {ref} has more than one driver ({what})")
+            raise InvariantViolation(f"net {ref} has more than one driver (input {port})")
+        if port in taken:
+            raise InvariantViolation(f"input port '{port}' already declared")
+        taken.add(port)
+        nets[ref] = NetId(len(in_ports), owner)
+        in_ports.append((port, nets[ref]))
+    consts: dict[int, NetId] = {}  # one net per value, numbered in first-appearance order
+    for entry in constants:
+        ref, value = entry["net"], entry["value"]
+        if ref in nets:
+            raise InvariantViolation(f"net {ref} has more than one driver (constant)")
+        if value not in consts:
+            consts[value] = NetId(len(in_ports) + len(consts), owner)
+        nets[ref] = consts[value]
 
-    try:
-        for entry in inputs:
-            claim(entry["net"], f"input {entry['name']}")
-            nets[entry["net"]] = builder.add_input(entry["name"])
-        for entry in constants:
-            claim(entry["net"], "constant")
-            nets[entry["net"]] = builder.constant(entry["value"])
-        for gi in _doc_order(norm_gates):
-            gate = norm_gates[gi]
-            claim(gate["output"], f"gate {gi}")
-            feeds = []
-            for ref in gate["inputs"]:
-                if ref not in nets:
-                    raise InvariantViolation(f"gate reads undriven net {ref}")
-                feeds.append(nets[ref])
-            nets[gate["output"]] = builder.add_gate(gate["kind"], feeds)
-        for entry in outputs:
-            if entry["net"] not in nets:
-                raise InvariantViolation(f"output port '{entry['name']}' taps undriven net")
-            builder.add_output(entry["name"], nets[entry["net"]])
-    except InvariantViolation:
-        raise
-    except AdderLabError as exc:
-        # builder-level complaints (duplicate ports, arity) are document defects
-        raise InvariantViolation(str(exc)) from exc
-    return builder.finish()
+    # Gate outputs ascending, each above its gate's inputs: then every gate
+    # reads only earlier gates and the document order is the build order.
+    in_order = all(map(lt, outs, outs[1:])) and all(map(lt, map(max, refs), outs))
+    order = range(len(outs)) if in_order else _doc_order(refs, outs)
+    first = len(in_ports) + len(consts)
+    built: list[Gate] = []
+    for gi in order:
+        out = outs[gi]
+        if out in nets:
+            raise InvariantViolation(f"net {out} has more than one driver (gate {gi})")
+        try:
+            feeds = tuple(map(nets.__getitem__, refs[gi]))
+        except KeyError as exc:
+            raise InvariantViolation(f"gate reads undriven net {exc.args[0]}") from None
+        nets[out] = NetId(first + len(built), owner)
+        built.append(Gate(kinds[gi], feeds, nets[out]))
+    out_ports: list[tuple[str, NetId]] = []
+    taken = set()
+    for entry in outputs:
+        ref, port = entry["net"], entry["name"]
+        if ref not in nets:
+            raise InvariantViolation(f"output port '{port}' taps undriven net")
+        if port in taken:
+            raise InvariantViolation(f"output port '{port}' already declared")
+        taken.add(port)
+        out_ports.append((port, nets[ref]))
+    return Netlist(
+        name,
+        (None,) * first + tuple(range(len(built))),
+        tuple(built),
+        tuple(in_ports),
+        tuple(out_ports),
+        tuple(sorted(consts.items())),
+    )
 
 
 def export_report(report: EquivalenceReport) -> str:

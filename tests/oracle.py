@@ -11,11 +11,28 @@ into one uint8 array per input port, simulated with ``Netlist.evaluate``,
 and packed back into integers for comparison.
 
 ``reference_doc_order`` is the quadratic form of the lowest-index-first
-topological sort that ``import_json`` runs on a document's gate list.
+topological sort that gives ``import_json``'s build order.
+
+``reference_export_json`` writes the interchange document with
+``json.dumps(indent=2, sort_keys=True)``, and ``reference_import_json``
+replays a document through ``NetlistBuilder``, checking it field by
+field: the plain forms that ``adderlab.io``'s line-template writer and
+direct table build must match byte for byte and error for error.
 """
+
+import json
 
 import numpy as np
 
+from adderlab import (
+    AdderLabError,
+    GateKind,
+    InvariantViolation,
+    NetlistBuilder,
+    ParseError,
+    UnknownGateKind,
+    UnsupportedVersion,
+)
 from adderlab.verify import (
     FAILURE_CAP,
     EquivalenceReport,
@@ -66,6 +83,142 @@ def reference_doc_order(gates):
     while (gi := next((gi for gi in range(len(gates)) if ready(gi)), None)) is not None:
         placed.append(gi)
     return placed
+
+
+# -- JSON interchange ---------------------------------------------------------------
+
+def reference_export_json(netlist):
+    """The canonical document: nets renumbered inputs, constants, gates; keys sorted."""
+    ids = {}
+    for _, nid in (*netlist.inputs, *netlist.constants):
+        ids[nid.index] = len(ids)
+    for gate in netlist.gates:
+        ids[gate.output.index] = len(ids)
+    doc = {
+        "format_version": 1,
+        "name": netlist.name,
+        "inputs": [{"name": name, "net": ids[nid.index]} for name, nid in netlist.inputs],
+        "outputs": [{"name": name, "net": ids[nid.index]} for name, nid in netlist.outputs],
+        "constants": [{"net": ids[nid.index], "value": value} for value, nid in netlist.constants],
+        "gates": [
+            {
+                "kind": gate.kind.value,
+                "inputs": [ids[nid.index] for nid in gate.inputs],
+                "output": ids[gate.output.index],
+            }
+            for gate in netlist.gates
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _field(doc, key, kind):
+    if key not in doc:
+        raise ParseError(f"document lacks '{key}'")
+    value = doc[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"'{key}' must be {kind.__name__}")
+    return value
+
+
+def _net_ref(value, where):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ParseError(f"{where} must be a non-negative integer net id")
+    return value
+
+
+def reference_import_json(text):
+    """``import_json``'s netlist or error: every field checked in document
+    order, then the gates replayed through ``NetlistBuilder`` in
+    ``reference_doc_order``, which limits it to small documents."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("document must be a JSON object")
+    version = _field(doc, "format_version", int)
+    if version != 1:
+        raise UnsupportedVersion(f"format_version {version} is not supported")
+    name = _field(doc, "name", str)
+    inputs = _field(doc, "inputs", list)
+    outputs = _field(doc, "outputs", list)
+    constants = _field(doc, "constants", list)
+    gates = _field(doc, "gates", list)
+
+    for entry in inputs + outputs:
+        if not isinstance(entry, dict):
+            raise ParseError("ports must be objects")
+        _field(entry, "name", str)
+        _net_ref(entry.get("net"), "port net")
+    for entry in constants:
+        if not isinstance(entry, dict):
+            raise ParseError("constants must be objects")
+        _net_ref(entry.get("net"), "constant net")
+        if type(entry.get("value")) is not int or entry["value"] not in (0, 1):
+            raise InvariantViolation("constant value must be 0 or 1")
+    norm_gates = []
+    for gi, entry in enumerate(gates):
+        if not isinstance(entry, dict):
+            raise ParseError("gates must be objects")
+        kind_name = _field(entry, "kind", str)
+        try:
+            kind = GateKind(kind_name)
+        except ValueError:
+            raise UnknownGateKind(f"gate {gi} has unknown kind '{kind_name}'") from None
+        refs = _field(entry, "inputs", list)
+        norm_gates.append(
+            {
+                "kind": kind,
+                "inputs": [_net_ref(r, f"gate {gi} input") for r in refs],
+                "output": _net_ref(entry.get("output"), f"gate {gi} output"),
+            }
+        )
+        if not kind.arity_ok(len(refs)):
+            raise InvariantViolation(f"gate {gi}: {kind.value} cannot take {len(refs)} input(s)")
+
+    builder = NetlistBuilder(name)
+    nets = {}
+
+    def claim(ref, what):
+        if ref in nets:
+            raise InvariantViolation(f"net {ref} has more than one driver ({what})")
+
+    try:
+        for entry in inputs:
+            claim(entry["net"], f"input {entry['name']}")
+            nets[entry["net"]] = builder.add_input(entry["name"])
+        for entry in constants:
+            claim(entry["net"], "constant")
+            nets[entry["net"]] = builder.constant(entry["value"])
+        seen = set()
+        for gate in norm_gates:
+            if gate["output"] in seen:
+                raise InvariantViolation(f"net {gate['output']} has more than one driver")
+            seen.add(gate["output"])
+        order = reference_doc_order(norm_gates)
+        if len(order) != len(norm_gates):
+            stuck = min(set(range(len(norm_gates))) - set(order))
+            raise InvariantViolation(f"gate {stuck} sits on a combinational loop")
+        for gi in order:
+            gate = norm_gates[gi]
+            claim(gate["output"], f"gate {gi}")
+            feeds = []
+            for ref in gate["inputs"]:
+                if ref not in nets:
+                    raise InvariantViolation(f"gate reads undriven net {ref}")
+                feeds.append(nets[ref])
+            nets[gate["output"]] = builder.add_gate(gate["kind"], feeds)
+        for entry in outputs:
+            if entry["net"] not in nets:
+                raise InvariantViolation(f"output port '{entry['name']}' taps undriven net")
+            builder.add_output(entry["name"], nets[entry["net"]])
+    except InvariantViolation:
+        raise
+    except AdderLabError as exc:
+        # builder-level complaints (duplicate ports, arity) are document defects
+        raise InvariantViolation(str(exc)) from exc
+    return builder.finish()
 
 
 # -- per-case equivalence checkers ---------------------------------------------

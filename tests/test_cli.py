@@ -189,6 +189,20 @@ def test_verify_infile_malformed_exits_two(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"\xff\xfe{}", "is not UTF-8 text"),
+    (b"[" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+    (b'{"format_version": ' + b"1" * 5000 + b"}", "not valid JSON: Exceeds the limit"),
+])
+def test_verify_infile_unreadable_exits_two(tmp_path, capsys, content, message):
+    doc = tmp_path / "bad.json"
+    doc.write_bytes(content)
+    assert run(["verify", "--in", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_verify_port_contract_mismatch_exits_two(tmp_path, capsys):
     doc = tmp_path / "narrow.json"
     doc.write_text(export_json(build_rca(4)))

@@ -39,7 +39,7 @@ from adderlab import (
     import_json,
 )
 from adderlab.analysis import ComparisonTable
-from oracle import reference_doc_order
+from oracle import reference_doc_order, reference_export_json, reference_import_json
 from strategies import netlists
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,6 +56,47 @@ def builder_menagerie():
         build_cia(8, 4, Architecture.RCA),
         build_cia(8, 4, Architecture.CLA),
     ]
+
+
+def odd_names_netlist():
+    """Both constants, a wide AND, outputs tapping a constant and an input,
+    and names with quotes, backslashes, control and non-ASCII characters."""
+    b = NetlistBuilder('odd "name" \\ caf\u00e9 \u2028\t\x01')
+    a = b.add_input('a"0')
+    one = b.constant(1)
+    n = b.add_gate(GateKind.NOT, [a])
+    c = b.add_input("\u00fc\\x")
+    zero = b.constant(0)
+    w = b.add_gate(GateKind.AND, [a, c, one, n])
+    x = b.add_gate(GateKind.XOR, [w, zero])
+    b.add_output("y\u2028", b.add_gate(GateKind.OR, [x, c, zero]))
+    b.add_output("tab\there", one)
+    b.add_output("\U0001f600", a)
+    return b.finish()
+
+
+def outcome(importer, text):
+    """What ``importer`` makes of ``text``: its error's type and message, or the
+    netlist's name and tables with every net as its index."""
+    try:
+        netlist = importer(text)
+    except AdderLabError as exc:
+        return type(exc), str(exc)
+    return (
+        netlist.name,
+        netlist.drivers,
+        [(gate.kind, [nid.index for nid in gate.inputs], gate.output.index) for gate in netlist.gates],
+        [(name, nid.index) for name, nid in netlist.inputs],
+        [(name, nid.index) for name, nid in netlist.outputs],
+        [(value, nid.index) for value, nid in netlist.constants],
+    )
+
+
+def assert_imports_like_reference(text):
+    """``import_json`` raises what the builder replay raises, or builds the same tables."""
+    want = outcome(reference_import_json, text)
+    assert outcome(import_json, text) == want
+    return want
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -248,6 +289,7 @@ def test_gate_shuffled_documents_import_in_reference_order(netlist, data):
     # into that order: the original bytes whenever the order is unchanged.
     doc = json.loads(export_json(netlist))
     doc["gates"] = data.draw(st.permutations(doc["gates"]))
+    assert_imports_like_reference(canonical(doc))
     back = import_json(canonical(doc))
     order = reference_doc_order(doc["gates"])
     assert export_json(back) == canonical(renumbered(doc, order))
@@ -283,10 +325,10 @@ def test_mutated_documents_import_or_raise_library_errors(netlist, data):
             del node[key]
         else:
             node[key] = data.draw(json_values)
-    try:
-        back = import_json(json.dumps(doc))
-    except AdderLabError:
+    text = json.dumps(doc)
+    if isinstance(assert_imports_like_reference(text)[0], type):
         return
+    back = import_json(text)
     # an accepted document is a working netlist with a canonical form
     text = export_json(back)
     assert export_json(import_json(text)) == text
@@ -313,6 +355,91 @@ def test_looped_documents_name_the_first_gate_left_unordered(netlist, data):
     with pytest.raises(InvariantViolation) as exc:
         import_json(json.dumps(doc))
     assert str(exc.value) == f"gate {stuck} sits on a combinational loop"
+    assert assert_imports_like_reference(json.dumps(doc)) == (InvariantViolation, str(exc.value))
+
+
+BIG = 2**70
+
+
+@pytest.mark.parametrize("inputs,constants,gates,outputs,want", [
+    # two constants of one value share one net
+    (
+        [("a", 0)], [(7, 1), (9, 1)], [("AND", [0, 7], 3), ("OR", [9, 3], 4)], [("y", 4), ("k", 9)],
+        ([("a", 0)], [(1, 1)], [("y", 3), ("k", 1)]),
+    ),
+    # net ids far beyond the net count map through, and one that nothing drives is named
+    (
+        [("a", 10**18), ("b", BIG)], [], [("XOR", [BIG, 10**18], BIG + 1)], [("s", BIG + 1)],
+        ([("a", 0), ("b", 1)], [], [("s", 2)]),
+    ),
+    (
+        [("a", 10**18)], [], [("NOT", [10**18], 5), ("AND", [5, 10**30], 6)], [],
+        (InvariantViolation, f"gate reads undriven net {10**30}"),
+    ),
+    # a JSON true is no net id, wherever it stands
+    ([("a", True)], [], [], [], (ParseError, "port net must be a non-negative integer net id")),
+    ([("a", 0)], [], [("NOT", [True], 1)], [], (ParseError, "gate 0 input must be a non-negative integer net id")),
+    ([("a", 0)], [], [("AND", [0, -1], 1)], [], (ParseError, "gate 0 input must be a non-negative integer net id")),
+    ([("a", 0)], [], [("NOT", [0], True)], [], (ParseError, "gate 0 output must be a non-negative integer net id")),
+    ([("a", 0)], [(True, 1)], [], [], (ParseError, "constant net must be a non-negative integer net id")),
+    # two inputs of one name, or on one net
+    ([("a", 0), ("a", 1)], [], [], [], (InvariantViolation, "input port 'a' already declared")),
+    ([("a", 0), ("b", 0)], [], [], [], (InvariantViolation, "net 0 has more than one driver (input b)")),
+    # a defect found while building beats one in a later output port
+    (
+        [("a", 0)], [(1, 0)], [("NOT", [0], 1)], [("y", 9)],
+        (InvariantViolation, "net 1 has more than one driver (gate 0)"),
+    ),
+    # a loop is reported before an undriven net the document lists earlier
+    (
+        [("a", 0)], [], [("NOT", [8], 2), ("AND", [0, 3], 3)], [],
+        (InvariantViolation, "gate 1 sits on a combinational loop"),
+    ),
+])
+def test_import_explicit_cases_match_builder_replay(inputs, constants, gates, outputs, want):
+    text = json.dumps({
+        "format_version": 1,
+        "name": "t",
+        "inputs": [{"name": name, "net": ref} for name, ref in inputs],
+        "outputs": [{"name": name, "net": ref} for name, ref in outputs],
+        "constants": [{"net": ref, "value": value} for ref, value in constants],
+        "gates": [{"kind": kind, "inputs": ins, "output": out} for kind, ins, out in gates],
+    })
+    got = assert_imports_like_reference(text)
+    if isinstance(got[0], type):
+        assert got == want
+    else:  # the input ports, constants and output ports, each net as its index
+        assert (got[3], got[5], got[4]) == want
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"format_version": ' + "1" * 5000 + "}"])
+def test_import_turns_parser_limits_into_parse_errors(text):
+    # nesting too deep for the parser, or an integer too long to convert
+    with pytest.raises(ParseError, match="^not valid JSON: "):
+        import_json(text)
+
+
+odd_text = st.text(st.sampled_from('a"\\\n\x00\x1f\x7f\u2028\u00e9\U0001f600') | st.characters())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(netlists(), netlists(names=odd_text, min_outputs=0), netlists(names=st.text(), min_outputs=0)))
+def test_export_matches_json_dumps(netlist):
+    text = export_json(netlist)
+    assert text == reference_export_json(netlist)
+    assert_imports_like_reference(text)
+
+
+def test_export_of_empty_tables_matches_json_dumps():
+    empty = NetlistBuilder("").finish()
+    assert export_json(empty) == reference_export_json(empty)
+    b = NetlistBuilder("k")
+    b.add_input("x")
+    b.constant(1)
+    b.constant(0)
+    netlist = b.finish()  # no gates, no outputs
+    assert export_json(netlist) == reference_export_json(netlist)
+    assert '"gates": [],' in export_json(netlist) and '"outputs": []\n}' in export_json(netlist)
 
 
 def test_imported_netlists_lose_stage_metadata(cia_rca_8_4):
@@ -537,6 +664,8 @@ def test_export_report_round_trips_fields(cia_cla_8_4):
     ("half_adder.dot", lambda: export_dot(build_half_adder())),
     ("half_adder.v", lambda: export_verilog(build_half_adder())),
     ("rca_w4.json", lambda: export_json(build_rca(4))),
+    ("cla_w8.json", lambda: export_json(build_cla_block(8))),
+    ("odd_names.json", lambda: export_json(odd_names_netlist())),
     ("cia_rca_w8_b4.dot", lambda: export_dot(build_cia(8, 4, Architecture.RCA))),
     ("cia_cla_w8_b4.v", lambda: export_verilog(build_cia(8, 4, Architecture.CLA))),
     (
