@@ -23,8 +23,9 @@ for va, vb in ((0, 0), (0, 1), (1, 0), (1, 1)):
     out = ha.evaluate({"a": va, "b": vb})
     print(f"  a={va} b={vb}  ->  s={out['s']} c={out['c']}")
 
-# Evaluation is vectorized: hand in numpy arrays and every gate computes
-# elementwise over the whole batch at once.
+# Hand in numpy arrays to simulate a whole batch at once: the cases are
+# packed 64 to a machine word, and each gate is one bitwise operation
+# per word. Array inputs give arrays out, one value per case.
 av = np.array([0, 0, 1, 1], dtype=np.uint8)
 bv = np.array([0, 1, 0, 1], dtype=np.uint8)
 out = ha.evaluate({"a": av, "b": bv})

@@ -1,7 +1,7 @@
 """Gate-level adder laboratory.
 
 Build ripple-carry, carry-lookahead and carry-increment adders as
-immutable gate netlists; simulate them (scalar or numpy-vectorized),
+immutable gate netlists; simulate them on 64-case bit-planes,
 verify them exhaustively or randomly against integer addition, time
 them under pluggable delay models, and export JSON / DOT / Verilog /
 CSV views.  ``python -m adderlab.cli`` or the ``adderlab`` script gives

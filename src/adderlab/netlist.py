@@ -10,13 +10,14 @@ as the builder guarantees and ``Netlist`` checks on construction.
 ``NetlistBuilder`` is the only supported way to grow one; after
 ``finish()`` the result is immutable and safe to share.
 
-Evaluation accepts plain 0/1 integers or numpy arrays of them, so a whole
-input space can be simulated in one vectorized pass.  The checkers use a
-faster path: on its first simulation a netlist is lowered to a program
-of two-operand bitwise steps over net indices, which ``simulate_planes``
-runs on uint64 bit-planes, 64 cases per word (parallel-pattern
-simulation).  Timing uses a ``DelayModel`` that assigns a base delay per
-gate kind, optionally scaled by ceil(log2(fan-in)) for wide gates.
+One kernel simulates: on its first simulation a netlist is lowered to a
+program of two-operand bitwise steps over net indices, which
+``simulate_planes`` runs on uint64 bit-planes, 64 cases per word
+(parallel-pattern simulation).  The checkers build those planes
+themselves; ``evaluate`` packs plain 0/1 integers or numpy arrays of them
+into planes, so a whole input space runs in one pass.  Timing uses a
+``DelayModel`` that assigns a base delay per gate kind, optionally scaled
+by ceil(log2(fan-in)) for wide gates.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -155,16 +154,6 @@ def _lower(gate: Gate, ones: int) -> list[Step]:
     return [(op, ins[0], ins[1], out)] + [(op, out, index, out) for index in ins[2:]]
 
 
-def _apply_gate(kind: GateKind, vals: list):
-    if kind is GateKind.AND:
-        return reduce(and_, vals)
-    if kind is GateKind.OR:
-        return reduce(or_, vals)
-    if kind is GateKind.XOR:
-        return vals[0] ^ vals[1]
-    return vals[0] ^ 1
-
-
 class Netlist:
     """Immutable combinational circuit.  Build one with ``NetlistBuilder``."""
 
@@ -202,7 +191,8 @@ class Netlist:
 
     def _check_tables(self) -> None:
         """Check that every net exists, ``drivers`` names each gate at its own
-        output and nowhere else, and each gate reads only earlier gates."""
+        output and nowhere else, each gate reads only earlier gates, and the
+        input and constant nets are distinct and exactly the undriven ones."""
         drivers, n = self.drivers, len(self.drivers)
         rank = [-1 if gi is None else gi for gi in drivers]  # gate gi may read net i only if rank[i] < gi
 
@@ -230,6 +220,13 @@ class Netlist:
                     )
         if (driven := n - drivers.count(None)) != len(self.gates):
             raise InvariantViolation(f"drivers name {driven} gate outputs, not {len(self.gates)}")
+        sourced = [nid.index for _, nid in (*self.inputs, *self.constants)]
+        if len(set(sourced)) != len(sourced):
+            shared = next(i for i in sourced if sourced.count(i) > 1)
+            raise InvariantViolation(f"net {shared} has more than one port or constant")
+        if len(sourced) != n - driven:
+            free = next(i for i, gi in enumerate(drivers) if gi is None and i not in sourced)
+            raise InvariantViolation(f"net {free} has no port, constant or gate")
 
     def with_gate_kind(self, gate_index: int, kind: GateKind) -> "Netlist":
         """Functional update swapping one gate's kind; used for fault injection."""
@@ -268,37 +265,39 @@ class Netlist:
         missing = next(name for name in self.input_names if name not in assignment)
         raise MissingInput(f"no value for input port '{missing}'")
 
-    def evaluate_nets(self, assignment: Mapping[str, object]) -> list:
-        """Value of every net under ``assignment`` (indexed by net id).
+    def evaluate(self, assignment: Mapping[str, object]) -> dict:
+        """Output-port values under ``assignment``, keyed by port name.
 
-        Values may be scalars or numpy arrays; arrays are processed
-        elementwise so one call simulates many cases.
+        Values are 0/1 scalars or integer/bool arrays of them.  With only
+        scalars every port gives a Python int.  Otherwise every port gives
+        a fresh array of the inputs' broadcast shape and of the dtype numpy
+        promotes the input arrays to, bool counting as uint8.  All cases
+        run in one pass of ``simulate_planes``.
         """
         self._check_input_names(assignment)
-        values: list = [None] * len(self.drivers)
-        shapes = set()
-        for name, nid in self.inputs:
-            value = values[nid.index] = _as_bit(assignment[name], name)
-            if isinstance(value, np.ndarray):
-                shapes.add(value.shape)
-        if len(shapes) > 1:
-            try:
-                np.broadcast_shapes(*shapes)
-            except ValueError:
-                raise InvalidAssignment(
-                    f"input arrays of shapes {sorted(shapes)} do not broadcast together"
-                ) from None
-        for value, nid in self.constants:
-            values[nid.index] = value
-        for gate in self.gates:
-            vals = [values[nid.index] for nid in gate.inputs]
-            values[gate.output.index] = _apply_gate(gate.kind, vals)
-        return values
-
-    def evaluate(self, assignment: Mapping[str, object]) -> dict:
-        """Output-port values under ``assignment``, keyed by port name."""
-        values = self.evaluate_nets(assignment)
-        return {name: values[nid.index] for name, nid in self.outputs}
+        names = self.input_names
+        values = [_as_bit(assignment[name], name) for name in names]
+        arrays = [value for value in values if isinstance(value, np.ndarray)]
+        try:
+            shape = np.broadcast_shapes(*(value.shape for value in arrays))
+        except ValueError:
+            raise InvalidAssignment(
+                f"input arrays of shapes {sorted({value.shape for value in arrays})} do not broadcast together"
+            ) from None
+        n = math.prod(shape)
+        words = -(-n // 64)
+        cases = np.zeros((len(values), 64 * words), dtype=np.uint8)
+        for row, value in zip(cases, values):
+            row[:n].reshape(shape)[...] = value
+        packed = np.packbits(cases, axis=1, bitorder="little").view("<u8")
+        nets = self.simulate_planes(dict(zip(names, packed)), words)
+        taps = [nets[nid.index] for _, nid in self.outputs]
+        planes = np.array(taps, dtype="<u8").reshape(len(taps), words).view(np.uint8)
+        bits = np.unpackbits(planes, axis=1, count=n, bitorder="little")
+        if not arrays:
+            return {name: int(row[0]) for (name, _), row in zip(self.outputs, bits)}
+        dtype = np.result_type(*(value.dtype for value in arrays))
+        return {name: row.reshape(shape).astype(dtype) for (name, _), row in zip(self.outputs, bits)}
 
     def compiled(self) -> tuple[Step, ...]:
         """The simulation program, lowered on first use and cached.

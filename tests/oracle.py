@@ -5,10 +5,16 @@ the delay oracle enumerates every input-to-output path and sums gate
 delays along each one, so agreement is meaningful.  Only use it on small
 netlists; path counts grow exponentially.
 
+``reference_evaluate_nets`` is the per-gate interpreter that the
+bit-plane kernel, ``Netlist.simulate_planes``, and ``Netlist.evaluate``
+on top of it are tested against: it combines whole values with Python's
+``&``, ``|`` and ``^``, gate by gate, and shares no code with the kernel.
+
 The reference equivalence checkers are the obvious path the bit-plane
 checkers in ``adderlab.verify`` are tested against: operands unpacked
-into one uint8 array per input port, simulated with ``Netlist.evaluate``,
-and packed back into integers for comparison.
+into one uint8 array per input port, simulated with
+``reference_evaluate_nets``, and packed back into integers for
+comparison.
 
 ``reference_doc_order`` is the quadratic form of the lowest-index-first
 topological sort that gives ``import_json``'s build order.
@@ -21,6 +27,8 @@ direct table build must match byte for byte and error for error.
 """
 
 import json
+from functools import reduce
+from operator import and_, or_
 
 import numpy as np
 
@@ -61,6 +69,40 @@ def brute_force_delay(netlist, model):
     for _, nid in netlist.outputs:
         best = max(best, max(iter_path_delays(netlist, model, nid)))
     return best
+
+
+# -- gate-by-gate simulation ------------------------------------------------------
+
+def reference_evaluate_nets(netlist, assignment):
+    """Value of every net under ``assignment`` (indexed by net id).
+
+    Values may be 0/1 scalars or numpy arrays of them; arrays combine
+    elementwise, so one call simulates many cases.  A net keeps the shape
+    and dtype its operands give it, and an input net is the caller's value.
+    """
+    values = [None] * len(netlist.drivers)
+    for name, nid in netlist.inputs:
+        values[nid.index] = assignment[name]
+    for value, nid in netlist.constants:
+        values[nid.index] = value
+    for gate in netlist.gates:
+        vals = [values[nid.index] for nid in gate.inputs]
+        if gate.kind is GateKind.AND:
+            value = reduce(and_, vals)
+        elif gate.kind is GateKind.OR:
+            value = reduce(or_, vals)
+        elif gate.kind is GateKind.XOR:
+            value = vals[0] ^ vals[1]
+        else:
+            value = vals[0] ^ 1
+        values[gate.output.index] = value
+    return values
+
+
+def reference_evaluate(netlist, assignment):
+    """Output-port values of ``reference_evaluate_nets``, keyed by port name."""
+    values = reference_evaluate_nets(netlist, assignment)
+    return {name: values[nid.index] for name, nid in netlist.outputs}
 
 
 # -- document gate order ---------------------------------------------------------
@@ -250,7 +292,9 @@ def reference_check_exhaustive(netlist, width):
     for start in range(0, cases, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, cases), dtype=np.uint64)
         a, b, cin = idx >> np.uint64(width + 1), (idx >> np.uint64(1)) & mask, idx & np.uint64(1)
-        got_sum, got_cout = _packed(netlist.evaluate(_bit_assignment(width, a, b, cin)), width, len(idx))
+        got_sum, got_cout = _packed(
+            reference_evaluate(netlist, _bit_assignment(width, a, b, cin)), width, len(idx)
+        )
         total = a + b + cin
         exp_sum, exp_cout = total & mask, total >> np.uint64(width)
         bad = np.flatnonzero((got_sum != exp_sum) | (got_cout != exp_cout))
@@ -283,7 +327,7 @@ def reference_check_random(netlist, width, samples, seed):
         for k, op in enumerate("ab") for i in range(width)
     }
     asg["cin"] = np.array([case[2] for case in cases], dtype=np.uint8)
-    outputs = netlist.evaluate(asg)
+    outputs = reference_evaluate(netlist, asg)
     got = [
         (sum(int(np.broadcast_to(outputs[f"s_{i}"], (n,))[j]) << i for i in range(width)),
          int(np.broadcast_to(outputs["cout"], (n,))[j]))

@@ -1,9 +1,13 @@
-"""The bit-plane kernel and the checkers built on it, against the slow paths.
+"""The bit-plane kernel and everything built on it, against the slow paths.
 
-``Netlist.evaluate_nets`` and the per-case checkers in ``oracle.py`` are
-the references: every result of ``simulate_planes``, ``check_exhaustive``
-and ``check_random`` must equal theirs exactly.
+The per-gate interpreter ``reference_evaluate_nets`` and the per-case
+checkers in ``oracle.py``, which run on it, are the references: every
+result of ``simulate_planes``, ``evaluate``, ``check_exhaustive`` and
+``check_random`` must equal theirs exactly.  The references never run
+the kernel.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +30,12 @@ from adderlab import (
     check_random,
     probe_invariant_carry_exclusive,
 )
-from oracle import reference_check_exhaustive, reference_check_random
+from oracle import (
+    reference_check_exhaustive,
+    reference_check_random,
+    reference_evaluate,
+    reference_evaluate_nets,
+)
 from strategies import netlists
 
 
@@ -43,7 +52,26 @@ def kind_swap_mutants(netlist):
                 yield netlist.with_gate_kind(index, kind)
 
 
-# -- kernel against evaluate_nets ----------------------------------------------
+# dtypes whose every pair has an integer promotion that numpy's bitwise ops accept
+BIT_DTYPES = [np.bool_, np.uint8, np.int8, np.uint16, np.int64]
+
+
+@st.composite
+def broadcast_assignments(draw, names):
+    """0/1 scalars and arrays of mixed dtypes and shapes that broadcast together."""
+    shape = draw(st.lists(st.integers(0, 3), max_size=3))
+    assignment = {}
+    for name in names:
+        if draw(st.booleans()):
+            assignment[name] = draw(st.integers(0, 1))
+            continue
+        sub = [dim if draw(st.booleans()) else 1 for dim in shape[draw(st.integers(0, len(shape))):]]
+        bits = draw(st.lists(st.integers(0, 1), min_size=math.prod(sub), max_size=math.prod(sub)))
+        assignment[name] = np.array(bits, dtype=draw(st.sampled_from(BIT_DTYPES))).reshape(sub)
+    return assignment
+
+
+# -- kernel against the per-gate interpreter ----------------------------------------
 
 @settings(max_examples=150, deadline=None)
 @given(netlists(), st.data())
@@ -57,12 +85,25 @@ def test_kernel_matches_evaluate_nets_on_every_net(netlist, data):
         for name in netlist.input_names
     }
     got = netlist.simulate_planes(planes, words)
-    want = netlist.evaluate_nets({name: lanes(plane) for name, plane in planes.items()})
+    want = reference_evaluate_nets(netlist, {name: lanes(plane) for name, plane in planes.items()})
     assert len(got) == len(want) == len(netlist.drivers)
     for index, (plane, value) in enumerate(zip(got, want)):
         assert plane.shape == (words,), index
         expected = np.broadcast_to(np.asarray(value, dtype=np.uint8), (64 * words,))
         assert np.array_equal(lanes(plane), expected), f"net {index}"
+
+    # evaluate packs any broadcastable assignment into planes for the same kernel
+    assignment = data.draw(broadcast_assignments(netlist.input_names))
+    got, want = netlist.evaluate(assignment), reference_evaluate(netlist, assignment)
+    arrays = [value for value in assignment.values() if isinstance(value, np.ndarray)]
+    if not arrays:
+        assert got == want and all(type(value) is int for value in got.values())
+        return
+    shape = np.broadcast_shapes(*(value.shape for value in arrays))
+    dtype = np.result_type(*(np.uint8 if value.dtype == bool else value.dtype for value in arrays))
+    for name, value in want.items():
+        assert got[name].shape == shape and got[name].dtype == dtype, name
+        assert np.array_equal(got[name], np.broadcast_to(value, shape)), name
 
 
 def test_kernel_rejects_bad_planes():

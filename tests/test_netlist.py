@@ -169,7 +169,7 @@ def test_non_bit_values_rejected():
 
 def test_mismatched_array_lengths_raise_adderlab_error():
     nl = build_half_adder()
-    with pytest.raises(InvalidAssignment) as exc:
+    with pytest.raises(InvalidAssignment, match=r"^input arrays of shapes \[\(2,\), \(3,\)\] do not broadcast") as exc:
         nl.evaluate({"a": np.array([0, 1]), "b": np.array([1, 1, 0])})
     assert isinstance(exc.value, AdderLabError) and isinstance(exc.value, ValueError)
     # arrays that broadcast together still evaluate as before
@@ -200,14 +200,14 @@ def test_vector_evaluation_matches_scalar():
         assert scalar["cout"] == int(vec["cout"][j])
 
 
-def test_evaluate_nets_exposes_internal_values():
+def test_simulate_planes_exposes_internal_values():
     b = NetlistBuilder("t")
     x = b.add_input("x")
     inv = b.add_gate(GateKind.NOT, [x])
     b.add_output("y", b.add_gate(GateKind.NOT, [inv]))
     nl = b.finish()
-    values = nl.evaluate_nets({"x": 0})
-    assert values[inv.index] == 1
+    planes = nl.simulate_planes({"x": np.array([0b01], dtype=np.uint64)}, 1)
+    assert planes[inv.index][0] & 0b11 == 0b10
     assert nl.evaluate({"x": 0})["y"] == 0
 
 
@@ -216,6 +216,60 @@ def test_bool_arrays_accepted():
     out = nl.evaluate({"a": np.array([True, False]), "b": np.array([True, True])})
     assert list(out["s"]) == [0, 1]
     assert list(out["c"]) == [1, 0]
+
+
+def port_taps():
+    """Output ports that tap a gate, an input, a constant and a NOT of an input."""
+    b = NetlistBuilder("taps")
+    a, c = b.add_input("a"), b.add_input("b")
+    b.add_output("and", b.add_gate(GateKind.AND, [a, c]))
+    b.add_output("wire", a)
+    b.add_output("one", b.constant(1))
+    b.add_output("not_b", b.add_gate(GateKind.NOT, [c]))
+    return b.finish()
+
+
+def test_scalar_inputs_give_python_ints():
+    nl = port_taps()
+    for a, b in itertools.product([0, 1, np.uint8(1), np.int64(0), True, np.bool_(False)], repeat=2):
+        out = nl.evaluate({"a": a, "b": b})
+        assert out == {"and": int(a) & int(b), "wire": int(a), "one": 1, "not_b": 1 - int(b)}
+        assert all(type(value) is int for value in out.values()), (a, b)
+
+
+@pytest.mark.parametrize("a,b,shape,dtype", [
+    (np.array([0, 1], np.uint8), np.array([1, 1], np.int64), (2,), np.int64),
+    (np.array([1], np.uint8), np.array([[0], [1]], np.uint8), (2, 1), np.uint8),
+    (np.array([1], np.int8), np.array([[0], [1]], np.uint8), (2, 1), np.int16),
+    (1, np.array([0, 1], np.int8), (2,), np.int8),
+    (np.array([True, False]), np.array([True, True]), (2,), np.uint8),
+    (np.array([True, False]), np.array([0, 1], np.int8), (2,), np.int16),  # bool counts as uint8
+    (np.zeros(0, np.uint8), 1, (0,), np.uint8),
+    (np.zeros((0, 3), np.int64), np.array([1, 0, 1], np.uint8), (0, 3), np.int64),
+])
+def test_array_inputs_give_fresh_arrays_of_the_broadcast_shape_and_promoted_dtype(a, b, shape, dtype):
+    out = port_taps().evaluate({"a": a, "b": b})
+    full_a, full_b = np.broadcast_to(a, shape).astype(int), np.broadcast_to(b, shape).astype(int)
+    want = {"and": full_a & full_b, "wire": full_a, "one": np.ones(shape, int), "not_b": 1 - full_b}
+    assert out.keys() == want.keys()
+    inputs = [value for value in (a, b) if isinstance(value, np.ndarray)]
+    for name, value in out.items():
+        assert isinstance(value, np.ndarray) and value.shape == shape and value.dtype == dtype, name
+        assert np.array_equal(value, want[name]), name
+        others = inputs + [other for key, other in out.items() if key != name]
+        assert not any(np.shares_memory(value, other) for other in others), name
+
+
+def test_evaluate_without_inputs_or_outputs():
+    b = NetlistBuilder("constants")
+    b.add_output("one", b.constant(1))
+    b.add_output("zero", b.add_gate(GateKind.NOT, [b.constant(1)]))
+    out = b.finish().evaluate({})
+    assert out == {"one": 1, "zero": 0} and all(type(value) is int for value in out.values())
+    b = NetlistBuilder("sink")
+    b.add_gate(GateKind.NOT, [b.add_input("x")])
+    nl = b.finish()
+    assert nl.evaluate({"x": 1}) == {} == nl.evaluate({"x": np.array([[0, 1]])})
 
 
 # -- dependency order ----------------------------------------------------------
@@ -351,6 +405,22 @@ def test_net_outside_the_driver_table_is_unknown(tables):
 def test_driver_table_disagreeing_with_the_gates_is_rejected(drivers, gates, constants, message):
     with pytest.raises(InvariantViolation, match=message):
         hand_built(drivers, gates, constants=constants)
+
+
+def test_every_net_needs_exactly_one_source():
+    def net(i):
+        return NetId(i, 0)
+
+    not_1 = (Gate(GateKind.NOT, (net(1),), net(2)),)
+    y = (("y", net(2)),)
+    # net 1 is read, but no port, constant or gate drives it
+    with pytest.raises(InvariantViolation, match="^net 1 has no port, constant or gate$"):
+        Netlist("x", (None, None, 0), not_1, (("a", net(0)),), y)
+    # two input ports, or an input port and a constant, on net 1
+    with pytest.raises(InvariantViolation, match="^net 1 has more than one port or constant$"):
+        Netlist("x", (None, None, 0), not_1, (("a", net(1)), ("b", net(1))), y)
+    with pytest.raises(InvariantViolation, match="^net 1 has more than one port or constant$"):
+        Netlist("x", (None, None, 0), not_1, (("a", net(0)), ("b", net(1))), y, ((1, net(1)),))
 
 
 # -- delay models ----------------------------------------------------------------
