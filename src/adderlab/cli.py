@@ -65,7 +65,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         netlist = build_adder(_spec_from(args))
     if args.random is not None:
         report = check_random(netlist, args.width, args.random, args.seed)
-    elif args.exhaustive or (1 << (2 * args.width + 1)) <= DEFAULT_CASE_CAP:
+    elif args.exhaustive or 2 * args.width + 1 < DEFAULT_CASE_CAP.bit_length():  # 2 ** (2w + 1) cases <= cap
         report = check_exhaustive(netlist, args.width)
     else:
         report = check_random(netlist, args.width, 10000, args.seed)

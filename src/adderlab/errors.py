@@ -107,8 +107,8 @@ class UnsupportedVersion(AdderLabError):
 
 
 class InvariantViolation(AdderLabError):
-    """A well-formed document, or the tables handed to ``Netlist``, describe an
-    illegal netlist."""
+    """A well-formed document, or the gates and ports handed to ``Netlist``,
+    describe an illegal netlist, such as one with a net of two sources."""
 
 
 class NameCollisionAfterSanitization(AdderLabError):

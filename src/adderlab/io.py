@@ -55,6 +55,8 @@ def export_json(netlist: Netlist) -> str:
     ``json.dumps``.
     """
     # Canonical net numbering: input ports, then constants, then gate outputs.
+    # Renumbered here, not in finish(): build_cia mints its constant after block 0's
+    # gates, so stored numbering would rename its Verilog wires.
     ids: dict[int, str] = {}
     for _, nid in (*netlist.inputs, *netlist.constants):
         ids[nid.index] = str(len(ids))
@@ -149,7 +151,7 @@ def _doc_order(refs: list[list[int]], outs: list[int]) -> list[int]:
 def import_json(text: str) -> Netlist:
     """Parse and re-validate an interchange document into a fresh netlist.
 
-    Structural problems (multiple drivers, undriven references, bad
+    Structural problems (a net with two sources, undriven references, bad
     arity, cycles, duplicate ports) raise InvariantViolation; malformed
     documents raise ParseError; foreign kinds or versions raise
     UnknownGateKind / UnsupportedVersion.  Every field is checked, in
@@ -255,7 +257,6 @@ def import_json(text: str) -> Netlist:
         out_ports.append((port, nets[ref]))
     return Netlist(
         name,
-        (None,) * first + tuple(range(len(built))),
         tuple(built),
         tuple(in_ports),
         tuple(out_ports),
@@ -387,7 +388,7 @@ def export_verilog(netlist: Netlist) -> str:
         out_ports.append(ident)
 
     wires = []
-    for index in range(len(netlist.drivers)):
+    for index in sorted(gate.output.index for gate in netlist.gates):  # the other nets have names already
         if index not in names:
             ident, suffix = f"n{index}", 0
             while ident in taken:  # a port already holds the name

@@ -1,12 +1,13 @@
 """Combinational gate-level netlists: construction, evaluation, timing.
 
-A netlist is named input ports, constants and AND/OR/XOR/NOT gates over
-nets numbered 0..n-1.  Each net has one source: an input port, a constant
-or one gate's output.  ``drivers[i]`` is the gate that drives net i, or
-None for an input or constant net; ``constants`` lists (value, net) pairs
-in ascending value order; output ports tap any net.  Gates are stored in
-dependency order: each reads only inputs, constants and earlier gates,
-as the builder guarantees and ``Netlist`` checks on construction.
+A netlist is its gates and ports: named input ports, constants and
+AND/OR/XOR/NOT gates over nets 0..n-1, n being their count.  Every net
+has exactly one source: an input port, a constant or one gate's output.
+``constants`` lists (value, net) pairs in ascending value order; output
+ports tap any net.  ``drivers[i]``, derived from the gates, is the gate
+that drives net i, or None.  Gates are stored in dependency order: each
+reads only inputs, constants and earlier gates, as the builder
+guarantees and ``Netlist`` checks on construction.
 ``NetlistBuilder`` is the only supported way to grow one; after
 ``finish()`` the result is immutable and safe to share.
 
@@ -160,7 +161,6 @@ class Netlist:
     def __init__(
         self,
         name: str,
-        drivers: tuple[int | None, ...],
         gates: tuple[Gate, ...],
         inputs: tuple[tuple[str, NetId], ...],
         outputs: tuple[tuple[str, NetId], ...],
@@ -168,7 +168,6 @@ class Netlist:
         carry_merges=None,
     ):
         self.name = name
-        self.drivers = drivers
         self.gates = gates
         self.inputs = inputs
         self.outputs = outputs
@@ -177,7 +176,7 @@ class Netlist:
         # None means "not an increment-style build", () means single block.
         self.carry_merges = carry_merges
         self._compiled: tuple[Step, ...] | None = None
-        self._check_tables()
+        self.drivers = self._derive_drivers()
 
     # -- structure ---------------------------------------------------------
 
@@ -189,27 +188,31 @@ class Netlist:
     def output_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.outputs)
 
-    def _check_tables(self) -> None:
-        """Check that every net exists, ``drivers`` names each gate at its own
-        output and nowhere else, each gate reads only earlier gates, and the
-        input and constant nets are distinct and exactly the undriven ones."""
-        drivers, n = self.drivers, len(self.drivers)
-        rank = [-1 if gi is None else gi for gi in drivers]  # gate gi may read net i only if rank[i] < gi
+    def _derive_drivers(self) -> tuple[int | None, ...]:
+        """The gate driving each net, or None for an input or constant net.
+
+        Checks on the way that each net 0..n-1 has exactly one source, that
+        every net read or tapped is one of them, and that each gate reads
+        only inputs, constants and earlier gates.
+        """
+        ports = [nid for _, nid in (*self.inputs, *self.constants)]
+        sources = ports + [gate.output for gate in self.gates]
+        n, first = len(sources), len(ports)
+        rank: list = [None] * n  # gate gi may read net i only if rank[i] < gi; ports and constants rank < 0
 
         def unknown(nid: NetId) -> UnknownNet:
             return UnknownNet(f"no net {nid.index} in netlist '{self.name}'")
 
-        for _, nid in (*self.inputs, *self.constants, *self.outputs):
+        for k, nid in enumerate(sources):
             if not 0 <= nid.index < n:
                 raise unknown(nid)
-        for _, nid in (*self.inputs, *self.constants):
-            if drivers[nid.index] is not None:
-                raise InvariantViolation(f"net {nid.index} has a port or constant and gate {drivers[nid.index]}")
+            if rank[nid.index] is not None:
+                raise InvariantViolation(f"net {nid.index} has more than one source")
+            rank[nid.index] = k - first
+        for _, nid in self.outputs:
+            if not 0 <= nid.index < n:
+                raise unknown(nid)
         for gi, gate in enumerate(self.gates):
-            if not 0 <= gate.output.index < n:
-                raise unknown(gate.output)
-            if drivers[gate.output.index] != gi:
-                raise InvariantViolation(f"drivers[{gate.output.index}] is not gate {gi}, which drives it")
             for nid in gate.inputs:
                 if not 0 <= nid.index < n:
                     raise unknown(nid)
@@ -218,15 +221,7 @@ class Netlist:
                         f"gate {gi} of netlist '{self.name}' reads gate {rank[nid.index]}, which is not earlier",
                         gates=(gi, rank[nid.index]),
                     )
-        if (driven := n - drivers.count(None)) != len(self.gates):
-            raise InvariantViolation(f"drivers name {driven} gate outputs, not {len(self.gates)}")
-        sourced = [nid.index for _, nid in (*self.inputs, *self.constants)]
-        if len(set(sourced)) != len(sourced):
-            shared = next(i for i in sourced if sourced.count(i) > 1)
-            raise InvariantViolation(f"net {shared} has more than one port or constant")
-        if len(sourced) != n - driven:
-            free = next(i for i, gi in enumerate(drivers) if gi is None and i not in sourced)
-            raise InvariantViolation(f"net {free} has no port, constant or gate")
+        return tuple(None if r < 0 else r for r in rank)
 
     def with_gate_kind(self, gate_index: int, kind: GateKind) -> "Netlist":
         """Functional update swapping one gate's kind; used for fault injection."""
@@ -244,7 +239,6 @@ class Netlist:
         gates[gate_index] = Gate(kind, old.inputs, old.output, old.stage)
         return Netlist(
             f"{self.name}~g{gate_index}={kind.value.lower()}",
-            self.drivers,
             tuple(gates),
             self.inputs,
             self.outputs,
@@ -284,6 +278,9 @@ class Netlist:
             raise InvalidAssignment(
                 f"input arrays of shapes {sorted({value.shape for value in arrays})} do not broadcast together"
             ) from None
+        if arrays and (dtype := np.result_type(*(value.dtype for value in arrays))).kind not in "ui":
+            dtypes = sorted({str(value.dtype) for value in arrays})
+            raise InvalidAssignment(f"input arrays of dtypes {dtypes} promote to {dtype}, not to an integer dtype")
         n = math.prod(shape)
         words = -(-n // 64)
         cases = np.zeros((len(values), 64 * words), dtype=np.uint8)
@@ -296,7 +293,6 @@ class Netlist:
         bits = np.unpackbits(planes, axis=1, count=n, bitorder="little")
         if not arrays:
             return {name: int(row[0]) for (name, _), row in zip(self.outputs, bits)}
-        dtype = np.result_type(*(value.dtype for value in arrays))
         return {name: row.reshape(shape).astype(dtype) for (name, _), row in zip(self.outputs, bits)}
 
     def compiled(self) -> tuple[Step, ...]:
@@ -379,12 +375,10 @@ class NetlistBuilder:
     def __init__(self, name: str = "netlist"):
         self.name = name
         self._owner = next(_owner_counter)
-        self._drivers: list[int | None] = []
+        self._nets = 0
         self._gates: list[Gate] = []
-        self._inputs: list[tuple[str, NetId]] = []
-        self._outputs: list[tuple[str, NetId]] = []
-        self._input_names: set[str] = set()
-        self._output_names: set[str] = set()
+        self._inputs: dict[str, NetId] = {}
+        self._outputs: dict[str, NetId] = {}
         self._consts: dict[int, NetId] = {}
         self._finished = False
 
@@ -396,33 +390,29 @@ class NetlistBuilder:
         if self._finished:
             raise NetlistFrozen(f"netlist '{self.name}' is already finished")
 
-    def _new_net(self, gate: int | None = None) -> NetId:
-        nid = NetId(len(self._drivers), self._owner)
-        self._drivers.append(gate)
-        return nid
+    def _new_net(self) -> NetId:
+        self._nets += 1
+        return NetId(self._nets - 1, self._owner)
 
     def _check_net(self, nid) -> None:
-        if not isinstance(nid, NetId) or nid.owner != self._owner or not 0 <= nid.index < len(self._drivers):
+        if not isinstance(nid, NetId) or nid.owner != self._owner or not 0 <= nid.index < self._nets:
             raise UnknownNet(f"net {nid!r} does not belong to netlist '{self.name}'")
 
     def add_input(self, name: str) -> NetId:
         """Declare an input port; it mints and returns a fresh net."""
         self._require_open()
-        if name in self._input_names:
+        if name in self._inputs:
             raise DuplicatePortName(f"input port '{name}' already declared")
-        nid = self._new_net()
-        self._input_names.add(name)
-        self._inputs.append((name, nid))
-        return nid
+        self._inputs[name] = self._new_net()
+        return self._inputs[name]
 
     def add_output(self, name: str, net: NetId) -> NetId:
         """Declare an output port tapping the existing ``net``; returns ``net``."""
         self._require_open()
-        if name in self._output_names:
+        if name in self._outputs:
             raise DuplicatePortName(f"output port '{name}' already declared")
         self._check_net(net)
-        self._output_names.add(name)
-        self._outputs.append((name, net))
+        self._outputs[name] = net
         return net
 
     def constant(self, value: int) -> NetId:
@@ -447,7 +437,7 @@ class NetlistBuilder:
             raise FanInViolation(f"{kind.value} gate cannot take {len(ins)} input(s)")
         for nid in ins:
             self._check_net(nid)
-        out = self._new_net(len(self._gates))
+        out = self._new_net()
         self._gates.append(Gate(kind, ins, out, stage))
         return out
 
@@ -457,10 +447,9 @@ class NetlistBuilder:
         self._finished = True
         return Netlist(
             self.name,
-            tuple(self._drivers),
             tuple(self._gates),
-            tuple(self._inputs),
-            tuple(self._outputs),
+            tuple(self._inputs.items()),
+            tuple(self._outputs.items()),
             tuple(sorted(self._consts.items())),
             carry_merges=None if carry_merges is None else tuple(carry_merges),
         )

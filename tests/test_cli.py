@@ -178,6 +178,16 @@ def test_verify_negative_seed_exits_two(extra, capsys):
     assert captured.err == "error: InvalidParameter: seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("width", ["-3", "0"])
+def test_verify_infile_with_nonpositive_width_exits_two(width, tmp_path, capsys):
+    doc = tmp_path / "rca.json"
+    doc.write_text(export_json(build_rca(4)))
+    assert run(["verify", "--in", str(doc), "--width", width]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ZeroWidth: width must be >= 1, got {width}\n"
+
+
 def test_verify_missing_infile_exits_two(tmp_path, capsys):
     assert run(["verify", "--in", str(tmp_path / "nope.json")]) == 2
 

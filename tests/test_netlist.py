@@ -260,6 +260,15 @@ def test_array_inputs_give_fresh_arrays_of_the_broadcast_shape_and_promoted_dtyp
         assert not any(np.shares_memory(value, other) for other in others), name
 
 
+@pytest.mark.parametrize("a,b", [
+    (np.array([1, 0], np.uint64), np.array([0, 1], np.int64)),  # numpy promotes this pair to float64
+    (np.array([[1]], np.int8), np.array([0, 1], np.uint64)),
+])
+def test_array_inputs_without_an_integer_promotion_are_rejected(a, b):
+    with pytest.raises(InvalidAssignment, match=r"^input arrays of dtypes \[.*\] promote to float"):
+        build_half_adder().evaluate({"a": a, "b": b})
+
+
 def test_evaluate_without_inputs_or_outputs():
     b = NetlistBuilder("constants")
     b.add_output("one", b.constant(1))
@@ -337,24 +346,23 @@ def test_builder_order_is_already_topological():
     assert [nl.drivers[i] for i in outputs] == list(range(len(nl.gates)))
 
 
-def hand_built(drivers, gates, inputs=("x", "y"), outputs=(), constants=()):
-    """A Netlist made from raw tables of net indices; input k is net k."""
+def hand_built(gates, inputs=(("x", 0), ("y", 1)), outputs=(), constants=()):
+    """A Netlist made from raw tables of net indices."""
     def net(i):
         return NetId(i, 0)
 
     return Netlist(
         "hand",
-        tuple(drivers),
         tuple(Gate(kind, tuple(map(net, ins)), net(out)) for kind, ins, out in gates),
-        tuple((name, net(i)) for i, name in enumerate(inputs)),
+        tuple((name, net(i)) for name, i in inputs),
         tuple((name, net(i)) for name, i in outputs),
         tuple((value, net(i)) for value, i in constants),
     )
 
 
 def test_hand_built_tables_in_dependency_order_are_accepted():
-    nl = hand_built((None, None, None, 0, 1), [(GateKind.AND, (0, 2), 3), (GateKind.NOT, (3,), 4)],
-                    outputs=(("z", 4),), constants=((1, 2),))
+    nl = hand_built([(GateKind.AND, (0, 2), 3), (GateKind.NOT, (3,), 4)], outputs=(("z", 4),), constants=((1, 2),))
+    assert nl.drivers == (None, None, None, 0, 1)
     assert nl.evaluate({"x": 1, "y": 0}) == {"z": 0}
 
 
@@ -366,7 +374,7 @@ def test_combinational_loop_detected():
         Gate(GateKind.NOT, (n1,), n0),
     )
     with pytest.raises(CombinationalLoop) as exc:
-        Netlist("loop", (1, 0), gates, (), ())
+        Netlist("loop", gates, (), ())
     assert set(exc.value.gates) == {0, 1}
 
 
@@ -375,36 +383,38 @@ def test_combinational_loop_detected():
     ([(GateKind.AND, (0, 3), 2), (GateKind.NOT, (1,), 3)], (0, 1)),  # acyclic, but reads a later gate
 ])
 def test_gate_reading_no_earlier_gate_is_rejected(gates, pair):
-    drivers = [None, None] + list(range(len(gates)))
     with pytest.raises(CombinationalLoop, match="which is not earlier") as exc:
-        hand_built(drivers, gates)
+        hand_built(gates)
     assert exc.value.gates == pair
 
 
+# Inputs x and y sit on nets 0 and 1 unless a row says otherwise; the
+# netlist has n = inputs + constants + gates nets, and each row names a net >= n or < 0.
 @pytest.mark.parametrize("tables", [
-    dict(drivers=(None, None, 0), gates=[(GateKind.AND, (0, 9), 2)]),  # gate input
-    dict(drivers=(None, None, 0), gates=[(GateKind.AND, (0, -1), 2)]),  # negative gate input
-    dict(drivers=(None, None, 0), gates=[(GateKind.AND, (0, 1), 7)]),  # gate output
-    dict(drivers=(None, None), gates=[], outputs=(("z", 5),)),  # output port
-    dict(drivers=(None,), gates=[]),  # input port y on net 1
-    dict(drivers=(None, None), gates=[], constants=((0, 2),)),  # constant
+    dict(gates=[(GateKind.AND, (0, 9), 2)]),  # gate input
+    dict(gates=[(GateKind.AND, (0, -1), 2)]),  # negative gate input
+    dict(gates=[(GateKind.AND, (0, 1), 7)]),  # gate output
+    dict(gates=[], outputs=(("z", 5),)),  # output port
+    dict(gates=[], inputs=(("x", 0), ("y", 2))),  # input port y on net 2, n being 2
+    dict(gates=[], constants=((0, 3),)),  # constant on net 3, n being 3
 ])
 def test_net_outside_the_driver_table_is_unknown(tables):
     with pytest.raises(UnknownNet, match="^no net -?[0-9] in netlist 'hand'$"):
         hand_built(**tables)
 
 
-@pytest.mark.parametrize("drivers,gates,constants,message", [
-    ((None, None, None), [(GateKind.AND, (0, 1), 2)], (), r"drivers\[2\] is not gate 0"),
-    ((None, None, 1, 0), [(GateKind.AND, (0, 1), 2), (GateKind.OR, (0, 1), 3)], (), r"drivers\[2\] is not gate 0"),
-    ((None, None, 0, 0), [(GateKind.AND, (0, 1), 2)], (), "drivers name 2 gate outputs, not 1"),
-    ((None, None, 0), [], (), "drivers name 1 gate outputs, not 0"),
-    ((0, None), [(GateKind.AND, (1, 1), 0)], (), "net 0 has a port or constant and gate 0"),
-    ((None, None, 0), [(GateKind.NOT, (0,), 2)], ((1, 2),), "net 2 has a port or constant and gate 0"),
+# ``drivers`` names the two sources that each row puts on one net.
+@pytest.mark.parametrize("drivers,gates,constants,inputs,net", [
+    (("input", "input"), [(GateKind.NOT, (0,), 2)], (), (("x", 0), ("y", 0)), 0),
+    (("input", "constant"), [(GateKind.NOT, (0,), 3)], ((1, 1),), (("x", 0), ("y", 1)), 1),
+    (("input", "gate"), [(GateKind.NOT, (0,), 1)], (), (("x", 0), ("y", 1)), 1),
+    (("constant", "gate"), [(GateKind.NOT, (0,), 2)], ((0, 2),), (("x", 0), ("y", 1)), 2),
+    (("gate", "gate"), [(GateKind.AND, (0, 1), 2), (GateKind.OR, (0, 1), 2)], (), (("x", 0), ("y", 1)), 2),
+    (("constant", "constant"), [], ((0, 2), (1, 2)), (("x", 0), ("y", 1)), 2),
 ])
-def test_driver_table_disagreeing_with_the_gates_is_rejected(drivers, gates, constants, message):
-    with pytest.raises(InvariantViolation, match=message):
-        hand_built(drivers, gates, constants=constants)
+def test_driver_table_disagreeing_with_the_gates_is_rejected(drivers, gates, constants, inputs, net):
+    with pytest.raises(InvariantViolation, match=f"^net {net} has more than one source$"):
+        hand_built(gates, inputs, constants=constants)
 
 
 def test_every_net_needs_exactly_one_source():
@@ -413,14 +423,14 @@ def test_every_net_needs_exactly_one_source():
 
     not_1 = (Gate(GateKind.NOT, (net(1),), net(2)),)
     y = (("y", net(2)),)
-    # net 1 is read, but no port, constant or gate drives it
-    with pytest.raises(InvariantViolation, match="^net 1 has no port, constant or gate$"):
-        Netlist("x", (None, None, 0), not_1, (("a", net(0)),), y)
+    # net 1 is read, but nothing drives it: a port and a gate make nets 0 and 1, so the gate's net 2 is no net
+    with pytest.raises(UnknownNet, match="^no net 2 in netlist 'x'$"):
+        Netlist("x", not_1, (("a", net(0)),), y)
     # two input ports, or an input port and a constant, on net 1
-    with pytest.raises(InvariantViolation, match="^net 1 has more than one port or constant$"):
-        Netlist("x", (None, None, 0), not_1, (("a", net(1)), ("b", net(1))), y)
-    with pytest.raises(InvariantViolation, match="^net 1 has more than one port or constant$"):
-        Netlist("x", (None, None, 0), not_1, (("a", net(0)), ("b", net(1))), y, ((1, net(1)),))
+    with pytest.raises(InvariantViolation, match="^net 1 has more than one source$"):
+        Netlist("x", not_1, (("a", net(1)), ("b", net(1))), y)
+    with pytest.raises(InvariantViolation, match="^net 1 has more than one source$"):
+        Netlist("x", not_1, (("a", net(0)), ("b", net(1))), y, ((1, net(1)),))
 
 
 # -- delay models ----------------------------------------------------------------
@@ -576,7 +586,7 @@ def check_net_tables(nl):
         kind = next((k for k in GateKind if k is not gate.kind and k.arity_ok(len(gate.inputs))), None)
         if kind is not None:
             mutant = nl.with_gate_kind(gi, kind)
-            assert mutant.drivers is nl.drivers and mutant.constants is nl.constants
+            assert mutant.drivers == nl.drivers and mutant.constants is nl.constants
             break
 
 

@@ -1,5 +1,7 @@
-"""The names ``import adderlab`` exposes, pinned so that any change to them shows in a diff."""
+"""The names ``import adderlab`` exposes, and the ``Netlist`` constructor's
+parameters, pinned so that any change to them shows in a diff."""
 
+import inspect
 import types
 
 import adderlab
@@ -78,3 +80,8 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(adderlab, name), types.ModuleType)
     )
     assert public == PUBLIC_NAMES
+
+
+def test_netlist_constructor_is_pinned():
+    params = list(inspect.signature(adderlab.Netlist).parameters)
+    assert params == ["name", "gates", "inputs", "outputs", "constants", "carry_merges"]
