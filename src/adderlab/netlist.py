@@ -14,9 +14,14 @@ guarantees and ``Netlist`` checks on construction.
 One kernel simulates: on its first simulation a netlist is lowered to a
 program of two-operand bitwise steps over net indices, which
 ``simulate_planes`` runs on uint64 bit-planes, 64 cases per word
-(parallel-pattern simulation).  The checkers build those planes
-themselves; ``evaluate`` packs plain 0/1 integers or numpy arrays of them
-into planes, so a whole input space runs in one pass.  Timing uses a
+(parallel-pattern simulation).  Each run writes into one fresh slab of
+planes.  A caller that keeps only some nets gets a plan, cached per set
+of kept nets, that skips steps none of them depends on and reuses a
+net's plane once its last reader has run, so the slab holds far fewer
+planes than there are nets.  The checkers build the input planes
+themselves and keep only the nets they compare; ``evaluate`` packs plain
+0/1 integers or numpy arrays of them into planes and keeps its output
+taps, so a whole input space runs in one pass.  Timing uses a
 ``DelayModel`` that assigns a base delay per gate kind, optionally scaled
 by ceil(log2(fan-in)) for wide gates.
 """
@@ -176,6 +181,7 @@ class Netlist:
         # None means "not an increment-style build", () means single block.
         self.carry_merges = carry_merges
         self._compiled: tuple[Step, ...] | None = None
+        self._plans: dict = {}  # kept nets (None: all) -> slot plan, see _plan
         self.drivers = self._derive_drivers()
 
     # -- structure ---------------------------------------------------------
@@ -266,7 +272,7 @@ class Netlist:
         scalars every port gives a Python int.  Otherwise every port gives
         a fresh array of the inputs' broadcast shape and of the dtype numpy
         promotes the input arrays to, bool counting as uint8.  All cases
-        run in one pass of ``simulate_planes``.
+        run in one pass of the kernel, which keeps only the output taps.
         """
         self._check_input_names(assignment)
         names = self.input_names
@@ -287,8 +293,7 @@ class Netlist:
         for row, value in zip(cases, values):
             row[:n].reshape(shape)[...] = value
         packed = np.packbits(cases, axis=1, bitorder="little").view("<u8")
-        nets = self.simulate_planes(dict(zip(names, packed)), words)
-        taps = [nets[nid.index] for _, nid in self.outputs]
+        taps = self._simulate(dict(zip(names, packed)), words, tuple(nid.index for _, nid in self.outputs))
         planes = np.array(taps, dtype="<u8").reshape(len(taps), words).view(np.uint8)
         bits = np.unpackbits(planes, axis=1, count=n, bitorder="little")
         if not arrays:
@@ -325,17 +330,71 @@ class Netlist:
         read-only.  Lanes no case occupies may hold any value, so callers
         mask them out.
         """
+        return self._simulate(planes, words, None)
+
+    def _simulate(self, planes: Mapping[str, np.ndarray], words: int, nets) -> list[np.ndarray]:
+        """``simulate_planes``, but only the planes of ``nets``, in that order.
+
+        ``nets`` is a tuple of net ids, or None for every net.  The steps
+        of ``compiled()`` write into one fresh slab of uint64 rows, packed
+        by ``_plan`` so that nets not kept share rows; input ports keep the
+        caller's arrays.
+        """
         self._check_input_names(planes)
-        zeros = np.zeros(words, dtype=np.uint64)
-        values: list = [None] * len(self.drivers) + [zeros, ~zeros]
-        for name, nid in self.inputs:
+        if isinstance(words, bool) or not isinstance(words, numbers.Integral) or words < 0:
+            raise InvalidAssignment(f"words must be an integer >= 0, got {words!r}")
+        values = []
+        for name, _ in self.inputs:
             plane = planes[name]
             if not isinstance(plane, np.ndarray) or plane.dtype != np.uint64 or plane.shape != (words,):
                 raise InvalidAssignment(f"input '{name}' must be a uint64 array of {words} words")
-            values[nid.index] = plane
-        for op, left, right, out in self.compiled():
-            values[out] = op(values[left], values[right])
-        return values[: len(self.drivers)]
+            values.append(plane)
+        rows, steps, taps = self._plan(nets)
+        slab = np.empty((rows, words), dtype=np.uint64)
+        slab[0] = 0
+        slab[1] = ~np.uint64(0)
+        values.extend(slab)
+        for op, left, right, out in steps:
+            op(values[left], values[right], values[out])
+        return [values[tap] for tap in taps]
+
+    def _plan(self, nets) -> tuple[int, tuple[Step, ...], tuple[int, ...]]:
+        """(slab rows, steps, taps) that compute ``nets`` (None: every net); cached.
+
+        Steps and taps index a value list: the input ports' planes in port
+        order, then the slab's rows, of which the first two hold all zeros
+        and all ones.  Steps whose output nothing kept depends on are
+        dropped.  A gate net takes a free row when first written and frees
+        it after its last reader, unless it is kept.
+        """
+        plan = self._plans.get(nets)
+        if plan is not None:
+            return plan
+        n, k = len(self.drivers), len(self.inputs)
+        kept = set(range(n) if nets is None else nets)
+        live, needed = set(kept), []
+        for step in reversed(self.compiled()):
+            if step[3] in live:
+                live.discard(step[3])
+                live.update(step[1:3])
+                needed.append(step)
+        needed.reverse()
+        last_read = {net: s for s, step in enumerate(needed) for net in step[1:3]}
+        where = {nid.index: j for j, (_, nid) in enumerate(self.inputs)} | {n: k, n + 1: k + 1}
+        fixed, free, rows, steps = set(where), [], 2, []
+        for s, (op, left, right, out) in enumerate(needed):
+            for net in {left, right}:
+                if last_read[net] == s and net not in kept and net not in fixed:
+                    free.append(where[net])
+            if out not in where:
+                if free:
+                    where[out] = free.pop()
+                else:
+                    where[out], rows = k + rows, rows + 1
+            steps.append((op, where[left], where[right], where[out]))
+        taps = range(n) if nets is None else nets
+        plan = self._plans[nets] = (rows, tuple(steps), tuple(where[net] for net in taps))
+        return plan
 
     # -- timing ----------------------------------------------------------------
 

@@ -16,6 +16,11 @@ into one uint8 array per input port, simulated with
 ``reference_evaluate_nets``, and packed back into integers for
 comparison.
 
+``reference_exhaustive_chunks`` gives the expected planes of an
+exhaustive sweep's chunks from the integer sums of each chunk's own case
+indices, packed with ``np.packbits``; ``verify`` derives them from one
+fixed set per width instead.
+
 ``reference_doc_order`` is the quadratic form of the lowest-index-first
 topological sort that gives ``import_json``'s build order.
 
@@ -344,3 +349,22 @@ def reference_check_random(netlist, width, samples, seed):
         failure_count=len(bad), failures=failures,
         seed=seed, samples=samples, generator="pcg64",
     )
+
+
+def reference_exhaustive_chunks(width, words, start=0):
+    """Yield (first case index, expected planes) of each exhaustive chunk from ``start`` on.
+
+    A chunk holds min(2**(2*width+1), 64*words) cases and ``start`` must
+    be a multiple of that.  Plane i holds bit i of a + b + cin for each
+    case index a << (width+1) | b << 1 | cin of the chunk, one case per
+    lane, padded to a whole word with zero cases.
+    """
+    cases = 1 << (2 * width + 1)
+    n = min(cases, 64 * words)
+    mask = np.uint64((1 << width) - 1)
+    for first in range(start, cases, n):
+        idx = np.arange(first, first + n, dtype=np.uint64)
+        sums = (idx >> np.uint64(width + 1)) + ((idx >> np.uint64(1)) & mask) + (idx & np.uint64(1))
+        sums = np.pad(sums, (0, -n % 64))
+        bits = np.stack([((sums >> np.uint64(i)) & np.uint64(1)).astype(np.uint8) for i in range(width + 1)])
+        yield first, np.packbits(bits, axis=1, bitorder="little").view("<u8")

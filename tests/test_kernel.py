@@ -4,10 +4,13 @@ The per-gate interpreter ``reference_evaluate_nets`` and the per-case
 checkers in ``oracle.py``, which run on it, are the references: every
 result of ``simulate_planes``, ``evaluate``, ``check_exhaustive`` and
 ``check_random`` must equal theirs exactly.  The references never run
-the kernel.
+the kernel.  ``reference_exhaustive_chunks`` is the reference for the
+expected planes an exhaustive sweep derives from one fixed set.
 """
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from oracle import (
     reference_check_random,
     reference_evaluate,
     reference_evaluate_nets,
+    reference_exhaustive_chunks,
 )
 from strategies import netlists
 
@@ -73,17 +77,22 @@ def broadcast_assignments(draw, names):
 
 # -- kernel against the per-gate interpreter ----------------------------------------
 
-@settings(max_examples=150, deadline=None)
-@given(netlists(), st.data())
-def test_kernel_matches_evaluate_nets_on_every_net(netlist, data):
-    words = data.draw(st.integers(1, 3))
-    planes = {
+def draw_planes(data, netlist, words):
+    """Random input planes of ``words`` words for every input port."""
+    return {
         name: np.array(
             data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=words, max_size=words)),
             dtype=np.uint64,
         )
         for name in netlist.input_names
     }
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlists(), st.data())
+def test_kernel_matches_evaluate_nets_on_every_net(netlist, data):
+    words = data.draw(st.integers(1, 3))
+    planes = draw_planes(data, netlist, words)
     got = netlist.simulate_planes(planes, words)
     want = reference_evaluate_nets(netlist, {name: lanes(plane) for name, plane in planes.items()})
     assert len(got) == len(want) == len(netlist.drivers)
@@ -117,6 +126,58 @@ def test_kernel_rejects_bad_planes():
         nl.simulate_planes({"a": ok, "b": np.zeros(3, dtype=np.uint64)}, 2)
     with pytest.raises(InvalidAssignment):
         nl.simulate_planes({"a": ok, "b": np.zeros(2, dtype=np.uint8)}, 2)
+
+
+@pytest.mark.parametrize("words", [-1, 2.0, "2", None, True])
+def test_kernel_rejects_bad_word_counts(words):
+    nl = build_half_adder()
+    ok = np.zeros(2, dtype=np.uint64)
+    with pytest.raises(InvalidAssignment, match="^words must be an integer >= 0, got "):
+        nl.simulate_planes({"a": ok, "b": ok}, words)
+
+
+def test_kernel_takes_numpy_and_zero_word_counts():
+    nl = build_half_adder()
+    ones = np.full(2, 2**64 - 1, dtype=np.uint64)
+    got = nl.simulate_planes({"a": ones, "b": ones}, np.int64(2))
+    assert [int(plane[1]) for plane in got] == [2**64 - 1, 2**64 - 1, 0, 2**64 - 1]
+    empty = np.zeros(0, dtype=np.uint64)
+    assert all(plane.shape == (0,) for plane in nl.simulate_planes({"a": empty, "b": empty}, 0))
+
+
+# -- slot reuse: kernel runs that keep only some nets ---------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(netlists(), st.data())
+def test_kept_nets_match_evaluate_nets_and_outlive_the_next_call(netlist, data):
+    words = data.draw(st.integers(1, 3))
+    planes = draw_planes(data, netlist, words)
+    nets = tuple(data.draw(st.lists(st.sampled_from(range(len(netlist.drivers))), max_size=8)))
+    got = netlist._simulate(planes, words, nets)
+    want = reference_evaluate_nets(netlist, {name: lanes(plane) for name, plane in planes.items()})
+    assert len(got) == len(nets)
+    for net, plane in zip(nets, got):
+        assert plane.shape == (words,), net
+        expected = np.broadcast_to(np.asarray(want[net], dtype=np.uint8), (64 * words,))
+        assert np.array_equal(lanes(plane), expected), f"net {net}"
+
+    # a second run over other inputs, and one over every net, leave the first result as it was
+    before = [plane.copy() for plane in got]
+    netlist._simulate(draw_planes(data, netlist, words), words, nets)
+    netlist.simulate_planes(draw_planes(data, netlist, words), words)
+    for net, plane, saved in zip(nets, got, before):
+        assert np.array_equal(plane, saved), f"net {net}"
+
+
+@pytest.mark.parametrize("arch", ["rca", "cla", "cia_rca", "cia_cla"])
+def test_output_only_plans_reuse_rows(arch):
+    nl = build_adder(AdderSpec(Architecture(arch), 12, 4))
+    rows, steps, taps = nl._plan(tuple(nid.index for _, nid in nl.outputs))
+    assert len(taps) == 13
+    assert rows < len(nl.gates) < len(nl.drivers)
+    assert len(steps) == len(nl.compiled())  # every gate of an adder feeds an output
+    # keeping every net reuses nothing: a row per gate, plus the zeros and ones rows
+    assert nl._plan(None)[0] == len(nl.drivers) - len(nl.inputs) + 2
 
 
 def test_mutant_does_not_reuse_parent_compiled_form():
@@ -198,3 +259,51 @@ def test_shared_sweep_reports_each_netlist_like_its_own_check(monkeypatch, words
         capped += report.failure_count > len(report.failures) == verify.FAILURE_CAP
     assert reports[0].ok and reports[-1].ok and reports[-2].ok
     assert capped > 0 and not all(report.ok for report in reports[1:-2])
+
+
+# -- expected planes of the exhaustive sweep against per-chunk integer sums ---------
+
+def assert_chunks_match(width, words, starts):
+    """The expected planes at each aligned start equal the reference chunk's."""
+    expected = verify._expected_planes(width)
+    for start in starts:
+        first, want = next(reference_exhaustive_chunks(width, words, start))
+        assert first == start
+        assert np.array_equal(expected(start), want), (width, start)
+
+
+@pytest.mark.parametrize("words", [verify._WORDS, 1], ids=["default_words", "one_word_chunks"])
+def test_expected_planes_match_per_chunk_integer_sums(monkeypatch, words):
+    monkeypatch.setattr(verify, "_WORDS", words)
+    rng = random.Random(12)
+    for width in range(1, 13):
+        chunks = verify._exhaustive_chunks(width)
+        reference = reference_exhaustive_chunks(width, words)
+        total = 1 << (2 * width + 1)
+        n = min(total, 64 * words)
+        if total // n <= 4096:
+            # every chunk, in sweep order
+            pairs = list(itertools.zip_longest(chunks, reference))
+            assert len(pairs) == total // n
+            for (_, got, cases), (start, want) in pairs:
+                assert cases == n
+                assert np.array_equal(got, want), (width, start)
+        else:
+            # one-word chunks at w9-w12: the first 512, the last, and random ones
+            for (_, got, _), (start, want) in itertools.islice(zip(chunks, reference), 512):
+                assert np.array_equal(got, want), (width, start)
+            starts = [total - n] + [rng.randrange(total // n) * n for _ in range(256)]
+            assert_chunks_match(width, words, starts)
+
+
+@pytest.mark.parametrize("width", range(16, 25))
+def test_expected_planes_match_where_b_crosses_chunks(width):
+    # a 2,048-word chunk holds index bits 0-16, so b (bits 1..width) spills into the chunk constant
+    n = verify._WORDS * 64
+    total = 1 << (2 * width + 1)
+    for (_, got, _), (start, want) in zip(
+        itertools.islice(verify._exhaustive_chunks(width), 3), reference_exhaustive_chunks(width, verify._WORDS)
+    ):
+        assert np.array_equal(got, want), (width, start)
+    rng = random.Random(width)
+    assert_chunks_match(width, verify._WORDS, [total - n] + [rng.randrange(total // n) * n for _ in range(6)])

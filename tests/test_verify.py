@@ -181,9 +181,22 @@ def test_non_integer_checker_arguments_are_invalid(rca4, call, what, bad):
         call(rca4, bad)
 
 
+@pytest.mark.parametrize("bad", ["100", None, 2.5, True])
+@pytest.mark.parametrize("call", [
+    lambda v: check_exhaustive(build_rca(4), 4, case_cap=v),
+    lambda v: probe_invariant_carry_exclusive(build_cia(4, 2, Architecture.RCA), 4, case_cap=v),
+], ids=["check_exhaustive", "probe"])
+def test_non_integer_case_cap_is_invalid(call, bad):
+    with pytest.raises(InvalidParameter, match="^case_cap must be an integer, got "):
+        call(bad)
+
+
 def test_numpy_integer_checker_arguments_still_work(rca4):
     assert check_exhaustive(rca4, np.int64(4)) == check_exhaustive(rca4, 4)
     assert check_random(rca4, np.int64(4), np.int32(50), np.uint8(9)) == check_random(rca4, 4, 50, 9)
+    assert check_exhaustive(rca4, 4, case_cap=np.int64(512)) == check_exhaustive(rca4, 4)
+    with pytest.raises(ExhaustiveTooLarge):
+        check_exhaustive(rca4, 4, case_cap=np.int64(511))
 
 
 # -- carry exclusivity probe -------------------------------------------------------
