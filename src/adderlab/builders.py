@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BadFanIn, BlockTooLarge, InvalidParameter, ZeroWidth
-from .netlist import GateKind, NetId, Netlist, NetlistBuilder, _require_int
+from .netlist import CarryMerge, GateKind, NetId, Netlist, NetlistBuilder, _require_int
 
 
 class Architecture(Enum):
@@ -53,16 +53,6 @@ class AdderSpec:
     width: int
     block_size: int = 4
     max_fanin: int | None = None  # None = unlimited
-
-
-@dataclass(frozen=True)
-class CarryMerge:
-    """One per-stage effective-carry OR, kept for invariant probing."""
-
-    stage: int
-    block_carry: NetId
-    increment_carry: NetId
-    gate: int
 
 
 def adder_port_names(width: int) -> tuple[list[str], list[str]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from operator import attrgetter, lt
+from operator import lt
 
 from .analysis import ComparisonTable, _row_cells
 from .errors import (
@@ -27,16 +27,13 @@ from .errors import (
     UnknownGateKind,
     UnsupportedVersion,
 )
-from .netlist import Gate, GateKind, NetId, Netlist, _owner_counter
+from .netlist import Gate, GateKind, Netlist
 from .verify import EquivalenceReport
 
 FORMAT_VERSION = 1
 
 
 # -- JSON ---------------------------------------------------------------------
-
-_index = attrgetter("index")
-
 
 def _json_list(items: list[str], depth: int) -> str:
     """A JSON array of preformatted ``items`` at nesting ``depth``, laid out as
@@ -58,36 +55,35 @@ def export_json(netlist: Netlist) -> str:
     # Renumbered here, not in finish(): build_cia mints its constant after block 0's
     # gates, so stored numbering would rename its Verilog wires.
     ids: dict[int, str] = {}
-    for _, nid in (*netlist.inputs, *netlist.constants):
-        ids[nid.index] = str(len(ids))
+    for _, net in (*netlist.inputs, *netlist.constants):
+        ids[net] = str(len(ids))
     for gate in netlist.gates:
-        ids[gate.output.index] = str(len(ids))
-    net = ids.__getitem__
+        ids[gate.output] = str(len(ids))
 
     def ports(table) -> str:
         return _json_list(
             [
                 "{\n"
                 f'      "name": {json.dumps(name)},\n'
-                f'      "net": {ids[nid.index]}\n'
+                f'      "net": {ids[net]}\n'
                 "    }"
-                for name, nid in table
+                for name, net in table
             ],
             1,
         )
 
     constants = [
         "{\n"
-        f'      "net": {ids[nid.index]},\n'
+        f'      "net": {ids[net]},\n'
         f'      "value": {value}\n'
         "    }"
-        for value, nid in netlist.constants
+        for value, net in netlist.constants
     ]
     gates = [
         "{\n"
-        f'      "inputs": {_json_list(list(map(net, map(_index, gate.inputs))), 3)},\n'
+        f'      "inputs": {_json_list(list(map(ids.__getitem__, gate.inputs)), 3)},\n'
         f'      "kind": "{gate.kind.value}",\n'
-        f'      "output": {ids[gate.output.index]}\n'
+        f'      "output": {ids[gate.output]}\n'
         "    }"
         for gate in netlist.gates
     ]
@@ -207,9 +203,8 @@ def import_json(text: str) -> Netlist:
         kinds.append(kind)
         refs.append(ins)
 
-    owner = next(_owner_counter)
-    nets: dict[int, NetId] = {}  # document net id -> net
-    in_ports: list[tuple[str, NetId]] = []
+    nets: dict[int, int] = {}  # document net id -> net
+    in_ports: list[tuple[str, int]] = []
     taken: set[str] = set()
     for entry in inputs:
         ref, port = entry["net"], entry["name"]
@@ -218,15 +213,15 @@ def import_json(text: str) -> Netlist:
         if port in taken:
             raise InvariantViolation(f"input port '{port}' already declared")
         taken.add(port)
-        nets[ref] = NetId(len(in_ports), owner)
+        nets[ref] = len(in_ports)
         in_ports.append((port, nets[ref]))
-    consts: dict[int, NetId] = {}  # one net per value, numbered in first-appearance order
+    consts: dict[int, int] = {}  # one net per value, numbered in first-appearance order
     for entry in constants:
         ref, value = entry["net"], entry["value"]
         if ref in nets:
             raise InvariantViolation(f"net {ref} has more than one driver (constant)")
         if value not in consts:
-            consts[value] = NetId(len(in_ports) + len(consts), owner)
+            consts[value] = len(in_ports) + len(consts)
         nets[ref] = consts[value]
 
     # Gate outputs ascending, each above its gate's inputs: then every gate
@@ -243,9 +238,9 @@ def import_json(text: str) -> Netlist:
             feeds = tuple(map(nets.__getitem__, refs[gi]))
         except KeyError as exc:
             raise InvariantViolation(f"gate reads undriven net {exc.args[0]}") from None
-        nets[out] = NetId(first + len(built), owner)
+        nets[out] = first + len(built)
         built.append(Gate(kinds[gi], feeds, nets[out]))
-    out_ports: list[tuple[str, NetId]] = []
+    out_ports: list[tuple[str, int]] = []
     taken = set()
     for entry in outputs:
         ref, port = entry["net"], entry["name"]
@@ -313,14 +308,14 @@ def export_dot(netlist: Netlist) -> str:
         lines.append("  }")
     for name, _ in netlist.outputs:
         lines.append(f"  {_dot_str('out:' + name)} [shape=doubleoctagon, label={_dot_str(name)}];")
-    source = {nid.index: _dot_str("in:" + name) for name, nid in netlist.inputs}
-    source.update((nid.index, f'"const{value}"') for value, nid in netlist.constants)
-    source.update((gate.output.index, f"g{gi}") for gi, gate in enumerate(netlist.gates))
+    source = {net: _dot_str("in:" + name) for name, net in netlist.inputs}
+    source.update((net, f'"const{value}"') for value, net in netlist.constants)
+    source.update((gate.output, f"g{gi}") for gi, gate in enumerate(netlist.gates))
     for gi, gate in enumerate(netlist.gates):
-        for nid in gate.inputs:
-            lines.append(f"  {source[nid.index]} -> g{gi};")
-    for name, nid in netlist.outputs:
-        lines.append(f"  {source[nid.index]} -> {_dot_str('out:' + name)};")
+        for net in gate.inputs:
+            lines.append(f"  {source[net]} -> g{gi};")
+    for name, net in netlist.outputs:
+        lines.append(f"  {source[net]} -> {_dot_str('out:' + name)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -353,7 +348,7 @@ def _sanitize(name: str) -> str:
 
 def export_verilog(netlist: Netlist) -> str:
     """Gate-primitive structural Verilog: one instance per gate, g<index>."""
-    names = {nid.index: f"1'b{value}" for value, nid in netlist.constants}
+    names = {net: f"1'b{value}" for value, net in netlist.constants}
     taken: dict[str, str] = {}
 
     def reserve(raw: str, what: str) -> str:
@@ -373,22 +368,22 @@ def export_verilog(netlist: Netlist) -> str:
     if not _IDENT.match(module) or module in _KEYWORDS:
         module = "netlist"
     in_ports = []
-    for name, nid in netlist.inputs:
+    for name, net in netlist.inputs:
         ident = reserve(name, "input port")
-        names[nid.index] = ident
+        names[net] = ident
         in_ports.append(ident)
     out_ports = []
     aliases = []  # output ports tapping an already-named net (input, constant, earlier output); wired with a buf
-    for name, nid in netlist.outputs:
+    for name, net in netlist.outputs:
         ident = reserve(name, "output port")
-        if nid.index in names:
-            aliases.append((ident, nid))
+        if net in names:
+            aliases.append((ident, net))
         else:
-            names[nid.index] = ident
+            names[net] = ident
         out_ports.append(ident)
 
     wires = []
-    for index in sorted(gate.output.index for gate in netlist.gates):  # the other nets have names already
+    for index in sorted(gate.output for gate in netlist.gates):  # the other nets have names already
         if index not in names:
             ident, suffix = f"n{index}", 0
             while ident in taken:  # a port already holds the name
@@ -405,10 +400,10 @@ def export_verilog(netlist: Netlist) -> str:
     for wire in wires:
         lines.append(f"  wire {wire};")
     for gi, gate in enumerate(netlist.gates):
-        ops = [names[gate.output.index]] + [names[nid.index] for nid in gate.inputs]
+        ops = [names[gate.output]] + [names[net] for net in gate.inputs]
         lines.append(f"  {gate.kind.value.lower()} g{gi} ({', '.join(ops)});")
-    for k, (ident, nid) in enumerate(aliases):
-        lines.append(f"  buf g{len(netlist.gates) + k} ({ident}, {names[nid.index]});")
+    for k, (ident, net) in enumerate(aliases):
+        lines.append(f"  buf g{len(netlist.gates) + k} ({ident}, {names[net]});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
 

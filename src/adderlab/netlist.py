@@ -1,15 +1,17 @@
 """Combinational gate-level netlists: construction, evaluation, timing.
 
 A netlist is its gates and ports: named input ports, constants and
-AND/OR/XOR/NOT gates over nets 0..n-1, n being their count.  Every net
-has exactly one source: an input port, a constant or one gate's output.
-``constants`` lists (value, net) pairs in ascending value order; output
-ports tap any net.  ``drivers[i]``, derived from the gates, is the gate
-that drives net i, or None.  Gates are stored in dependency order: each
-reads only inputs, constants and earlier gates, as the builder
-guarantees and ``Netlist`` checks on construction.
-``NetlistBuilder`` is the only supported way to grow one; after
-``finish()`` the result is immutable and safe to share.
+AND/OR/XOR/NOT gates over nets 0..n-1, n being their count.  A net is a
+plain int in every table of a netlist; ``NetId`` is only the handle a
+``NetlistBuilder`` returns and accepts.  Every net has exactly one
+source: an input port, a constant or one gate's output.  ``constants``
+lists (value, net) pairs in ascending value order; output ports tap any
+net.  ``drivers[i]``, derived from the gates, is the gate that drives
+net i, or None.  Gates are stored in dependency order: each reads only
+inputs, constants and earlier gates, as the builder guarantees and
+``Netlist`` checks on construction.  ``NetlistBuilder`` is the only
+supported way to grow one; after ``finish()`` the result is immutable
+and safe to share.
 
 One kernel simulates: on its first simulation a netlist is lowered to a
 program of two-operand bitwise steps over net indices, which
@@ -28,6 +30,7 @@ by ceil(log2(fan-in)) for wide gates.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import numbers
@@ -69,7 +72,7 @@ class GateKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class NetId:
-    """Opaque handle to one net; only valid inside the netlist that issued it."""
+    """A builder's handle to one net; only valid with the builder that issued it."""
 
     index: int
     owner: int
@@ -78,9 +81,20 @@ class NetId:
 @dataclass(frozen=True, slots=True)
 class Gate:
     kind: GateKind
-    inputs: tuple[NetId, ...]
-    output: NetId
+    inputs: tuple[int, ...]
+    output: int
     stage: str | None = None
+
+
+@dataclass(frozen=True)
+class CarryMerge:
+    """One per-stage effective-carry OR, kept for invariant probing.  ``finish()``
+    takes the builder's handles of the two carries and stores their net indices."""
+
+    stage: int
+    block_carry: int | NetId
+    increment_carry: int | NetId
+    gate: int
 
 
 class FaninPenalty(Enum):
@@ -152,8 +166,7 @@ _PLANE_OPS = {GateKind.AND: np.bitwise_and, GateKind.OR: np.bitwise_or, GateKind
 
 def _lower(gate: Gate, ones: int) -> list[Step]:
     """The steps that compute ``gate``'s output; ``ones`` is the all-ones slot."""
-    ins = [nid.index for nid in gate.inputs]
-    out = gate.output.index
+    ins, out = gate.inputs, gate.output
     if gate.kind is GateKind.NOT:
         return [(np.bitwise_xor, ins[0], ones, out)]
     op = _PLANE_OPS[gate.kind]
@@ -167,9 +180,9 @@ class Netlist:
         self,
         name: str,
         gates: tuple[Gate, ...],
-        inputs: tuple[tuple[str, NetId], ...],
-        outputs: tuple[tuple[str, NetId], ...],
-        constants: tuple[tuple[int, NetId], ...] = (),
+        inputs: tuple[tuple[str, int], ...],
+        outputs: tuple[tuple[str, int], ...],
+        constants: tuple[tuple[int, int], ...] = (),
         carry_merges=None,
     ):
         self.name = name
@@ -177,6 +190,9 @@ class Netlist:
         self.inputs = inputs
         self.outputs = outputs
         self.constants = constants
+        self.input_names = tuple(name for name, _ in inputs)
+        self.output_names = tuple(name for name, _ in outputs)
+        self._input_set = frozenset(self.input_names)
         # Per-stage carry metadata attached by the carry-increment builder;
         # None means "not an increment-style build", () means single block.
         self.carry_merges = carry_merges
@@ -186,46 +202,38 @@ class Netlist:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def input_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.inputs)
-
-    @property
-    def output_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.outputs)
-
     def _derive_drivers(self) -> tuple[int | None, ...]:
         """The gate driving each net, or None for an input or constant net.
 
         Checks on the way that each net 0..n-1 has exactly one source, that
-        every net read or tapped is one of them, and that each gate reads
-        only inputs, constants and earlier gates.
+        every net read or tapped is one of these ints, and that each gate
+        reads only inputs, constants and earlier gates.
         """
-        ports = [nid for _, nid in (*self.inputs, *self.constants)]
+        ports = [net for _, net in (*self.inputs, *self.constants)]
         sources = ports + [gate.output for gate in self.gates]
         n, first = len(sources), len(ports)
         rank: list = [None] * n  # gate gi may read net i only if rank[i] < gi; ports and constants rank < 0
 
-        def unknown(nid: NetId) -> UnknownNet:
-            return UnknownNet(f"no net {nid.index} in netlist '{self.name}'")
+        def unknown(net) -> UnknownNet:
+            return UnknownNet(f"no net {net!r} in netlist '{self.name}'")
 
-        for k, nid in enumerate(sources):
-            if not 0 <= nid.index < n:
-                raise unknown(nid)
-            if rank[nid.index] is not None:
-                raise InvariantViolation(f"net {nid.index} has more than one source")
-            rank[nid.index] = k - first
-        for _, nid in self.outputs:
-            if not 0 <= nid.index < n:
-                raise unknown(nid)
+        for k, net in enumerate(sources):
+            if type(net) is not int or not 0 <= net < n:
+                raise unknown(net)
+            if rank[net] is not None:
+                raise InvariantViolation(f"net {net} has more than one source")
+            rank[net] = k - first
+        for _, net in self.outputs:
+            if type(net) is not int or not 0 <= net < n:
+                raise unknown(net)
         for gi, gate in enumerate(self.gates):
-            for nid in gate.inputs:
-                if not 0 <= nid.index < n:
-                    raise unknown(nid)
-                if rank[nid.index] >= gi:
+            for net in gate.inputs:
+                if type(net) is not int or not 0 <= net < n:
+                    raise unknown(net)
+                if rank[net] >= gi:
                     raise CombinationalLoop(
-                        f"gate {gi} of netlist '{self.name}' reads gate {rank[nid.index]}, which is not earlier",
-                        gates=(gi, rank[nid.index]),
+                        f"gate {gi} of netlist '{self.name}' reads gate {rank[net]}, which is not earlier",
+                        gates=(gi, rank[net]),
                     )
         return tuple(None if r < 0 else r for r in rank)
 
@@ -256,11 +264,10 @@ class Netlist:
 
     def _check_input_names(self, assignment: Mapping[str, object]) -> None:
         """Reject a name that is no input port, then an input port left out."""
-        declared = set(self.input_names)
-        if assignment.keys() == declared:
+        if assignment.keys() == self._input_set:
             return
         for key in assignment:
-            if key not in declared:
+            if key not in self._input_set:
                 raise UnknownInput(f"netlist '{self.name}' has no input port '{key}'")
         missing = next(name for name in self.input_names if name not in assignment)
         raise MissingInput(f"no value for input port '{missing}'")
@@ -293,7 +300,7 @@ class Netlist:
         for row, value in zip(cases, values):
             row[:n].reshape(shape)[...] = value
         packed = np.packbits(cases, axis=1, bitorder="little").view("<u8")
-        taps = self._simulate(dict(zip(names, packed)), words, tuple(nid.index for _, nid in self.outputs))
+        taps = self._simulate(dict(zip(names, packed)), words, tuple(net for _, net in self.outputs))
         planes = np.array(taps, dtype="<u8").reshape(len(taps), words).view(np.uint8)
         bits = np.unpackbits(planes, axis=1, count=n, bitorder="little")
         if not arrays:
@@ -312,10 +319,7 @@ class Netlist:
         """
         if self._compiled is None:
             zeros, ones = len(self.drivers), len(self.drivers) + 1
-            constants = [
-                (np.bitwise_or, ones if value else zeros, zeros, nid.index)
-                for value, nid in self.constants
-            ]
+            constants = [(np.bitwise_or, ones if value else zeros, zeros, net) for value, net in self.constants]
             gates = [step for gate in self.gates for step in _lower(gate, ones)]
             self._compiled = tuple(constants + gates)
         return self._compiled
@@ -380,7 +384,7 @@ class Netlist:
                 needed.append(step)
         needed.reverse()
         last_read = {net: s for s, step in enumerate(needed) for net in step[1:3]}
-        where = {nid.index: j for j, (_, nid) in enumerate(self.inputs)} | {n: k, n + 1: k + 1}
+        where = {net: j for j, (_, net) in enumerate(self.inputs)} | {n: k, n + 1: k + 1}
         fixed, free, rows, steps = set(where), [], 2, []
         for s, (op, left, right, out) in enumerate(needed):
             for net in {left, right}:
@@ -402,9 +406,8 @@ class Netlist:
         """Latest-arrival time of every net; inputs and constants arrive at 0."""
         arr = [0.0] * len(self.drivers)
         for gate in self.gates:
-            arr[gate.output.index] = max(arr[nid.index] for nid in gate.inputs) + model.gate_delay(
-                gate.kind, len(gate.inputs)
-            )
+            delay = model.gate_delay(gate.kind, len(gate.inputs))
+            arr[gate.output] = max(map(arr.__getitem__, gate.inputs)) + delay
         return arr
 
     def critical_path(self, model: DelayModel) -> tuple[float, list[int]]:
@@ -417,11 +420,11 @@ class Netlist:
         arr = self.arrival_times(model)
         if not self.outputs:
             return 0.0, []
-        net = max((nid for _, nid in self.outputs), key=lambda nid: arr[nid.index])
-        delay, path = arr[net.index], []
-        while (gi := self.drivers[net.index]) is not None:
+        net = max((net for _, net in self.outputs), key=arr.__getitem__)
+        delay, path = arr[net], []
+        while (gi := self.drivers[net]) is not None:
             path.append(gi)
-            net = max(self.gates[gi].inputs, key=lambda nid: arr[nid.index])
+            net = max(self.gates[gi].inputs, key=arr.__getitem__)
         return delay, path[::-1]
 
 
@@ -429,16 +432,16 @@ _owner_counter = itertools.count(1)
 
 
 class NetlistBuilder:
-    """Accumulates ports and gates, then freezes into a ``Netlist``."""
+    """Accumulates ports and gates, named by ``NetId`` handles, then freezes into a ``Netlist``."""
 
     def __init__(self, name: str = "netlist"):
         self.name = name
         self._owner = next(_owner_counter)
         self._nets = 0
         self._gates: list[Gate] = []
-        self._inputs: dict[str, NetId] = {}
-        self._outputs: dict[str, NetId] = {}
-        self._consts: dict[int, NetId] = {}
+        self._inputs: dict[str, int] = {}
+        self._outputs: dict[str, int] = {}
+        self._consts: dict[int, int] = {}
         self._finished = False
 
     @property
@@ -449,13 +452,18 @@ class NetlistBuilder:
         if self._finished:
             raise NetlistFrozen(f"netlist '{self.name}' is already finished")
 
-    def _new_net(self) -> NetId:
+    def _new_net(self) -> int:
         self._nets += 1
-        return NetId(self._nets - 1, self._owner)
+        return self._nets - 1
 
-    def _check_net(self, nid) -> None:
-        if not isinstance(nid, NetId) or nid.owner != self._owner or not 0 <= nid.index < self._nets:
-            raise UnknownNet(f"net {nid!r} does not belong to netlist '{self.name}'")
+    def _indices(self, handles) -> tuple[int, ...]:
+        """The net indices behind ``handles``, each of which must be a handle this builder issued."""
+        owner, nets, indices = self._owner, self._nets, []
+        for nid in handles:
+            if not isinstance(nid, NetId) or nid.owner != owner or not 0 <= nid.index < nets:
+                raise UnknownNet(f"net {nid!r} does not belong to netlist '{self.name}'")
+            indices.append(nid.index)
+        return tuple(indices)
 
     def add_input(self, name: str) -> NetId:
         """Declare an input port; it mints and returns a fresh net."""
@@ -463,15 +471,14 @@ class NetlistBuilder:
         if name in self._inputs:
             raise DuplicatePortName(f"input port '{name}' already declared")
         self._inputs[name] = self._new_net()
-        return self._inputs[name]
+        return NetId(self._inputs[name], self._owner)
 
     def add_output(self, name: str, net: NetId) -> NetId:
         """Declare an output port tapping the existing ``net``; returns ``net``."""
         self._require_open()
         if name in self._outputs:
             raise DuplicatePortName(f"output port '{name}' already declared")
-        self._check_net(net)
-        self._outputs[name] = net
+        (self._outputs[name],) = self._indices((net,))
         return net
 
     def constant(self, value: int) -> NetId:
@@ -481,7 +488,7 @@ class NetlistBuilder:
             raise InvalidParameter(f"constant must be 0 or 1, got {value}")
         if value not in self._consts:
             self._consts[value] = self._new_net()
-        return self._consts[value]
+        return NetId(self._consts[value], self._owner)
 
     def add_gate(
         self,
@@ -494,15 +501,23 @@ class NetlistBuilder:
         ins = tuple(inputs)
         if not kind.arity_ok(len(ins)):
             raise FanInViolation(f"{kind.value} gate cannot take {len(ins)} input(s)")
-        for nid in ins:
-            self._check_net(nid)
+        ins = self._indices(ins)
         out = self._new_net()
         self._gates.append(Gate(kind, ins, out, stage))
-        return out
+        return NetId(out, self._owner)
 
-    def finish(self, carry_merges: Sequence | None = None) -> Netlist:
-        """Freeze into an immutable ``Netlist``; the builder rejects further edits."""
+    def _merge(self, merge) -> CarryMerge:
+        """``merge`` with its carries' handles replaced by their net indices."""
+        if not isinstance(merge, CarryMerge):
+            raise UnknownNet(f"carry merge {merge!r} of netlist '{self.name}' is not a CarryMerge")
+        block, increment = self._indices((merge.block_carry, merge.increment_carry))
+        return dataclasses.replace(merge, block_carry=block, increment_carry=increment)
+
+    def finish(self, carry_merges: Sequence[CarryMerge] | None = None) -> Netlist:
+        """Freeze into an immutable ``Netlist``; the builder rejects further edits.
+        Each carry merge must be a ``CarryMerge`` of this builder's nets (else UnknownNet)."""
         self._require_open()
+        merges = None if carry_merges is None else tuple(map(self._merge, carry_merges))
         self._finished = True
         return Netlist(
             self.name,
@@ -510,5 +525,5 @@ class NetlistBuilder:
             tuple(self._inputs.items()),
             tuple(self._outputs.items()),
             tuple(sorted(self._consts.items())),
-            carry_merges=None if carry_merges is None else tuple(carry_merges),
+            carry_merges=merges,
         )

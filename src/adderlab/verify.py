@@ -300,10 +300,8 @@ def _sweep(netlists: list[Netlist], width: int, chunks) -> list[tuple[int, tuple
     per netlist, the exact mismatch count and the first FAILURE_CAP
     failing cases in chunk order.
     """
-    out_nets = []
-    for netlist in netlists:
-        ports = dict(netlist.outputs)
-        out_nets.append((*(ports[f"s_{i}"].index for i in range(width)), ports["cout"].index))
+    _, outputs = adder_port_names(width)
+    out_nets = [tuple(map(dict(netlist.outputs).__getitem__, outputs)) for netlist in netlists]
     counts = [0] * len(netlists)
     failures: list[list[Failure]] = [[] for _ in netlists]
     for chunk in chunks:
@@ -400,7 +398,7 @@ def probe_invariant_carry_exclusive(
     _exhaustive_size(netlist, width, case_cap)
     if not netlist.carry_merges:
         return True
-    pairs = tuple(nid.index for merge in netlist.carry_merges for nid in (merge.block_carry, merge.increment_carry))
+    pairs = tuple(net for merge in netlist.carry_merges for net in (merge.block_carry, merge.increment_carry))
     for _, _, planes in _exhaustive_inputs(width):
         carries = netlist._simulate(planes, len(planes["cin"]), pairs)
         if any((block & increment).any() for block, increment in zip(carries[::2], carries[1::2])):

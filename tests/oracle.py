@@ -55,14 +55,14 @@ from adderlab.verify import (
 )
 
 
-def iter_path_delays(netlist, model, net_id):
-    """Yield the summed gate delay of every path ending at ``net_id``."""
-    gi = netlist.drivers[net_id.index]
+def iter_path_delays(netlist, model, net):
+    """Yield the summed gate delay of every path ending at net ``net``."""
+    gi = netlist.drivers[net]
     if gi is not None:
         gate = netlist.gates[gi]
         d = model.gate_delay(gate.kind, len(gate.inputs))
-        for nid in gate.inputs:
-            for tail in iter_path_delays(netlist, model, nid):
+        for feed in gate.inputs:
+            for tail in iter_path_delays(netlist, model, feed):
                 yield tail + d
     else:
         yield 0.0
@@ -71,8 +71,8 @@ def iter_path_delays(netlist, model, net_id):
 def brute_force_delay(netlist, model):
     """Longest path delay to any output port, by exhaustive enumeration."""
     best = 0.0
-    for _, nid in netlist.outputs:
-        best = max(best, max(iter_path_delays(netlist, model, nid)))
+    for _, net in netlist.outputs:
+        best = max(best, max(iter_path_delays(netlist, model, net)))
     return best
 
 
@@ -86,12 +86,12 @@ def reference_evaluate_nets(netlist, assignment):
     and dtype its operands give it, and an input net is the caller's value.
     """
     values = [None] * len(netlist.drivers)
-    for name, nid in netlist.inputs:
-        values[nid.index] = assignment[name]
-    for value, nid in netlist.constants:
-        values[nid.index] = value
+    for name, net in netlist.inputs:
+        values[net] = assignment[name]
+    for value, net in netlist.constants:
+        values[net] = value
     for gate in netlist.gates:
-        vals = [values[nid.index] for nid in gate.inputs]
+        vals = [values[net] for net in gate.inputs]
         if gate.kind is GateKind.AND:
             value = reduce(and_, vals)
         elif gate.kind is GateKind.OR:
@@ -100,14 +100,14 @@ def reference_evaluate_nets(netlist, assignment):
             value = vals[0] ^ vals[1]
         else:
             value = vals[0] ^ 1
-        values[gate.output.index] = value
+        values[gate.output] = value
     return values
 
 
 def reference_evaluate(netlist, assignment):
     """Output-port values of ``reference_evaluate_nets``, keyed by port name."""
     values = reference_evaluate_nets(netlist, assignment)
-    return {name: values[nid.index] for name, nid in netlist.outputs}
+    return {name: values[net] for name, net in netlist.outputs}
 
 
 # -- document gate order ---------------------------------------------------------
@@ -137,21 +137,21 @@ def reference_doc_order(gates):
 def reference_export_json(netlist):
     """The canonical document: nets renumbered inputs, constants, gates; keys sorted."""
     ids = {}
-    for _, nid in (*netlist.inputs, *netlist.constants):
-        ids[nid.index] = len(ids)
+    for _, net in (*netlist.inputs, *netlist.constants):
+        ids[net] = len(ids)
     for gate in netlist.gates:
-        ids[gate.output.index] = len(ids)
+        ids[gate.output] = len(ids)
     doc = {
         "format_version": 1,
         "name": netlist.name,
-        "inputs": [{"name": name, "net": ids[nid.index]} for name, nid in netlist.inputs],
-        "outputs": [{"name": name, "net": ids[nid.index]} for name, nid in netlist.outputs],
-        "constants": [{"net": ids[nid.index], "value": value} for value, nid in netlist.constants],
+        "inputs": [{"name": name, "net": ids[net]} for name, net in netlist.inputs],
+        "outputs": [{"name": name, "net": ids[net]} for name, net in netlist.outputs],
+        "constants": [{"net": ids[net], "value": value} for value, net in netlist.constants],
         "gates": [
             {
                 "kind": gate.kind.value,
-                "inputs": [ids[nid.index] for nid in gate.inputs],
-                "output": ids[gate.output.index],
+                "inputs": [ids[net] for net in gate.inputs],
+                "output": ids[gate.output],
             }
             for gate in netlist.gates
         ],

@@ -91,7 +91,7 @@ def test_delay_report_arrivals_equal_arrival_times(arch, unit, log2):
         report = delay_report(netlist, model)
         assert report.path
         for gi, arrival in report.path:
-            assert arrival == arrivals[netlist.gates[gi].output.index], (model.name, gi)
+            assert arrival == arrivals[netlist.gates[gi].output], (model.name, gi)
         assert report.delay == report.path[-1][1]
 
 

@@ -172,7 +172,7 @@ def test_kept_nets_match_evaluate_nets_and_outlive_the_next_call(netlist, data):
 @pytest.mark.parametrize("arch", ["rca", "cla", "cia_rca", "cia_cla"])
 def test_output_only_plans_reuse_rows(arch):
     nl = build_adder(AdderSpec(Architecture(arch), 12, 4))
-    rows, steps, taps = nl._plan(tuple(nid.index for _, nid in nl.outputs))
+    rows, steps, taps = nl._plan(tuple(net for _, net in nl.outputs))
     assert len(taps) == 13
     assert rows < len(nl.gates) < len(nl.drivers)
     assert len(steps) == len(nl.compiled())  # every gate of an adder feeds an output

@@ -286,8 +286,8 @@ def test_evaluate_without_inputs_or_outputs():
 def assert_dependency_order(nl):
     """Every gate input is an input, a constant or the output of an earlier gate."""
     for gi, gate in enumerate(nl.gates):
-        for nid in gate.inputs:
-            source = nl.drivers[nid.index]
+        for net in gate.inputs:
+            source = nl.drivers[net]
             assert source is None or source < gi, (nl.name, gi, source)
 
 
@@ -322,8 +322,8 @@ def test_gates_are_stored_in_dependency_order(nl):
 
 
 def gate_order(nl):
-    """The stored gates as (kind, input indices, output index), free of the netlist's owner tag."""
-    return [(g.kind, tuple(n.index for n in g.inputs), g.output.index) for g in nl.gates]
+    """The stored gates as (kind, input nets, output net)."""
+    return [(g.kind, g.inputs, g.output) for g in nl.gates]
 
 
 def test_topo_order_is_deterministic_and_consistent():
@@ -341,22 +341,19 @@ def test_builder_order_is_already_topological():
     # builder can only reference existing nets, so gate outputs ascend in build order
     nl = build_rca(6)
     assert_dependency_order(nl)
-    outputs = [gate.output.index for gate in nl.gates]
+    outputs = [gate.output for gate in nl.gates]
     assert outputs == sorted(outputs)
     assert [nl.drivers[i] for i in outputs] == list(range(len(nl.gates)))
 
 
 def hand_built(gates, inputs=(("x", 0), ("y", 1)), outputs=(), constants=()):
     """A Netlist made from raw tables of net indices."""
-    def net(i):
-        return NetId(i, 0)
-
     return Netlist(
         "hand",
-        tuple(Gate(kind, tuple(map(net, ins)), net(out)) for kind, ins, out in gates),
-        tuple((name, net(i)) for name, i in inputs),
-        tuple((name, net(i)) for name, i in outputs),
-        tuple((value, net(i)) for value, i in constants),
+        tuple(Gate(kind, tuple(ins), out) for kind, ins, out in gates),
+        tuple(inputs),
+        tuple(outputs),
+        tuple(constants),
     )
 
 
@@ -368,10 +365,9 @@ def test_hand_built_tables_in_dependency_order_are_accepted():
 
 def test_combinational_loop_detected():
     # builders cannot create cycles, so wire one up by hand
-    n0, n1 = NetId(0, 999), NetId(1, 999)
     gates = (
-        Gate(GateKind.NOT, (n0,), n1),
-        Gate(GateKind.NOT, (n1,), n0),
+        Gate(GateKind.NOT, (0,), 1),
+        Gate(GateKind.NOT, (1,), 0),
     )
     with pytest.raises(CombinationalLoop) as exc:
         Netlist("loop", gates, (), ())
@@ -389,7 +385,8 @@ def test_gate_reading_no_earlier_gate_is_rejected(gates, pair):
 
 
 # Inputs x and y sit on nets 0 and 1 unless a row says otherwise; the
-# netlist has n = inputs + constants + gates nets, and each row names a net >= n or < 0.
+# netlist has n = inputs + constants + gates nets, and each row names a net >= n or < 0,
+# or a net that is no int.
 @pytest.mark.parametrize("tables", [
     dict(gates=[(GateKind.AND, (0, 9), 2)]),  # gate input
     dict(gates=[(GateKind.AND, (0, -1), 2)]),  # negative gate input
@@ -397,9 +394,15 @@ def test_gate_reading_no_earlier_gate_is_rejected(gates, pair):
     dict(gates=[], outputs=(("z", 5),)),  # output port
     dict(gates=[], inputs=(("x", 0), ("y", 2))),  # input port y on net 2, n being 2
     dict(gates=[], constants=((0, 3),)),  # constant on net 3, n being 3
+    dict(gates=[(GateKind.AND, (0, NetId(1, 0)), 2)]),  # a builder's handle as gate input
+    dict(gates=[(GateKind.NOT, (0,), True)]),  # a bool as gate output
+    dict(gates=[(GateKind.NOT, (0,), 2)], outputs=(("z", 2.0),)),  # a float as output port
+    dict(gates=[], inputs=(("x", 0), ("y", "2"))),  # a string as input port
+    dict(gates=[], constants=((0, None),)),  # None as constant
 ])
 def test_net_outside_the_driver_table_is_unknown(tables):
-    with pytest.raises(UnknownNet, match="^no net -?[0-9] in netlist 'hand'$"):
+    net = r"(-?[0-9]|NetId\(index=1, owner=0\)|True|2\.0|'2'|None)"
+    with pytest.raises(UnknownNet, match=f"^no net {net} in netlist 'hand'$"):
         hand_built(**tables)
 
 
@@ -418,19 +421,16 @@ def test_driver_table_disagreeing_with_the_gates_is_rejected(drivers, gates, con
 
 
 def test_every_net_needs_exactly_one_source():
-    def net(i):
-        return NetId(i, 0)
-
-    not_1 = (Gate(GateKind.NOT, (net(1),), net(2)),)
-    y = (("y", net(2)),)
+    not_1 = (Gate(GateKind.NOT, (1,), 2),)
+    y = (("y", 2),)
     # net 1 is read, but nothing drives it: a port and a gate make nets 0 and 1, so the gate's net 2 is no net
     with pytest.raises(UnknownNet, match="^no net 2 in netlist 'x'$"):
-        Netlist("x", not_1, (("a", net(0)),), y)
+        Netlist("x", not_1, (("a", 0),), y)
     # two input ports, or an input port and a constant, on net 1
     with pytest.raises(InvariantViolation, match="^net 1 has more than one source$"):
-        Netlist("x", not_1, (("a", net(1)), ("b", net(1))), y)
+        Netlist("x", not_1, (("a", 1), ("b", 1)), y)
     with pytest.raises(InvariantViolation, match="^net 1 has more than one source$"):
-        Netlist("x", not_1, (("a", net(0)), ("b", net(1))), y, ((1, net(1)),))
+        Netlist("x", not_1, (("a", 0), ("b", 1)), y, ((1, 1),))
 
 
 # -- delay models ----------------------------------------------------------------
@@ -511,10 +511,7 @@ def test_critical_path_ties_go_to_first_port_and_first_input(unit):
 def test_critical_path_witness_is_connected(cia_cla_8_4, unit):
     delay, path = cia_cla_8_4.critical_path(unit)
     for prev, cur in zip(path, path[1:]):
-        feeds = {
-            nid.index for nid in cia_cla_8_4.gates[cur].inputs
-        }
-        assert cia_cla_8_4.gates[prev].output.index in feeds
+        assert cia_cla_8_4.gates[prev].output in cia_cla_8_4.gates[cur].inputs
 
 
 def test_arrivals_cover_every_fanin(cia_rca_8_4, unit, log2):
@@ -522,9 +519,9 @@ def test_arrivals_cover_every_fanin(cia_rca_8_4, unit, log2):
     for model in (unit, log2):
         arrivals = cia_rca_8_4.arrival_times(model)
         for gate in cia_rca_8_4.gates:
-            out = arrivals[gate.output.index]
+            out = arrivals[gate.output]
             cost = model.gate_delay(gate.kind, len(gate.inputs))
-            assert all(out >= arrivals[nid.index] + cost for nid in gate.inputs)
+            assert all(out >= arrivals[net] + cost for net in gate.inputs)
 
 
 def test_chaining_gates_never_reduces_delay(unit):
@@ -569,16 +566,24 @@ def test_with_gate_kind_needs_a_gate_kind(rca4, kind):
 # -- net tables -----------------------------------------------------------------------
 
 def check_net_tables(nl):
-    """Each net has exactly one source, and ``drivers``/``constants`` agree with it."""
+    """Each net has exactly one source, and ``drivers``/``constants`` agree with it.
+
+    Every net in every table is an int, also after a JSON round trip.
+    """
+    for table in (nl, import_json(export_json(nl))):
+        nets = [net for _, net in (*table.inputs, *table.outputs, *table.constants)]
+        nets += [net for gate in table.gates for net in (*gate.inputs, gate.output)]
+        nets += [net for merge in table.carry_merges or () for net in (merge.block_carry, merge.increment_carry)]
+        assert all(type(net) is int for net in nets), table.name
     sources = [[] for _ in nl.drivers]
-    for name, nid in nl.inputs:
-        sources[nid.index].append(("input", name))
-    for value, nid in nl.constants:
-        sources[nid.index].append(("constant", value))
+    for name, net in nl.inputs:
+        sources[net].append(("input", name))
+    for value, net in nl.constants:
+        sources[net].append(("constant", value))
     for gi, gate in enumerate(nl.gates):
-        sources[gate.output.index].append(("gate", gi))
+        sources[gate.output].append(("gate", gi))
     assert all(len(s) == 1 for s in sources), sources
-    driven = {gate.output.index: gi for gi, gate in enumerate(nl.gates)}
+    driven = {gate.output: gi for gi, gate in enumerate(nl.gates)}
     assert nl.drivers == tuple(driven.get(i) for i in range(len(nl.drivers)))
     values = [value for value, _ in nl.constants]
     assert values == sorted(set(values)) and set(values) <= {0, 1}
@@ -611,5 +616,5 @@ def test_constants_sort_by_value_not_creation_order():
     one, zero = b.constant(1), b.constant(0)
     b.add_output("z", b.add_gate(GateKind.AND, [one, zero]))
     nl = b.finish()
-    assert nl.constants == ((0, zero), (1, one))
+    assert nl.constants == ((0, zero.index), (1, one.index))
     assert nl.drivers == (None, None, 0)

@@ -1,6 +1,8 @@
-"""The names ``import adderlab`` exposes, and the ``Netlist`` constructor's
-parameters, pinned so that any change to them shows in a diff."""
+"""The names ``import adderlab`` exposes, the ``Netlist`` constructor's
+parameters and the fields of ``Gate`` and ``CarryMerge``, pinned so that
+any change to them shows in a diff."""
 
+import dataclasses
 import inspect
 import types
 
@@ -85,3 +87,16 @@ def test_public_names_are_pinned():
 def test_netlist_constructor_is_pinned():
     params = list(inspect.signature(adderlab.Netlist).parameters)
     assert params == ["name", "gates", "inputs", "outputs", "constants", "carry_merges"]
+
+
+def test_gate_and_carry_merge_fields_are_pinned():
+    # a finished netlist's nets are ints; a carry merge holds a builder's handles until finish()
+    def fields(cls):
+        return {field.name: field.type for field in dataclasses.fields(cls)}
+
+    assert fields(adderlab.Gate) == {
+        "kind": "GateKind", "inputs": "tuple[int, ...]", "output": "int", "stage": "str | None",
+    }
+    assert fields(adderlab.CarryMerge) == {
+        "stage": "int", "block_carry": "int | NetId", "increment_carry": "int | NetId", "gate": "int",
+    }

@@ -1,6 +1,7 @@
 """Equivalence checking, random sampling, invariant probes, fault injection."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from adderlab import (
     GateKind,
     InvalidParameter,
     MissingStageMetadata,
+    NetId,
     NetlistBuilder,
     OperandOutOfRange,
     PortContractViolation,
+    UnknownNet,
     ZeroWidth,
     boundary_cases,
     build_cia,
@@ -225,9 +228,10 @@ def test_probe_single_block_trivially_true():
     assert probe_invariant_carry_exclusive(nl, 4) is True
 
 
-def test_probe_flags_a_sabotaged_stage():
-    # hand-build a 2-bit, block-1 variant whose second block adds a hard 1
-    # instead of 0: its block carry and increment carry can then both fire
+def sabotaged_cia():
+    """A hand-built 2-bit, block-1 carry-increment adder whose second block adds
+    a hard 1 instead of 0: its block carry and increment carry can then both
+    fire.  Returns the open builder and the stage's merge."""
     b = NetlistBuilder("sabotaged")
     a = [b.add_input("a_0"), b.add_input("a_1")]
     y = [b.add_input("b_0"), b.add_input("b_1")]
@@ -239,5 +243,25 @@ def test_probe_flags_a_sabotaged_stage():
     b.add_output("s_0", s0)
     b.add_output("s_1", bumped[0])
     b.add_output("cout", eff1)
-    nl = b.finish(carry_merges=[CarryMerge(1, block_carry, inc_carry, b.gate_count - 1)])
+    return b, CarryMerge(1, block_carry, inc_carry, b.gate_count - 1)
+
+
+def test_probe_flags_a_sabotaged_stage():
+    b, merge = sabotaged_cia()
+    nl = b.finish(carry_merges=[merge])
+    [stored] = nl.carry_merges
+    assert stored == replace(merge, block_carry=merge.block_carry.index, increment_carry=merge.increment_carry.index)
     assert probe_invariant_carry_exclusive(nl, 2) is False
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda merge: replace(merge, block_carry=NetlistBuilder("other").add_input("x")),  # in range, another builder's
+    lambda merge: replace(merge, increment_carry=NetId(999, merge.increment_carry.owner)),  # no such net
+    lambda merge: replace(merge, block_carry="x"),  # no net at all
+    lambda merge: (merge.stage, merge.block_carry, merge.increment_carry, merge.gate),  # no CarryMerge
+], ids=["foreign net", "net out of range", "string", "tuple"])
+def test_finish_rejects_a_carry_merge_of_foreign_nets(spoil):
+    b, merge = sabotaged_cia()
+    with pytest.raises(UnknownNet, match="netlist 'sabotaged'"):
+        b.finish(carry_merges=[merge, spoil(merge)])
+    assert probe_invariant_carry_exclusive(b.finish(carry_merges=[merge]), 2) is False
