@@ -14,18 +14,24 @@ supported way to grow one; after ``finish()`` the result is immutable
 and safe to share.
 
 One kernel simulates: on its first simulation a netlist is lowered to a
-program of two-operand bitwise steps over net indices, which
-``simulate_planes`` runs on uint64 bit-planes, 64 cases per word
-(parallel-pattern simulation).  Each run writes into one fresh slab of
-planes.  A caller that keeps only some nets gets a plan, cached per set
-of kept nets, that skips steps none of them depends on and reuses a
-net's plane once its last reader has run, so the slab holds far fewer
-planes than there are nets.  The checkers build the input planes
-themselves and keep only the nets they compare; ``evaluate`` packs plain
-0/1 integers or numpy arrays of them into planes and keeps its output
-taps, so a whole input space runs in one pass.  Timing uses a
-``DelayModel`` that assigns a base delay per gate kind, optionally scaled
-by ceil(log2(fan-in)) for wide gates.
+program of two-operand bitwise steps, which ``simulate_planes`` runs on
+uint64 bit-planes, 64 cases per word (parallel-pattern simulation).
+The lowering is hash-consed (structural hashing): gates' operands are
+sorted, a step computed once is never emitted again, and nets whose
+values are the same step, or a constant, share one slot.  So the
+product terms that lookahead carries share run once, and a w12
+lookahead adder runs 192 steps, not the 478 of lowering each gate on
+its own.  Each run writes into one fresh slab of planes.  A caller that
+keeps only some nets gets a plan, cached per set of kept nets, that
+skips steps none of them depends on and reuses a slot's plane once its
+last reader has run, so the slab holds far fewer planes than there are
+nets.  The checkers build the input planes themselves and keep only the
+nets they compare; ``evaluate`` packs plain 0/1 integers or numpy
+arrays of them into planes and keeps its output taps, so a whole input
+space runs in one pass.  Timing and the exporters never see the
+program: they walk the stored gates.  Timing uses a ``DelayModel`` that
+assigns a base delay per gate kind, optionally scaled by
+ceil(log2(fan-in)) for wide gates.
 """
 
 from __future__ import annotations
@@ -161,16 +167,12 @@ def _as_bit(value, name: str):
 
 
 Step = tuple[np.ufunc, int, int, int]
-_PLANE_OPS = {GateKind.AND: np.bitwise_and, GateKind.OR: np.bitwise_or, GateKind.XOR: np.bitwise_xor}
-
-
-def _lower(gate: Gate, ones: int) -> list[Step]:
-    """The steps that compute ``gate``'s output; ``ones`` is the all-ones slot."""
-    ins, out = gate.inputs, gate.output
-    if gate.kind is GateKind.NOT:
-        return [(np.bitwise_xor, ins[0], ones, out)]
-    op = _PLANE_OPS[gate.kind]
-    return [(op, ins[0], ins[1], out)] + [(op, out, index, out) for index in ins[2:]]
+_PLANE_OPS = {  # NOT x runs as x XOR ones
+    GateKind.AND: np.bitwise_and,
+    GateKind.OR: np.bitwise_or,
+    GateKind.XOR: np.bitwise_xor,
+    GateKind.NOT: np.bitwise_xor,
+}
 
 
 class Netlist:
@@ -197,6 +199,7 @@ class Netlist:
         # None means "not an increment-style build", () means single block.
         self.carry_merges = carry_merges
         self._compiled: tuple[Step, ...] | None = None
+        self._slots: tuple[int, ...] = ()  # net -> slot of its plane, set by compiled()
         self._plans: dict = {}  # kept nets (None: all) -> slot plan, see _plan
         self.drivers = self._derive_drivers()
 
@@ -206,7 +209,8 @@ class Netlist:
         """The gate driving each net, or None for an input or constant net.
 
         Checks on the way that each net 0..n-1 has exactly one source, that
-        every net read or tapped is one of these ints, and that each gate
+        every net read, tapped or named by a carry merge is one of these
+        ints, that each carry merge is a ``CarryMerge``, and that each gate
         reads only inputs, constants and earlier gates.
         """
         ports = [net for _, net in (*self.inputs, *self.constants)]
@@ -223,7 +227,12 @@ class Netlist:
             if rank[net] is not None:
                 raise InvariantViolation(f"net {net} has more than one source")
             rank[net] = k - first
-        for _, net in self.outputs:
+        merges = self.carry_merges or ()
+        for merge in merges:
+            if not isinstance(merge, CarryMerge):
+                raise UnknownNet(f"carry merge {merge!r} of netlist '{self.name}' is not a CarryMerge")
+        carries = [net for merge in merges for net in (merge.block_carry, merge.increment_carry)]
+        for net in [net for _, net in self.outputs] + carries:
             if type(net) is not int or not 0 <= net < n:
                 raise unknown(net)
         for gi, gate in enumerate(self.gates):
@@ -313,15 +322,44 @@ class Netlist:
         Each step (op, left, right, out) stores op(slot left, slot right)
         in slot ``out``, ``op`` being numpy's bitwise AND, OR or XOR.
         Slots 0..n-1 are the n nets, indexed by net id; slots n and n+1
-        hold all zeros and all ones.  A constant net copies one of them,
-        NOT x runs as x XOR ones, and a gate of fan-in f becomes f - 1
-        steps, in stored gate order.
+        hold all zeros and all ones; slots n+2 and up hold the
+        intermediate results of wide gates.
+
+        Lowering also fills ``_slots``, the slot that holds each net's
+        plane.  An input net holds its own slot, a constant net the zeros
+        or ones slot.  In stored gate order, a gate's operands are its
+        inputs' slots sorted ascending, NOT x running as x XOR ones, and
+        are chained left to right, one step per operand past the first.
+        Steps are hash-consed: all three ops commute, so each is keyed on
+        (op, left, right) with left <= right, and a key seen before is
+        not emitted again; its slot is reused.  A gate's net maps to the
+        slot of its last step, which is the gate's own net when that step
+        is new.  Shared product terms thus run once, and no step copies a
+        constant.
         """
         if self._compiled is None:
-            zeros, ones = len(self.drivers), len(self.drivers) + 1
-            constants = [(np.bitwise_or, ones if value else zeros, zeros, net) for value, net in self.constants]
-            gates = [step for gate in self.gates for step in _lower(gate, ones)]
-            self._compiled = tuple(constants + gates)
+            n = len(self.drivers)
+            zeros, ones = n, n + 1
+            slots = list(range(n))
+            for value, net in self.constants:
+                slots[net] = ones if value else zeros
+            seen: dict[tuple[np.ufunc, int, int], int] = {}
+            fresh = itertools.count(n + 2)
+            steps = []
+            for gate in self.gates:
+                op, operands = _PLANE_OPS[gate.kind], [slots[net] for net in gate.inputs]
+                if gate.kind is GateKind.NOT:
+                    operands.append(ones)
+                operands.sort()
+                value = operands[0]
+                for k, operand in enumerate(operands[1:], 2):
+                    key = (op, min(value, operand), max(value, operand))
+                    if key not in seen:
+                        seen[key] = gate.output if k == len(operands) else next(fresh)
+                        steps.append((*key, seen[key]))
+                    value = seen[key]
+                slots[gate.output] = value
+            self._compiled, self._slots = tuple(steps), tuple(slots)
         return self._compiled
 
     def simulate_planes(self, planes: Mapping[str, np.ndarray], words: int) -> list[np.ndarray]:
@@ -341,7 +379,7 @@ class Netlist:
 
         ``nets`` is a tuple of net ids, or None for every net.  The steps
         of ``compiled()`` write into one fresh slab of uint64 rows, packed
-        by ``_plan`` so that nets not kept share rows; input ports keep the
+        by ``_plan`` so that slots not kept share rows; input ports keep the
         caller's arrays.
         """
         self._check_input_names(planes)
@@ -367,37 +405,41 @@ class Netlist:
 
         Steps and taps index a value list: the input ports' planes in port
         order, then the slab's rows, of which the first two hold all zeros
-        and all ones.  Steps whose output nothing kept depends on are
-        dropped.  A gate net takes a free row when first written and frees
-        it after its last reader, unless it is kept.
+        and all ones.  Each kept net, which must be an int in 0..n-1 (else
+        UnknownNet), is looked up in ``compiled()``'s slot table, so nets
+        that share a slot share a row.  Steps whose output nothing kept
+        depends on are dropped.  A slot takes a free row when first written
+        and frees it after its last reader, unless it is kept.
         """
         plan = self._plans.get(nets)
         if plan is not None:
             return plan
+        program = self.compiled()  # also fills self._slots
         n, k = len(self.drivers), len(self.inputs)
-        kept = set(range(n) if nets is None else nets)
+        for net in nets or ():
+            if type(net) is not int or not 0 <= net < n:
+                raise UnknownNet(f"no net {net!r} in netlist '{self.name}'")
+        kept = tuple(map(self._slots.__getitem__, range(n) if nets is None else nets))
         live, needed = set(kept), []
-        for step in reversed(self.compiled()):
+        for step in reversed(program):
             if step[3] in live:
                 live.discard(step[3])
                 live.update(step[1:3])
                 needed.append(step)
         needed.reverse()
-        last_read = {net: s for s, step in enumerate(needed) for net in step[1:3]}
+        last_read = {slot: s for s, step in enumerate(needed) for slot in step[1:3]}
         where = {net: j for j, (_, net) in enumerate(self.inputs)} | {n: k, n + 1: k + 1}
-        fixed, free, rows, steps = set(where), [], 2, []
+        fixed, free, rows, steps = set(where) | set(kept), [], 2, []
         for s, (op, left, right, out) in enumerate(needed):
-            for net in {left, right}:
-                if last_read[net] == s and net not in kept and net not in fixed:
-                    free.append(where[net])
-            if out not in where:
-                if free:
-                    where[out] = free.pop()
-                else:
-                    where[out], rows = k + rows, rows + 1
+            for slot in {left, right}:
+                if last_read[slot] == s and slot not in fixed:
+                    free.append(where[slot])
+            if free:
+                where[out] = free.pop()
+            else:
+                where[out], rows = k + rows, rows + 1
             steps.append((op, where[left], where[right], where[out]))
-        taps = range(n) if nets is None else nets
-        plan = self._plans[nets] = (rows, tuple(steps), tuple(where[net] for net in taps))
+        plan = self._plans[nets] = (rows, tuple(steps), tuple(map(where.__getitem__, kept)))
         return plan
 
     # -- timing ----------------------------------------------------------------

@@ -10,8 +10,8 @@ XOR/OR pass compares a whole chunk.  An exhaustive sweep computes and
 transposes the sums of one chunk's worth of case indices once per width
 and derives every chunk's expected planes from them (``_expected_planes``).
 On a 2-core VM, ``compare`` of all four architectures at w12 takes a
-median 0.47-0.50 s with 2,048-word chunks, 0.74-0.77 s with 1,024, and
-0.40-0.41 s with 4,096, which raise peak memory by 2 MiB.
+median 0.24-0.29 s with 2,048-word chunks, 0.35-0.36 s with 1,024,
+and 0.19-0.23 s with 4,096, which raise peak memory by 2 MiB.
 
 One sweep serves a list of netlists of the same width: each chunk's
 input and expected planes are built once and every netlist is simulated
@@ -222,13 +222,6 @@ def _expected_planes(width: int):
     return at
 
 
-def _exhaustive_chunks(width: int):
-    """Yield (input planes, expected planes, cases) covering every (a, b, cin) in order."""
-    expected = _expected_planes(width)
-    for start, n, planes in _exhaustive_inputs(width):
-        yield planes, expected(start), n
-
-
 def _int_planes(values: list[int], nbytes: int) -> np.ndarray:
     """Bit-planes of per-case integers, each ``nbytes`` little-endian bytes wide."""
     data = b"".join(value.to_bytes(nbytes, "little") for value in values)
@@ -313,7 +306,9 @@ def _sweep(netlists: list[Netlist], width: int, chunks) -> list[tuple[int, tuple
 def _check_exhaustive_all(netlists: list[Netlist], width: int, case_cap: int) -> list[EquivalenceReport]:
     """check_exhaustive for several netlists of one width, in one shared sweep."""
     cases = [_exhaustive_size(netlist, width, case_cap) for netlist in netlists]
-    results = _sweep(netlists, width, _exhaustive_chunks(width))
+    expected = _expected_planes(width)
+    chunks = ((planes, expected(start), n) for start, n, planes in _exhaustive_inputs(width))
+    results = _sweep(netlists, width, chunks)
     return [
         EquivalenceReport(
             netlist=netlist.name,

@@ -215,13 +215,13 @@ def test_compare_mixed_rows_keep_request_order_and_verdicts(monkeypatch, unit):
 
 def test_compare_sweeps_each_verifiable_width_once(monkeypatch, unit):
     calls = []
-    chunks = verify._exhaustive_chunks
+    expected_planes = verify._expected_planes
 
     def spy(width):
         calls.append(width)
-        return chunks(width)
+        return expected_planes(width)
 
-    monkeypatch.setattr(verify, "_exhaustive_chunks", spy)
+    monkeypatch.setattr(verify, "_expected_planes", spy)
     specs = [
         AdderSpec(Architecture.RCA, 6),
         AdderSpec(Architecture.CLA, 4),

@@ -24,7 +24,9 @@ from adderlab import (
     GateKind,
     InvalidAssignment,
     MissingInput,
+    NetlistBuilder,
     UnknownInput,
+    UnknownNet,
     build_adder,
     build_cia,
     build_half_adder,
@@ -136,6 +138,15 @@ def test_kernel_rejects_bad_word_counts(words):
         nl.simulate_planes({"a": ok, "b": ok}, words)
 
 
+@pytest.mark.parametrize("net", [-1, 4, 1.0, True, None])
+def test_kept_nets_must_be_nets_of_the_netlist(net):
+    # a negative net must not wrap around to the last slot
+    nl = build_half_adder()
+    ok = np.zeros(1, dtype=np.uint64)
+    with pytest.raises(UnknownNet, match=f"^no net {net!r} in netlist 'half_adder'$"):
+        nl._simulate({"a": ok, "b": ok}, 1, (0, net))
+
+
 def test_kernel_takes_numpy_and_zero_word_counts():
     nl = build_half_adder()
     ones = np.full(2, 2**64 - 1, dtype=np.uint64)
@@ -169,6 +180,10 @@ def test_kept_nets_match_evaluate_nets_and_outlive_the_next_call(netlist, data):
         assert np.array_equal(plane, saved), f"net {net}"
 
 
+# per w12 adder: steps of its hashed program, and slab rows when every net is kept
+HASHED = {"rca": (60, 62), "cla": (192, 128), "cia_rca": (78, 80), "cia_cla": (120, 98)}
+
+
 @pytest.mark.parametrize("arch", ["rca", "cla", "cia_rca", "cia_cla"])
 def test_output_only_plans_reuse_rows(arch):
     nl = build_adder(AdderSpec(Architecture(arch), 12, 4))
@@ -176,8 +191,71 @@ def test_output_only_plans_reuse_rows(arch):
     assert len(taps) == 13
     assert rows < len(nl.gates) < len(nl.drivers)
     assert len(steps) == len(nl.compiled())  # every gate of an adder feeds an output
-    # keeping every net reuses nothing: a row per gate, plus the zeros and ones rows
-    assert nl._plan(None)[0] == len(nl.drivers) - len(nl.inputs) + 2
+    # keeping every net: a row per slot some net maps to, plus the zeros and ones rows
+    assert nl._plan(None)[0] == HASHED[arch][1]
+
+
+# -- hash-consed steps: shared terms run once ----------------------------------------
+
+def unhashed_steps(netlist):
+    """Steps of lowering every gate on its own: fan-in - 1 (NOT: 1) per gate, one copy per constant."""
+    return sum(max(len(gate.inputs) - 1, 1) for gate in netlist.gates) + len(netlist.constants)
+
+
+def assert_operands_ordered(netlist):
+    """Every step is AND, OR or XOR, which commute, and is keyed with left <= right."""
+    for op, left, right, _ in netlist.compiled():
+        assert op in (np.bitwise_and, np.bitwise_or, np.bitwise_xor)
+        assert left <= right, (op, left, right)
+
+
+@pytest.mark.parametrize("arch,width,steps", [
+    *((arch, 12, steps) for arch, (steps, _) in HASHED.items()),
+    ("cla", 32, 1152),
+])
+def test_hashed_programs_run_shared_terms_once(arch, width, steps):
+    nl = build_adder(AdderSpec(Architecture(arch), width, 4))
+    assert len(nl.compiled()) == steps
+    assert_operands_ordered(nl)
+
+
+@st.composite
+def repeating_netlists(draw):
+    """A ``netlists()`` draw rebuilt with copies of its gates, operands permuted.
+
+    Each gate is followed by zero or more copies of gates built so far,
+    the first gate by at least one.  Later gates and output taps read an
+    original or any copy of it, so copies also read copies.
+    """
+    base = draw(netlists().filter(lambda netlist: netlist.gates))
+    b = NetlistBuilder("repeats")
+    same = {net: [b.add_input(name)] for name, net in base.inputs}  # base net -> equal handles
+    same |= {net: [b.constant(value)] for value, net in base.constants}
+    for gi, gate in enumerate(base.gates):
+        same[gate.output] = [b.add_gate(gate.kind, [draw(st.sampled_from(same[net])) for net in gate.inputs])]
+        for copied in draw(st.lists(st.sampled_from(base.gates[: gi + 1]), min_size=1 if gi == 0 else 0, max_size=2)):
+            ins = draw(st.permutations([draw(st.sampled_from(same[net])) for net in copied.inputs]))
+            same[copied.output].append(b.add_gate(copied.kind, ins))
+    for name, net in base.outputs:
+        b.add_output(name, draw(st.sampled_from(same[net])))
+    return b.finish()
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating_netlists(), st.data())
+def test_repeated_gates_hash_to_shared_steps(netlist, data):
+    assert len(netlist.compiled()) < unhashed_steps(netlist)
+    assert_operands_ordered(netlist)
+    words = data.draw(st.integers(1, 2))
+    planes = draw_planes(data, netlist, words)
+    want = reference_evaluate_nets(netlist, {name: lanes(plane) for name, plane in planes.items()})
+    every = range(len(netlist.drivers))
+    some = tuple(data.draw(st.lists(st.sampled_from(every), max_size=8)))
+    for nets, got in ((every, netlist.simulate_planes(planes, words)), (some, netlist._simulate(planes, words, some))):
+        assert len(got) == len(nets)
+        for net, plane in zip(nets, got):
+            expected = np.broadcast_to(np.asarray(want[net], dtype=np.uint8), (64 * words,))
+            assert np.array_equal(lanes(plane), expected), f"net {net}"
 
 
 def test_mutant_does_not_reuse_parent_compiled_form():
@@ -263,6 +341,12 @@ def test_shared_sweep_reports_each_netlist_like_its_own_check(monkeypatch, words
 
 # -- expected planes of the exhaustive sweep against per-chunk integer sums ---------
 
+def sweep_chunks(width):
+    """(first case index, expected planes, cases) of each exhaustive chunk, in sweep order."""
+    expected = verify._expected_planes(width)
+    return ((start, expected(start), n) for start, n, _ in verify._exhaustive_inputs(width))
+
+
 def assert_chunks_match(width, words, starts):
     """The expected planes at each aligned start equal the reference chunk's."""
     expected = verify._expected_planes(width)
@@ -277,7 +361,7 @@ def test_expected_planes_match_per_chunk_integer_sums(monkeypatch, words):
     monkeypatch.setattr(verify, "_WORDS", words)
     rng = random.Random(12)
     for width in range(1, 13):
-        chunks = verify._exhaustive_chunks(width)
+        chunks = sweep_chunks(width)
         reference = reference_exhaustive_chunks(width, words)
         total = 1 << (2 * width + 1)
         n = min(total, 64 * words)
@@ -285,12 +369,13 @@ def test_expected_planes_match_per_chunk_integer_sums(monkeypatch, words):
             # every chunk, in sweep order
             pairs = list(itertools.zip_longest(chunks, reference))
             assert len(pairs) == total // n
-            for (_, got, cases), (start, want) in pairs:
-                assert cases == n
+            for (first, got, cases), (start, want) in pairs:
+                assert (first, cases) == (start, n)
                 assert np.array_equal(got, want), (width, start)
         else:
             # one-word chunks at w9-w12: the first 512, the last, and random ones
-            for (_, got, _), (start, want) in itertools.islice(zip(chunks, reference), 512):
+            for (first, got, _), (start, want) in itertools.islice(zip(chunks, reference), 512):
+                assert first == start
                 assert np.array_equal(got, want), (width, start)
             starts = [total - n] + [rng.randrange(total // n) * n for _ in range(256)]
             assert_chunks_match(width, words, starts)
@@ -301,9 +386,10 @@ def test_expected_planes_match_where_b_crosses_chunks(width):
     # a 2,048-word chunk holds index bits 0-16, so b (bits 1..width) spills into the chunk constant
     n = verify._WORDS * 64
     total = 1 << (2 * width + 1)
-    for (_, got, _), (start, want) in zip(
-        itertools.islice(verify._exhaustive_chunks(width), 3), reference_exhaustive_chunks(width, verify._WORDS)
+    for (first, got, _), (start, want) in zip(
+        itertools.islice(sweep_chunks(width), 3), reference_exhaustive_chunks(width, verify._WORDS)
     ):
+        assert first == start
         assert np.array_equal(got, want), (width, start)
     rng = random.Random(width)
     assert_chunks_match(width, verify._WORDS, [total - n] + [rng.randrange(total // n) * n for _ in range(6)])

@@ -14,6 +14,7 @@ from adderlab import (
     InvalidParameter,
     MissingStageMetadata,
     NetId,
+    Netlist,
     NetlistBuilder,
     OperandOutOfRange,
     PortContractViolation,
@@ -265,3 +266,24 @@ def test_finish_rejects_a_carry_merge_of_foreign_nets(spoil):
     with pytest.raises(UnknownNet, match="netlist 'sabotaged'"):
         b.finish(carry_merges=[merge, spoil(merge)])
     assert probe_invariant_carry_exclusive(b.finish(carry_merges=[merge]), 2) is False
+
+
+@pytest.mark.parametrize("spoil,shown", [
+    (lambda merge: replace(merge, increment_carry=999), "no net 999"),  # no such net
+    (lambda merge: replace(merge, block_carry=-1), "no net -1"),
+    (lambda merge: replace(merge, block_carry=True), "no net True"),  # a bool, not an int
+    (lambda merge: replace(merge, increment_carry=np.int64(3)), r"no net (np\.int64\(3\)|3)"),  # not exactly an int
+    (lambda merge: replace(merge, block_carry=NetId(3, 0)), r"no net NetId\(index=3, owner=0\)"),  # a handle
+    (lambda merge: "x", "carry merge 'x' of netlist 'cia_rca_w4_b2' is not a CarryMerge"),
+], ids=["net out of range", "negative net", "bool", "numpy int", "handle", "string"])
+def test_netlist_rejects_a_carry_merge_naming_no_net(spoil, shown):
+    # hand-built tables, with no builder to vet the merges first
+    nl = build_cia(4, 2, Architecture.RCA)
+    [merge] = nl.carry_merges
+
+    def rebuilt(merges):
+        return Netlist(nl.name, nl.gates, nl.inputs, nl.outputs, nl.constants, carry_merges=merges)
+
+    with pytest.raises(UnknownNet, match=f"^{shown}( in netlist 'cia_rca_w4_b2')?$"):
+        rebuilt((merge, spoil(merge)))
+    assert probe_invariant_carry_exclusive(rebuilt((merge,)), 4) is True
