@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .builders import AdderSpec, build_adder
+from .builders import AdderSpec, _check_spec, build_adder
 from .errors import AdderLabError, EmptySpecList
 from .netlist import DelayModel, GateKind, Netlist
 from .verify import _check_exhaustive_all
@@ -84,11 +84,15 @@ def compare(specs, model: DelayModel, verify_widths: bool = True) -> ComparisonT
     is still returned.  Verification runs exhaustively for widths up to
     VERIFY_WIDTH_LIMIT and is skipped (verified=None) beyond that.  All
     rows of one width are verified in one shared sweep, so the oracle's
-    planes for that width are built once.
+    planes for that width are built once.  An item that is not an
+    ``AdderSpec`` of an ``Architecture`` raises InvalidParameter before
+    anything is built.
     """
     specs = list(specs)
     if not specs:
         raise EmptySpecList("no adder specs to compare")
+    for spec in specs:  # rows read spec.arch even when the build fails
+        _check_spec(spec)
     netlists: dict[int, Netlist] = {}
     errors: dict[int, str] = {}
     for k, spec in enumerate(specs):

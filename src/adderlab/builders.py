@@ -279,8 +279,17 @@ def build_cia(
     return _finish_adder(b, sums, eff, carry_merges=merges)
 
 
+def _check_spec(spec) -> None:
+    """Reject anything but an ``AdderSpec`` whose arch is an ``Architecture``, with InvalidParameter."""
+    if not isinstance(spec, AdderSpec):
+        raise InvalidParameter(f"adder spec must be an AdderSpec, got {spec!r}")
+    if not isinstance(spec.arch, Architecture):
+        raise InvalidParameter(f"architecture must be an Architecture, got {spec.arch!r}")
+
+
 def build_adder(spec: AdderSpec) -> Netlist:
     """Dispatch on the architecture; the netlist name encodes the shape."""
+    _check_spec(spec)
     if spec.arch is Architecture.RCA:
         return build_rca(spec.width)
     if spec.arch is Architecture.CLA:

@@ -22,16 +22,16 @@ values are the same step, or a constant, share one slot.  So the
 product terms that lookahead carries share run once, and a w12
 lookahead adder runs 192 steps, not the 478 of lowering each gate on
 its own.  Each run writes into one fresh slab of planes.  A caller that
-keeps only some nets gets a plan, cached per set of kept nets, that
-skips steps none of them depends on and reuses a slot's plane once its
-last reader has run, so the slab holds far fewer planes than there are
-nets.  The checkers build the input planes themselves and keep only the
-nets they compare; ``evaluate`` packs plain 0/1 integers or numpy
-arrays of them into planes and keeps its output taps, so a whole input
-space runs in one pass.  Timing and the exporters never see the
-program: they walk the stored gates.  Timing uses a ``DelayModel`` that
-assigns a base delay per gate kind, optionally scaled by
-ceil(log2(fan-in)) for wide gates.
+passes ``simulate_planes`` only some ``nets`` gets a plan, cached per
+tuple of kept nets, that skips steps none of them depends on and reuses
+a slot's plane once its last reader has run, so the slab holds far
+fewer planes than there are nets.  The checkers build the input planes
+themselves and keep only the nets they compare; ``evaluate`` packs 0/1
+integers or numpy arrays of them into planes and keeps its output taps,
+so a whole input space runs in one pass.  Timing and the exporters never
+see the program: they walk the stored gates.  Timing uses a
+``DelayModel`` that assigns a base delay per gate kind, optionally
+scaled by ceil(log2(fan-in)) for wide gates.
 """
 
 from __future__ import annotations
@@ -122,6 +122,8 @@ class DelayModel:
     fanin_penalty: FaninPenalty = FaninPenalty.NONE
 
     def __post_init__(self) -> None:
+        if not isinstance(self.fanin_penalty, FaninPenalty):
+            raise InvalidParameter(f"fan-in penalty must be a FaninPenalty, got {self.fanin_penalty!r}")
         for kind in GateKind:
             if kind not in self.base:
                 raise InvalidParameter(f"delay model '{self.name}' lacks a delay for {kind.value}")
@@ -271,8 +273,10 @@ class Netlist:
 
     # -- simulation ----------------------------------------------------------
 
-    def _check_input_names(self, assignment: Mapping[str, object]) -> None:
-        """Reject a name that is no input port, then an input port left out."""
+    def _check_input_names(self, assignment: Mapping[str, object], what: str) -> None:
+        """Reject a non-mapping, then a name that is no input port, then an input port left out."""
+        if not isinstance(assignment, Mapping):
+            raise InvalidAssignment(f"{what} must map input port names to values, got {type(assignment).__name__}")
         if assignment.keys() == self._input_set:
             return
         for key in assignment:
@@ -290,7 +294,7 @@ class Netlist:
         promotes the input arrays to, bool counting as uint8.  All cases
         run in one pass of the kernel, which keeps only the output taps.
         """
-        self._check_input_names(assignment)
+        self._check_input_names(assignment, "assignment")
         names = self.input_names
         values = [_as_bit(assignment[name], name) for name in names]
         arrays = [value for value in values if isinstance(value, np.ndarray)]
@@ -309,7 +313,7 @@ class Netlist:
         for row, value in zip(cases, values):
             row[:n].reshape(shape)[...] = value
         packed = np.packbits(cases, axis=1, bitorder="little").view("<u8")
-        taps = self._simulate(dict(zip(names, packed)), words, tuple(net for _, net in self.outputs))
+        taps = self.simulate_planes(dict(zip(names, packed)), words, tuple(net for _, net in self.outputs))
         planes = np.array(taps, dtype="<u8").reshape(len(taps), words).view(np.uint8)
         bits = np.unpackbits(planes, axis=1, count=n, bitorder="little")
         if not arrays:
@@ -362,35 +366,28 @@ class Netlist:
             self._compiled, self._slots = tuple(steps), tuple(slots)
         return self._compiled
 
-    def simulate_planes(self, planes: Mapping[str, np.ndarray], words: int) -> list[np.ndarray]:
-        """Bit-plane of every net (indexed by net id), 64 cases per word.
+    def simulate_planes(self, planes: Mapping[str, np.ndarray], words: int, nets=None) -> list[np.ndarray]:
+        """Bit-planes of ``nets``, a sequence of net ids, in that order; of every net by id if None.
 
         ``planes`` maps each input port to a uint64 array of ``words``
-        words; bit k of word j is that input's value in case 64*j + k.
-        Every returned plane has the same layout.  Planes may share
-        memory with the inputs and with each other, so treat them as
-        read-only.  Lanes no case occupies may hold any value, so callers
-        mask them out.
+        words; bit k of word j is that input's value in case 64*j + k, and
+        every returned plane has that layout.  The steps of ``compiled()``
+        write into one fresh slab, in which ``_plan`` lets slots not kept
+        share rows.  Input planes are the caller's arrays, so treat every
+        plane as read-only.  Lanes no case occupies may hold any value.
         """
-        return self._simulate(planes, words, None)
-
-    def _simulate(self, planes: Mapping[str, np.ndarray], words: int, nets) -> list[np.ndarray]:
-        """``simulate_planes``, but only the planes of ``nets``, in that order.
-
-        ``nets`` is a tuple of net ids, or None for every net.  The steps
-        of ``compiled()`` write into one fresh slab of uint64 rows, packed
-        by ``_plan`` so that slots not kept share rows; input ports keep the
-        caller's arrays.
-        """
-        self._check_input_names(planes)
+        self._check_input_names(planes, "planes")
         if isinstance(words, bool) or not isinstance(words, numbers.Integral) or words < 0:
             raise InvalidAssignment(f"words must be an integer >= 0, got {words!r}")
-        values = []
-        for name, _ in self.inputs:
-            plane = planes[name]
+        values = [planes[name] for name in self.input_names]
+        for name, plane in zip(self.input_names, values):
             if not isinstance(plane, np.ndarray) or plane.dtype != np.uint64 or plane.shape != (words,):
                 raise InvalidAssignment(f"input '{name}' must be a uint64 array of {words} words")
-            values.append(plane)
+        if nets is not None:
+            try:
+                hash(nets := tuple(nets))  # the plan cache's key
+            except TypeError:
+                raise UnknownNet(f"nets must be None or a sequence of net ids, got {nets!r}") from None
         rows, steps, taps = self._plan(nets)
         slab = np.empty((rows, words), dtype=np.uint64)
         slab[0] = 0

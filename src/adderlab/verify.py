@@ -5,10 +5,10 @@ ints for random draws, over numpy case indices for exhaustive sweeps;
 ``oracle_add`` is the one-case form), which shares no code with the
 netlist simulator.  Both checkers run the netlist through its kernel in
 chunks of 131,072 cases, 64 per uint64 word, keeping only the output
-nets; the oracle's sums are transposed into expected bit-planes so one
-XOR/OR pass compares a whole chunk.  An exhaustive sweep computes and
-transposes the sums of one chunk's worth of case indices once per width
-and derives every chunk's expected planes from them (``_expected_planes``).
+nets; the oracle's sums are packed into expected bit-planes by
+``np.packbits`` so one XOR/OR pass compares a whole chunk.  An exhaustive
+sweep packs the sums of one chunk's case indices once per width and
+derives every chunk's expected planes from them (``_expected_planes``).
 On a 2-core VM, ``compare`` of all four architectures at w12 takes a
 median 0.24-0.29 s with 2,048-word chunks, 0.35-0.36 s with 1,024,
 and 0.19-0.23 s with 4,096, which raise peak memory by 2 MiB.
@@ -48,10 +48,6 @@ _SUM_BLOCK = 1 << 13  # case indices per block when _expected_planes sums them
 # lane L is set iff bit k of L is, e.g. 0xAAAA... for k = 0.
 _LANE_MASKS = tuple(
     np.uint64(sum(1 << lane for lane in range(64) if lane >> k & 1)) for k in range(6)
-)
-_TRANSPOSE_STEPS = tuple(
-    (np.uint64(shift), np.uint64(mask))
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 )
 
 
@@ -95,6 +91,7 @@ def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
     """Reference semantics: (a + b + cin) as a width-bit sum and a carry-out."""
     for what, value in (("a", a), ("b", b), ("cin", cin), ("width", width)):
         _require_int(value, what)
+    a, b, cin, width = int(a), int(b), int(cin), int(width)  # numpy integers wrap in shifts
     if width < 1:
         raise ZeroWidth(f"width must be >= 1, got {width}")
     limit = 1 << width
@@ -123,31 +120,21 @@ def _exhaustive_size(netlist: Netlist, width: int, case_cap: int) -> int:
     """Cases in a full sweep of ``netlist``, once its ports and the cap allow one."""
     _check_contract(netlist, width)
     _require_int(case_cap, "case_cap")
-    cases = 1 << (2 * width + 1)
+    cases = 1 << (2 * int(width) + 1)
     if cases > case_cap:
         raise ExhaustiveTooLarge(f"width {width} needs {cases} cases, over the cap of {case_cap}")
     return cases
 
 
-def _to_planes(columns: np.ndarray) -> np.ndarray:
-    """Transpose per-case bytes into uint64 bit-planes.
+def _to_planes(bits: np.ndarray) -> np.ndarray:
+    """Pack a (rows, cases) matrix of 0/1 uint8 into uint64 bit-planes.
 
-    ``columns[c, j]`` is byte c of case j.  Row 8*c + i of the result is
-    the plane of bit i of byte c: lane k of word j holds case 64*j + k.
-    The case count is padded with zero cases to a whole number of words.
+    Lane k of word j of row r holds ``bits[r, 64*j + k]``.  The case
+    count is padded with zero cases to a whole number of words.
     """
-    m, n = columns.shape
-    if n % 64:
-        columns = np.pad(columns, ((0, 0), (0, -n % 64)))
-        n = columns.shape[1]
-    v = np.ascontiguousarray(columns).view("<u8")
-    # 8x8 bit-matrix transpose inside every word (three masked swaps):
-    # afterwards byte i of a word holds bit i of its eight cases.
-    for shift, mask in _TRANSPOSE_STEPS:
-        t = (v ^ (v >> shift)) & mask
-        v = v ^ t ^ (t << shift)
-    rows = v.view(np.uint8).reshape(m, n // 8, 8).transpose(0, 2, 1)
-    return np.ascontiguousarray(rows).reshape(8 * m, n // 8).view("<u8")
+    if bits.shape[1] % 64:
+        bits = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 64)))
+    return np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little").view("<u8")
 
 
 def _exhaustive_inputs(width: int):
@@ -183,7 +170,7 @@ def _expected_planes(width: int):
     """The oracle for exhaustive chunks: a map from a chunk's first case index to its expected planes.
 
     The sums ``a + b + cin`` of the case indices 0..n-1 of one chunk are
-    computed and transposed once, in blocks of ``_SUM_BLOCK`` indices so
+    computed and packed once, in blocks of ``_SUM_BLOCK`` indices so
     their temporaries stay small.  A chunk starts on a multiple of n, so
     the operand fields of ``start + j`` are those of ``start`` and of j,
     which share no bits: the chunk's sums are the fixed ones plus the
@@ -196,8 +183,8 @@ def _expected_planes(width: int):
     for low in range(0, n, _SUM_BLOCK):
         index = np.arange(low, min(n, low + _SUM_BLOCK), dtype=np.uint32)  # a sum never exceeds its index
         sums = (index >> (width + 1)) + ((index >> 1) & mask) + (index & 1)
-        columns = np.stack([(sums >> (8 * c)).astype(np.uint8) for c in range(width // 8 + 1)])
-        fixed[:, low // 64 : (low + len(index) + 63) // 64] = _to_planes(columns)[: width + 1]
+        bits = ((sums >> np.arange(width + 1, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
+        fixed[:, low // 64 : (low + len(index) + 63) // 64] = _to_planes(bits)
     flipped = ~fixed
 
     def at(start: int) -> np.ndarray:
@@ -222,24 +209,23 @@ def _expected_planes(width: int):
     return at
 
 
-def _int_planes(values: list[int], nbytes: int) -> np.ndarray:
-    """Bit-planes of per-case integers, each ``nbytes`` little-endian bytes wide."""
-    data = b"".join(value.to_bytes(nbytes, "little") for value in values)
-    return _to_planes(np.frombuffer(data, np.uint8).reshape(len(values), nbytes).T)
-
-
 def _random_chunks(cases: list[tuple[int, int, int]], width: int):
-    """Yield (input planes, expected planes, cases) for ``cases`` in list order."""
-    nbytes = (width + 7) // 8
+    """Yield (input planes, expected planes, cases) for ``cases`` in list order.
+
+    Each case becomes the integer a | b << w | cin << 2w | (a + b + cin) << 2w+1,
+    whose bits, unpacked from its little-endian bytes, are those of the
+    input ports in ``adder_port_names`` order, then the expected outputs.
+    """
+    names, _ = adder_port_names(width)
+    nbytes = (3 * width + 9) // 8
     for start in range(0, len(cases), _WORDS * 64):
         chunk = cases[start : start + _WORDS * 64]
-        a_planes = _int_planes([a for a, _, _ in chunk], nbytes)
-        b_planes = _int_planes([b for _, b, _ in chunk], nbytes)
-        planes = {f"a_{i}": a_planes[i] for i in range(width)}
-        planes |= {f"b_{i}": b_planes[i] for i in range(width)}
-        planes["cin"] = _int_planes([cin for _, _, cin in chunk], 1)[0]
-        sums = [a + b + cin for a, b, cin in chunk]
-        yield planes, _int_planes(sums, width // 8 + 1)[: width + 1], len(chunk)
+        ints = [a | b << width | cin << 2 * width | (a + b + cin) << 2 * width + 1 for a, b, cin in chunk]
+        ints += [0] * (-len(chunk) % 64)  # zero cases up to a whole word, so _to_planes need not copy
+        data = np.frombuffer(b"".join(value.to_bytes(nbytes, "little") for value in ints), np.uint8)
+        bits = np.unpackbits(np.ascontiguousarray(data.reshape(-1, nbytes).T), axis=0, bitorder="little")
+        planes = _to_planes(bits)
+        yield dict(zip(names, planes)), planes[2 * width + 1 : 3 * width + 2], len(chunk)
 
 
 def _lane_value(rows, word: int, lane: int) -> int:
@@ -257,7 +243,7 @@ def _mismatches(
     the chunk's last case never count.
     """
     planes, expected, n = chunk
-    got = netlist._simulate(planes, expected.shape[1], out_nets)
+    got = netlist.simulate_planes(planes, expected.shape[1], out_nets)
     bad = got[0] ^ expected[0]
     for plane, want in zip(got[1:], expected[1:]):
         bad |= plane ^ want
@@ -265,23 +251,18 @@ def _mismatches(
         bad[-1] &= np.uint64((1 << n % 64) - 1)
     if not bad.any():
         return 0
-    mask = (1 << width) - 1
+    mask, inputs = (1 << width) - 1, [planes[name] for name in adder_port_names(width)[0]]
     for word in np.flatnonzero(bad)[: FAILURE_CAP - len(failures)]:
         lanes = int(bad[word])
         while lanes and len(failures) < FAILURE_CAP:
             lane = (lanes & -lanes).bit_length() - 1
             lanes &= lanes - 1
-            want = _lane_value(expected, word, lane)
-            have = _lane_value(got, word, lane)
-            failures.append(
-                Failure(
-                    _lane_value([planes[f"a_{i}"] for i in range(width)], word, lane),
-                    _lane_value([planes[f"b_{i}"] for i in range(width)], word, lane),
-                    _lane_value([planes["cin"]], word, lane),
-                    want & mask, want >> width,
-                    have & mask, have >> width,
-                )
-            )
+            case = _lane_value(inputs, word, lane)  # a | b << width | cin << 2*width
+            want, have = _lane_value(expected, word, lane), _lane_value(got, word, lane)
+            failures.append(Failure(
+                case & mask, case >> width & mask, case >> 2 * width,
+                want & mask, want >> width, have & mask, have >> width,
+            ))
     return int(np.count_nonzero(np.unpackbits(bad.view(np.uint8))))
 
 
@@ -306,6 +287,7 @@ def _sweep(netlists: list[Netlist], width: int, chunks) -> list[tuple[int, tuple
 def _check_exhaustive_all(netlists: list[Netlist], width: int, case_cap: int) -> list[EquivalenceReport]:
     """check_exhaustive for several netlists of one width, in one shared sweep."""
     cases = [_exhaustive_size(netlist, width, case_cap) for netlist in netlists]
+    width = int(width)  # a numpy integer would leak into the reports
     expected = _expected_planes(width)
     chunks = ((planes, expected(start), n) for start, n, planes in _exhaustive_inputs(width))
     results = _sweep(netlists, width, chunks)
@@ -395,7 +377,7 @@ def probe_invariant_carry_exclusive(
         return True
     pairs = tuple(net for merge in netlist.carry_merges for net in (merge.block_carry, merge.increment_carry))
     for _, _, planes in _exhaustive_inputs(width):
-        carries = netlist._simulate(planes, len(planes["cin"]), pairs)
+        carries = netlist.simulate_planes(planes, len(planes["cin"]), pairs)
         if any((block & increment).any() for block, increment in zip(carries[::2], carries[1::2])):
             return False
     return True

@@ -6,9 +6,10 @@ delays along each one, so agreement is meaningful.  Only use it on small
 netlists; path counts grow exponentially.
 
 ``reference_evaluate_nets`` is the per-gate interpreter that the
-bit-plane kernel, ``Netlist.simulate_planes``, and ``Netlist.evaluate``
-on top of it are tested against: it combines whole values with Python's
-``&``, ``|`` and ``^``, gate by gate, and shares no code with the kernel.
+bit-plane kernel, ``Netlist.simulate_planes`` with or without kept
+``nets``, and ``Netlist.evaluate`` on top of it are tested against: it
+combines whole values with Python's ``&``, ``|`` and ``^``, gate by
+gate, and shares no code with the kernel.
 
 The reference equivalence checkers are the obvious path the bit-plane
 checkers in ``adderlab.verify`` are tested against: operands unpacked
@@ -18,8 +19,9 @@ comparison.
 
 ``reference_exhaustive_chunks`` gives the expected planes of an
 exhaustive sweep's chunks from the integer sums of each chunk's own case
-indices, packed with ``np.packbits``; ``verify`` derives them from one
-fixed set per width instead.
+indices, packed with ``np.packbits``; ``verify`` packs the sums of one
+chunk's case indices the same way, once per width, and derives every
+chunk's planes from that fixed set instead.
 
 ``reference_doc_order`` is the quadratic form of the lowest-index-first
 topological sort that gives ``import_json``'s build order.

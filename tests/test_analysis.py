@@ -11,6 +11,7 @@ from adderlab import (
     DelayModel,
     EmptySpecList,
     GateKind,
+    InvalidParameter,
     Netlist,
     area_report,
     build_adder,
@@ -161,6 +162,15 @@ def test_compare_orders_rows_as_requested(unit):
 def test_compare_empty_spec_list(unit):
     with pytest.raises(EmptySpecList):
         compare([], unit)
+
+
+@pytest.mark.parametrize("bad", ["rca", AdderSpec("rca", 4)], ids=["string", "arch string"])
+def test_compare_rejects_a_bad_spec_before_building_any(unit, monkeypatch, bad):
+    built = []
+    monkeypatch.setattr(analysis, "build_adder", lambda spec: built.append(spec) or build_adder(spec))
+    with pytest.raises(InvalidParameter):
+        compare([AdderSpec(Architecture.RCA, 4), bad, AdderSpec(Architecture.CLA, 4)], unit)
+    assert built == []
 
 
 def test_compare_keeps_failed_rows(unit):

@@ -299,6 +299,17 @@ def test_build_adder_propagates_builder_errors():
         build_adder(AdderSpec(Architecture.RCA, 0))
 
 
+@pytest.mark.parametrize("spec,message", [
+    (AdderSpec("rca", 4), "^architecture must be an Architecture, got 'rca'$"),
+    (AdderSpec(None, 4), "^architecture must be an Architecture, got None$"),
+    ("rca", "^adder spec must be an AdderSpec, got 'rca'$"),
+    ((Architecture.RCA, 4), "^adder spec must be an AdderSpec, got "),
+], ids=["arch string", "arch none", "string", "tuple"])
+def test_build_adder_rejects_what_is_no_adder_spec(spec, message):
+    with pytest.raises(InvalidParameter, match=message):
+        build_adder(spec)
+
+
 @pytest.mark.parametrize("arch", list(Architecture))
 def test_all_architectures_expose_the_port_contract(arch):
     nl = build_adder(AdderSpec(arch, 5, 2))

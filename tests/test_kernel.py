@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adderlab import verify
 from adderlab import (
@@ -128,6 +129,9 @@ def test_kernel_rejects_bad_planes():
         nl.simulate_planes({"a": ok, "b": np.zeros(3, dtype=np.uint64)}, 2)
     with pytest.raises(InvalidAssignment):
         nl.simulate_planes({"a": ok, "b": np.zeros(2, dtype=np.uint8)}, 2)
+    for planes in ([ok, ok], None):
+        with pytest.raises(InvalidAssignment, match="^planes must map input port names to values, got "):
+            nl.simulate_planes(planes, 2)
 
 
 @pytest.mark.parametrize("words", [-1, 2.0, "2", None, True])
@@ -144,7 +148,15 @@ def test_kept_nets_must_be_nets_of_the_netlist(net):
     nl = build_half_adder()
     ok = np.zeros(1, dtype=np.uint64)
     with pytest.raises(UnknownNet, match=f"^no net {net!r} in netlist 'half_adder'$"):
-        nl._simulate({"a": ok, "b": ok}, 1, (0, net))
+        nl.simulate_planes({"a": ok, "b": ok}, 1, (0, net))
+
+
+@pytest.mark.parametrize("nets", [3, 1.5, object()], ids=["int", "float", "object"])
+def test_kept_nets_must_be_a_sequence(nets):
+    nl = build_half_adder()
+    ok = np.zeros(1, dtype=np.uint64)
+    with pytest.raises(UnknownNet, match="^nets must be None or a sequence of net ids, got "):
+        nl.simulate_planes({"a": ok, "b": ok}, 1, nets)
 
 
 def test_kernel_takes_numpy_and_zero_word_counts():
@@ -164,7 +176,7 @@ def test_kept_nets_match_evaluate_nets_and_outlive_the_next_call(netlist, data):
     words = data.draw(st.integers(1, 3))
     planes = draw_planes(data, netlist, words)
     nets = tuple(data.draw(st.lists(st.sampled_from(range(len(netlist.drivers))), max_size=8)))
-    got = netlist._simulate(planes, words, nets)
+    got = netlist.simulate_planes(planes, words, nets)
     want = reference_evaluate_nets(netlist, {name: lanes(plane) for name, plane in planes.items()})
     assert len(got) == len(nets)
     for net, plane in zip(nets, got):
@@ -174,10 +186,40 @@ def test_kept_nets_match_evaluate_nets_and_outlive_the_next_call(netlist, data):
 
     # a second run over other inputs, and one over every net, leave the first result as it was
     before = [plane.copy() for plane in got]
-    netlist._simulate(draw_planes(data, netlist, words), words, nets)
+    netlist.simulate_planes(draw_planes(data, netlist, words), words, nets)
     netlist.simulate_planes(draw_planes(data, netlist, words), words)
     for net, plane, saved in zip(nets, got, before):
         assert np.array_equal(plane, saved), f"net {net}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists(), st.data())
+def test_kept_nets_as_tuple_list_or_none_give_equal_planes(netlist, data):
+    words = data.draw(st.integers(1, 2))
+    planes = draw_planes(data, netlist, words)
+    nets = data.draw(st.lists(st.sampled_from(range(len(netlist.drivers))), max_size=8))
+    every = netlist.simulate_planes(planes, words)
+    for got in (netlist.simulate_planes(planes, words, tuple(nets)), netlist.simulate_planes(planes, words, nets)):
+        assert len(got) == len(nets)
+        for net, plane in zip(nets, got):
+            assert np.array_equal(plane, every[net]), f"net {net}"
+
+
+# -- verify's packer: a (rows, cases) 0/1 matrix into bit-planes ---------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 70), st.integers(0, 200)).flatmap(
+    lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1))
+))
+def test_to_planes_puts_each_case_in_its_lane(bits):
+    rows, cases = bits.shape
+    words = -(-cases // 64)
+    planes = verify._to_planes(bits)
+    assert planes.shape == (rows, words)
+    for r in range(rows):
+        for j in range(64 * words):
+            bit = int(planes[r, j // 64]) >> (j % 64) & 1
+            assert bit == (bits[r, j] if j < cases else 0), (r, j)
 
 
 # per w12 adder: steps of its hashed program, and slab rows when every net is kept
@@ -251,7 +293,7 @@ def test_repeated_gates_hash_to_shared_steps(netlist, data):
     want = reference_evaluate_nets(netlist, {name: lanes(plane) for name, plane in planes.items()})
     every = range(len(netlist.drivers))
     some = tuple(data.draw(st.lists(st.sampled_from(every), max_size=8)))
-    for nets, got in ((every, netlist.simulate_planes(planes, words)), (some, netlist._simulate(planes, words, some))):
+    for nets, got in ((every, netlist.simulate_planes(planes, words)), (some, netlist.simulate_planes(planes, words, some))):
         assert len(got) == len(nets)
         for net, plane in zip(nets, got):
             expected = np.broadcast_to(np.asarray(want[net], dtype=np.uint8), (64 * words,))

@@ -176,6 +176,12 @@ def test_mismatched_array_lengths_raise_adderlab_error():
     assert list(nl.evaluate({"a": np.array([1]), "b": np.array([0, 1])})["s"]) == [1, 0]
 
 
+@pytest.mark.parametrize("assignment", [[1, 0], None, (("a", 1), ("b", 0))], ids=["list", "none", "pairs"])
+def test_evaluate_rejects_an_assignment_that_is_no_mapping(assignment):
+    with pytest.raises(InvalidAssignment, match="^assignment must map input port names to values, got "):
+        build_half_adder().evaluate(assignment)
+
+
 def test_evaluate_is_pure():
     nl = build_full_adder()
     asg = {"a": 1, "b": 1, "cin": 0}
@@ -461,6 +467,10 @@ def test_delay_model_validation():
             DelayModel("bad", base)
     # zero, ints and numpy floats are finite reals >= 0
     DelayModel("ok", {GateKind.AND: 0, GateKind.OR: 2, GateKind.XOR: np.float64(1.5), GateKind.NOT: 0.0})
+    # a penalty given by its value would charge no penalty at all
+    for bad in ("log2", "none", None):
+        with pytest.raises(InvalidParameter, match="^fan-in penalty must be a FaninPenalty, got "):
+            DelayModel("bad", {kind: 1.0 for kind in GateKind}, bad)
 
 
 # -- critical path ------------------------------------------------------------------

@@ -26,6 +26,7 @@ from adderlab import (
     build_rca,
     check_exhaustive,
     check_random,
+    export_report,
     oracle_add,
     probe_invariant_carry_exclusive,
 )
@@ -62,6 +63,12 @@ def test_oracle_range_checks():
 def test_oracle_rejects_non_integers(args, what):
     with pytest.raises(InvalidParameter, match=f"^{what} must be an integer, got "):
         oracle_add(*args)
+
+
+def test_oracle_takes_numpy_integer_widths():
+    # 1 << np.int64(70) wraps to 0, so the width must become an int first
+    assert oracle_add(1, 1, 0, np.int64(70)) == (2, 0)
+    assert oracle_add(2**70 - 1, np.uint8(1), np.int8(0), np.int64(70)) == (0, 1)
 
 
 def test_oracle_matches_python_integers():
@@ -201,6 +208,17 @@ def test_numpy_integer_checker_arguments_still_work(rca4):
     assert check_exhaustive(rca4, 4, case_cap=np.int64(512)) == check_exhaustive(rca4, 4)
     with pytest.raises(ExhaustiveTooLarge):
         check_exhaustive(rca4, 4, case_cap=np.int64(511))
+    report = check_exhaustive(build_rca(2), np.int64(2))
+    assert type(report.width) is int
+    assert export_report(report) == export_report(check_exhaustive(build_rca(2), 2))
+
+
+def test_numpy_integer_widths_respect_the_case_cap():
+    # 1 << np.int64(81) wraps to 0, a case count under any cap
+    with pytest.raises(ExhaustiveTooLarge):
+        check_exhaustive(build_rca(40), np.int64(40))
+    with pytest.raises(ExhaustiveTooLarge):
+        probe_invariant_carry_exclusive(build_cia(40, 8, Architecture.RCA), np.int64(40))
 
 
 # -- carry exclusivity probe -------------------------------------------------------
