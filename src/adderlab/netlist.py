@@ -9,29 +9,30 @@ lists (value, net) pairs in ascending value order; output ports tap any
 net.  ``drivers[i]``, derived from the gates, is the gate that drives
 net i, or None.  Gates are stored in dependency order: each reads only
 inputs, constants and earlier gates, as the builder guarantees and
-``Netlist`` checks on construction.  ``NetlistBuilder`` is the only
+``Netlist`` checks on construction, along with each gate's kind, fan-in
+and stage and the ports' names.  ``NetlistBuilder`` is the only
 supported way to grow one; after ``finish()`` the result is immutable
 and safe to share.
 
-One kernel simulates: on its first simulation a netlist is lowered to a
-program of two-operand bitwise steps, which ``simulate_planes`` runs on
-uint64 bit-planes, 64 cases per word (parallel-pattern simulation).
-The lowering is hash-consed (structural hashing): gates' operands are
-sorted, a step computed once is never emitted again, and nets whose
-values are the same step, or a constant, share one slot.  So the
-product terms that lookahead carries share run once, and a w12
-lookahead adder runs 192 steps, not the 478 of lowering each gate on
-its own.  Each run writes into one fresh slab of planes.  A caller that
-passes ``simulate_planes`` only some ``nets`` gets a plan, cached per
-tuple of kept nets, that skips steps none of them depends on and reuses
-a slot's plane once its last reader has run, so the slab holds far
-fewer planes than there are nets.  The checkers build the input planes
-themselves and keep only the nets they compare; ``evaluate`` packs 0/1
-integers or numpy arrays of them into planes and keeps its output taps,
-so a whole input space runs in one pass.  Timing and the exporters never
-see the program: they walk the stored gates.  Timing uses a
-``DelayModel`` that assigns a base delay per gate kind, optionally
-scaled by ceil(log2(fan-in)) for wide gates.
+One kernel simulates: ``simulate_planes`` runs a program of two-operand
+bitwise steps on uint64 bit-planes, 64 cases per word (parallel-pattern
+simulation).  A netlist keeps one cache of such programs, one plan per
+tuple of nets a caller keeps (None: every net), and lowers its gates
+anew on each miss.  The lowering is hash-consed (structural hashing):
+gates' operands are sorted, a step computed once is never emitted
+again, and nets whose values are the same step, or a constant, share
+one slot.  So the product terms that lookahead carries share run once,
+and a w12 lookahead adder runs 192 steps, not the 478 of lowering each
+gate on its own.  A plan then skips steps none of the kept nets depends
+on, and each run writes into one fresh slab of planes in which a
+slot's row is reused once its last reader has run, so the slab holds
+far fewer planes than there are nets.  The checkers build the input
+planes themselves and keep only the nets they compare; ``evaluate``
+packs 0/1 integers or numpy arrays of them into planes and keeps its
+output taps, so a whole input space runs in one pass.  Timing and the
+exporters never see the program: they walk the stored gates.  Timing
+uses a ``DelayModel`` that assigns a base delay per gate kind,
+optionally scaled by ceil(log2(fan-in)) for wide gates.
 """
 
 from __future__ import annotations
@@ -69,11 +70,16 @@ class GateKind(Enum):
     NOT = "NOT"
 
     def arity_ok(self, n: int) -> bool:
-        if self is GateKind.NOT:
+        # _NOT and _XOR, not GateKind.NOT: a member looked up on the enum class
+        # costs more than the rest, and the builder and Netlist() ask per gate
+        if self is _NOT:
             return n == 1
-        if self is GateKind.XOR:
+        if self is _XOR:
             return n == 2
         return n >= 2
+
+
+_NOT, _XOR = GateKind.NOT, GateKind.XOR
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,6 +138,9 @@ class DelayModel:
                 raise InvalidParameter(f"delay for {kind.value} must be >= 0")
 
     def gate_delay(self, kind: GateKind, fanin: int) -> float:
+        if type(fanin) is not int:
+            _require_int(fanin, "fan-in")
+            fanin = int(fanin)
         d = self.base[kind]
         if self.fanin_penalty is FaninPenalty.LOG2:
             # ceil(log2(n)) for n >= 2, computed exactly in integers
@@ -196,26 +205,32 @@ class Netlist:
         self.constants = constants
         self.input_names = tuple(name for name, _ in inputs)
         self.output_names = tuple(name for name, _ in outputs)
-        self._input_set = frozenset(self.input_names)
         # Per-stage carry metadata attached by the carry-increment builder;
         # None means "not an increment-style build", () means single block.
         self.carry_merges = carry_merges
-        self._compiled: tuple[Step, ...] | None = None
-        self._slots: tuple[int, ...] = ()  # net -> slot of its plane, set by compiled()
-        self._plans: dict = {}  # kept nets (None: all) -> slot plan, see _plan
+        self._plans: dict = {}  # kept nets (None: all) -> plan, see _plan; the kernel's only state
         self.drivers = self._derive_drivers()
+        self._input_set = frozenset(self.input_names)
 
     # -- structure ---------------------------------------------------------
 
     def _derive_drivers(self) -> tuple[int | None, ...]:
         """The gate driving each net, or None for an input or constant net.
 
-        Checks on the way that each net 0..n-1 has exactly one source, that
-        every net read, tapped or named by a carry merge is one of these
-        ints, that each carry merge is a ``CarryMerge``, and that each gate
-        reads only inputs, constants and earlier gates.
+        Checks on the way that each gate is a ``Gate``, that each net
+        0..n-1 has exactly one source, that every net read, tapped or named
+        by a carry merge is one of these ints, that each carry merge is a
+        ``CarryMerge``, and that each gate reads only inputs, constants and
+        earlier gates.  Then, for the kernel and the exporters, that each
+        gate's kind is a ``GateKind`` whose fan-in rule it meets (else
+        FanInViolation) and its stage a str or None, that constants are 0
+        or 1, that all names are strs, and that no input or output port
+        name repeats (else DuplicatePortName); the rest raise InvalidParameter.
         """
         ports = [net for _, net in (*self.inputs, *self.constants)]
+        for gi, gate in enumerate(self.gates):
+            if not isinstance(gate, Gate):
+                raise InvalidParameter(f"gate {gi} of netlist '{self.name}' is a {type(gate).__name__}, not a Gate")
         sources = ports + [gate.output for gate in self.gates]
         n, first = len(sources), len(ports)
         rank: list = [None] * n  # gate gi may read net i only if rank[i] < gi; ports and constants rank < 0
@@ -237,6 +252,7 @@ class Netlist:
         for net in [net for _, net in self.outputs] + carries:
             if type(net) is not int or not 0 <= net < n:
                 raise unknown(net)
+        odd = None  # the first gate of a kind, fan-in or stage the kernel or an exporter cannot take
         for gi, gate in enumerate(self.gates):
             for net in gate.inputs:
                 if type(net) is not int or not 0 <= net < n:
@@ -246,6 +262,28 @@ class Netlist:
                         f"gate {gi} of netlist '{self.name}' reads gate {rank[net]}, which is not earlier",
                         gates=(gi, rank[net]),
                     )
+            if odd is None and not (
+                isinstance(gate.kind, GateKind) and gate.kind.arity_ok(len(gate.inputs))
+                and (gate.stage is None or isinstance(gate.stage, str))
+            ):
+                odd = gi
+        if odd is not None:
+            gate, where = self.gates[odd], f"gate {odd} of netlist '{self.name}'"
+            if not isinstance(gate.kind, GateKind):
+                raise InvalidParameter(f"{where}: gate kind must be a GateKind, got {gate.kind!r}")
+            if not gate.kind.arity_ok(len(gate.inputs)):
+                raise FanInViolation(f"{gate.kind.value} cannot take {len(gate.inputs)} input(s) at {where}")
+            raise InvalidParameter(f"{where}: stage must be a str or None, got {gate.stage!r}")
+        for value, _ in self.constants:
+            if type(value) is not int or value not in (0, 1):
+                raise InvalidParameter(f"constant of netlist '{self.name}' must be 0 or 1, got {value!r}")
+        for name in (self.name, *self.input_names, *self.output_names):
+            if not isinstance(name, str):
+                raise InvalidParameter(f"netlist and port names must be strs, got {name!r}")
+        for what, names in (("input", self.input_names), ("output", self.output_names)):
+            if len(set(names)) < len(names):
+                name = next(name for k, name in enumerate(names) if name in names[:k])
+                raise DuplicatePortName(f"{what} port '{name}' already declared")
         return tuple(None if r < 0 else r for r in rank)
 
     def with_gate_kind(self, gate_index: int, kind: GateKind) -> "Netlist":
@@ -320,61 +358,16 @@ class Netlist:
             return {name: int(row[0]) for (name, _), row in zip(self.outputs, bits)}
         return {name: row.reshape(shape).astype(dtype) for (name, _), row in zip(self.outputs, bits)}
 
-    def compiled(self) -> tuple[Step, ...]:
-        """The simulation program, lowered on first use and cached.
-
-        Each step (op, left, right, out) stores op(slot left, slot right)
-        in slot ``out``, ``op`` being numpy's bitwise AND, OR or XOR.
-        Slots 0..n-1 are the n nets, indexed by net id; slots n and n+1
-        hold all zeros and all ones; slots n+2 and up hold the
-        intermediate results of wide gates.
-
-        Lowering also fills ``_slots``, the slot that holds each net's
-        plane.  An input net holds its own slot, a constant net the zeros
-        or ones slot.  In stored gate order, a gate's operands are its
-        inputs' slots sorted ascending, NOT x running as x XOR ones, and
-        are chained left to right, one step per operand past the first.
-        Steps are hash-consed: all three ops commute, so each is keyed on
-        (op, left, right) with left <= right, and a key seen before is
-        not emitted again; its slot is reused.  A gate's net maps to the
-        slot of its last step, which is the gate's own net when that step
-        is new.  Shared product terms thus run once, and no step copies a
-        constant.
-        """
-        if self._compiled is None:
-            n = len(self.drivers)
-            zeros, ones = n, n + 1
-            slots = list(range(n))
-            for value, net in self.constants:
-                slots[net] = ones if value else zeros
-            seen: dict[tuple[np.ufunc, int, int], int] = {}
-            fresh = itertools.count(n + 2)
-            steps = []
-            for gate in self.gates:
-                op, operands = _PLANE_OPS[gate.kind], [slots[net] for net in gate.inputs]
-                if gate.kind is GateKind.NOT:
-                    operands.append(ones)
-                operands.sort()
-                value = operands[0]
-                for k, operand in enumerate(operands[1:], 2):
-                    key = (op, min(value, operand), max(value, operand))
-                    if key not in seen:
-                        seen[key] = gate.output if k == len(operands) else next(fresh)
-                        steps.append((*key, seen[key]))
-                    value = seen[key]
-                slots[gate.output] = value
-            self._compiled, self._slots = tuple(steps), tuple(slots)
-        return self._compiled
-
     def simulate_planes(self, planes: Mapping[str, np.ndarray], words: int, nets=None) -> list[np.ndarray]:
         """Bit-planes of ``nets``, a sequence of net ids, in that order; of every net by id if None.
 
         ``planes`` maps each input port to a uint64 array of ``words``
         words; bit k of word j is that input's value in case 64*j + k, and
-        every returned plane has that layout.  The steps of ``compiled()``
-        write into one fresh slab, in which ``_plan`` lets slots not kept
-        share rows.  Input planes are the caller's arrays, so treat every
-        plane as read-only.  Lanes no case occupies may hold any value.
+        every returned plane has that layout.  The steps of ``_plan(nets)``
+        write into one fresh slab, in which a row not kept is reused once
+        its last reader has run.  Input planes are the caller's arrays, so
+        treat every plane as read-only.  Lanes no case occupies may hold
+        any value.
         """
         self._check_input_names(planes, "planes")
         if isinstance(words, bool) or not isinstance(words, numbers.Integral) or words < 0:
@@ -400,23 +393,52 @@ class Netlist:
     def _plan(self, nets) -> tuple[int, tuple[Step, ...], tuple[int, ...]]:
         """(slab rows, steps, taps) that compute ``nets`` (None: every net); cached.
 
-        Steps and taps index a value list: the input ports' planes in port
-        order, then the slab's rows, of which the first two hold all zeros
-        and all ones.  Each kept net, which must be an int in 0..n-1 (else
-        UnknownNet), is looked up in ``compiled()``'s slot table, so nets
-        that share a slot share a row.  Steps whose output nothing kept
-        depends on are dropped.  A slot takes a free row when first written
-        and frees it after its last reader, unless it is kept.
+        Each step (op, left, right, out) stores op(value left, value right),
+        op being numpy's bitwise AND, OR or XOR, in value ``out`` of a list
+        that holds the input ports' planes in port order, then the slab's
+        rows, the first two all zeros and all ones.  Kept nets must be ints
+        in 0..n-1 (else UnknownNet).
+
+        A miss lowers the gates over slots: 0..n-1 the nets, n and n+1 the
+        zeros and ones, n+2 and up wide gates' intermediate results.  An
+        input net holds its own slot, a constant net the zeros or ones
+        slot.  In stored order, a gate's operands are its inputs' slots
+        sorted ascending, NOT x running as x XOR ones, chained left to
+        right.  Steps are hash-consed: all three ops commute, so each is
+        keyed on (op, left, right) with left <= right and emitted once; a
+        gate's net maps to the slot of its last step.  Shared product terms
+        thus run once, and kept nets that share a slot share a row.  Steps
+        no kept net depends on are dropped.  A slot takes a free row when
+        first written and frees it after its last reader, unless it is kept.
         """
         plan = self._plans.get(nets)
         if plan is not None:
             return plan
-        program = self.compiled()  # also fills self._slots
         n, k = len(self.drivers), len(self.inputs)
         for net in nets or ():
             if type(net) is not int or not 0 <= net < n:
                 raise UnknownNet(f"no net {net!r} in netlist '{self.name}'")
-        kept = tuple(map(self._slots.__getitem__, range(n) if nets is None else nets))
+        zeros, ones = n, n + 1
+        slots = list(range(n))
+        for value, net in self.constants:
+            slots[net] = ones if value else zeros
+        seen: dict[tuple[np.ufunc, int, int], int] = {}
+        fresh = itertools.count(n + 2)
+        program = []
+        for gate in self.gates:
+            op, operands = _PLANE_OPS[gate.kind], [slots[net] for net in gate.inputs]
+            if gate.kind is GateKind.NOT:
+                operands.append(ones)
+            operands.sort()
+            value = operands[0]
+            for j, operand in enumerate(operands[1:], 2):
+                key = (op, min(value, operand), max(value, operand))
+                if key not in seen:
+                    seen[key] = gate.output if j == len(operands) else next(fresh)
+                    program.append((*key, seen[key]))
+                value = seen[key]
+            slots[gate.output] = value
+        kept = tuple(map(slots.__getitem__, range(n) if nets is None else nets))
         live, needed = set(kept), []
         for step in reversed(program):
             if step[3] in live:
@@ -425,7 +447,7 @@ class Netlist:
                 needed.append(step)
         needed.reverse()
         last_read = {slot: s for s, step in enumerate(needed) for slot in step[1:3]}
-        where = {net: j for j, (_, net) in enumerate(self.inputs)} | {n: k, n + 1: k + 1}
+        where = {net: j for j, (_, net) in enumerate(self.inputs)} | {zeros: k, ones: k + 1}
         fixed, free, rows, steps = set(where) | set(kept), [], 2, []
         for s, (op, left, right, out) in enumerate(needed):
             for slot in {left, right}:
@@ -523,8 +545,9 @@ class NetlistBuilder:
     def constant(self, value: int) -> NetId:
         """Net pinned to 0 or 1; one shared net per value."""
         self._require_open()
-        if type(value) is not int or value not in (0, 1):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (0, 1):
             raise InvalidParameter(f"constant must be 0 or 1, got {value}")
+        value = int(value)
         if value not in self._consts:
             self._consts[value] = self._new_net()
         return NetId(self._consts[value], self._owner)
@@ -537,6 +560,8 @@ class NetlistBuilder:
     ) -> NetId:
         """Append a gate fed by existing nets; returns its freshly minted output net."""
         self._require_open()
+        if not isinstance(kind, GateKind):
+            raise InvalidParameter(f"gate kind must be a GateKind, got {kind!r}")
         ins = tuple(inputs)
         if not kind.arity_ok(len(ins)):
             raise FanInViolation(f"{kind.value} gate cannot take {len(ins)} input(s)")

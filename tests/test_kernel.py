@@ -232,7 +232,7 @@ def test_output_only_plans_reuse_rows(arch):
     rows, steps, taps = nl._plan(tuple(net for _, net in nl.outputs))
     assert len(taps) == 13
     assert rows < len(nl.gates) < len(nl.drivers)
-    assert len(steps) == len(nl.compiled())  # every gate of an adder feeds an output
+    assert len(steps) == len(nl._plan(None)[1])  # every gate of an adder feeds an output
     # keeping every net: a row per slot some net maps to, plus the zeros and ones rows
     assert nl._plan(None)[0] == HASHED[arch][1]
 
@@ -244,11 +244,10 @@ def unhashed_steps(netlist):
     return sum(max(len(gate.inputs) - 1, 1) for gate in netlist.gates) + len(netlist.constants)
 
 
-def assert_operands_ordered(netlist):
-    """Every step is AND, OR or XOR, which commute, and is keyed with left <= right."""
-    for op, left, right, _ in netlist.compiled():
+def assert_ops_commute(netlist):
+    """Every step of the full plan is AND, OR or XOR, which commute."""
+    for op, _, _, _ in netlist._plan(None)[1]:
         assert op in (np.bitwise_and, np.bitwise_or, np.bitwise_xor)
-        assert left <= right, (op, left, right)
 
 
 @pytest.mark.parametrize("arch,width,steps", [
@@ -257,13 +256,13 @@ def assert_operands_ordered(netlist):
 ])
 def test_hashed_programs_run_shared_terms_once(arch, width, steps):
     nl = build_adder(AdderSpec(Architecture(arch), width, 4))
-    assert len(nl.compiled()) == steps
-    assert_operands_ordered(nl)
+    assert len(nl._plan(None)[1]) == steps
+    assert_ops_commute(nl)
 
 
 @st.composite
 def repeating_netlists(draw):
-    """A ``netlists()`` draw rebuilt with copies of its gates, operands permuted.
+    """(base, repeats): a ``netlists()`` draw, and it rebuilt with copies of its gates, operands permuted.
 
     Each gate is followed by zero or more copies of gates built so far,
     the first gate by at least one.  Later gates and output taps read an
@@ -280,14 +279,16 @@ def repeating_netlists(draw):
             same[copied.output].append(b.add_gate(copied.kind, ins))
     for name, net in base.outputs:
         b.add_output(name, draw(st.sampled_from(same[net])))
-    return b.finish()
+    return base, b.finish()
 
 
 @settings(max_examples=150, deadline=None)
 @given(repeating_netlists(), st.data())
-def test_repeated_gates_hash_to_shared_steps(netlist, data):
-    assert len(netlist.compiled()) < unhashed_steps(netlist)
-    assert_operands_ordered(netlist)
+def test_repeated_gates_hash_to_shared_steps(base_and_repeats, data):
+    base, netlist = base_and_repeats
+    # a copy, whatever its operands' order, hashes to its original's steps
+    assert len(netlist._plan(None)[1]) == len(base._plan(None)[1]) < unhashed_steps(netlist)
+    assert_ops_commute(netlist)
     words = data.draw(st.integers(1, 2))
     planes = draw_planes(data, netlist, words)
     want = reference_evaluate_nets(netlist, {name: lanes(plane) for name, plane in planes.items()})
@@ -300,14 +301,31 @@ def test_repeated_gates_hash_to_shared_steps(netlist, data):
             assert np.array_equal(lanes(plane), expected), f"net {net}"
 
 
+def test_reordered_operands_reach_an_earlier_step():
+    # AND(c, AND(a, b)) keys its step (AND, c, ab), which AND(a, b, c) emitted as (AND, ab, c)
+    b = NetlistBuilder("reorder")
+    a, bb, c = (b.add_input(name) for name in "abc")
+    b.add_output("abc", b.add_gate(GateKind.AND, [a, bb, c]))
+    ab = b.add_gate(GateKind.AND, [a, bb])
+    b.add_output("ab", ab)
+    b.add_output("c_ab", b.add_gate(GateKind.AND, [c, ab]))
+    nl = b.finish()
+    assert len(nl._plan(None)[1]) == 2
+    bits = np.array(list(itertools.product([0, 1], repeat=3)), dtype=np.uint8).T
+    got = nl.evaluate(dict(zip("abc", bits)))
+    assert np.array_equal(got["ab"], bits[0] & bits[1])
+    assert np.array_equal(got["abc"], bits[0] & bits[1] & bits[2])
+    assert np.array_equal(got["c_ab"], got["abc"])
+
+
 def test_mutant_does_not_reuse_parent_compiled_form():
     parent = build_rca(4)
-    before = parent.compiled()
+    before = parent._plan(None)
     mutant = parent.with_gate_kind(0, GateKind.AND)
-    assert mutant.compiled() is not before
-    assert mutant.compiled()[0][0] is np.bitwise_and
-    assert parent.compiled() is before
-    assert before[0][0] is np.bitwise_xor
+    assert mutant._plan(None) is not before
+    assert mutant._plan(None)[1][0][0] is np.bitwise_and
+    assert parent._plan(None) is before
+    assert before[1][0][0] is np.bitwise_xor
     assert check_exhaustive(parent, 4).ok
     assert not check_exhaustive(mutant, 4).ok
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ def test_gate_arity_rules(kind, n_ok, n_bad):
     b.add_gate(kind, nets[:n_ok])
     with pytest.raises(FanInViolation):
         b.add_gate(kind, nets[:n_bad])
+
+
+@pytest.mark.parametrize("kind", ["AND", None, 0, GateKind.NOT.value])
+def test_add_gate_needs_a_gate_kind(kind):
+    # checked before the fan-in: two inputs would break NOT's rule
+    b = NetlistBuilder("t")
+    nets = [b.add_input("x"), b.add_input("y")]
+    with pytest.raises(InvalidParameter, match=f"^gate kind must be a GateKind, got {kind!r}$"):
+        b.add_gate(kind, nets)
+    assert b.gate_count == 0
 
 
 def test_wide_and_or_allowed():
@@ -145,6 +156,26 @@ def test_constant_accepts_only_int_bits(value):
         b.constant(value)
     b.add_output("z", b.constant(1))
     assert b.finish().constants[0][0] == 1
+
+
+def test_numpy_integers_work_where_ints_do():
+    b = NetlistBuilder("t")
+    assert b.constant(np.int64(1)) == b.constant(1)
+    assert b.constant(np.uint8(0)) == b.constant(0)
+    with pytest.raises(InvalidParameter, match="^constant must be 0 or 1, got True$"):
+        b.constant(np.bool_(True))
+    b.add_output("z", b.add_gate(GateKind.AND, [b.constant(1), b.constant(0)]))
+    nl = b.finish()
+    assert nl.constants == ((0, 1), (1, 0)) and all(type(value) is int for value, _ in nl.constants)
+    assert export_json(import_json(export_json(nl))) == export_json(nl)
+    log2 = DelayModel.unit_log2()
+    for fanin in (np.int64(4), np.uint8(4), np.int32(4)):
+        assert log2.gate_delay(GateKind.AND, fanin) == log2.gate_delay(GateKind.AND, 4) == 2.0
+        assert DelayModel.unit().gate_delay(GateKind.AND, fanin) == 1.0
+    for model in (log2, DelayModel.unit()):
+        for fanin in (4.0, "4", None, True, np.float64(4)):
+            with pytest.raises(InvalidParameter, match=f"^fan-in must be an integer, got {re.escape(repr(fanin))}$"):
+                model.gate_delay(GateKind.AND, fanin)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -437,6 +468,48 @@ def test_every_net_needs_exactly_one_source():
         Netlist("x", not_1, (("a", 1), ("b", 1)), y)
     with pytest.raises(InvariantViolation, match="^net 1 has more than one source$"):
         Netlist("x", not_1, (("a", 0), ("b", 1)), y, ((1, 1),))
+
+
+# Each row is a netlist that passes every net check, but whose gates or
+# ports the kernel or an exporter cannot take; inputs a and b sit on nets 0 and 1.
+@pytest.mark.parametrize("tables,error,message", [
+    (dict(gates=(Gate(GateKind.NOT, (0, 1), 2),)), FanInViolation, r"NOT cannot take 2 input\(s\) at gate 0 of netlist 'hand'"),
+    (dict(gates=(Gate(GateKind.AND, (), 2),)), FanInViolation, r"AND cannot take 0 input\(s\) at gate 0 of netlist 'hand'"),
+    (dict(gates=(Gate(GateKind.XOR, (0, 1, 0), 2),)), FanInViolation, r"XOR cannot take 3 input\(s\) at gate 0 of netlist 'hand'"),
+    (dict(gates=(Gate("AND", (0, 0), 2),)), InvalidParameter, "gate 0 of netlist 'hand': gate kind must be a GateKind, got 'AND'"),
+    (dict(gates=(Gate(GateKind.OR, (0, 1), 2), (GateKind.AND, (0, 1), 3))), InvalidParameter,
+     "gate 1 of netlist 'hand' is a tuple, not a Gate"),
+    (dict(gates=(Gate(GateKind.OR, (0, 1), 2, 7),)), InvalidParameter, "gate 0 of netlist 'hand': stage must be a str or None, got 7"),
+    (dict(constants=((2, 2),)), InvalidParameter, "constant of netlist 'hand' must be 0 or 1, got 2"),
+    (dict(constants=((True, 2),)), InvalidParameter, "constant of netlist 'hand' must be 0 or 1, got True"),
+    (dict(name=5), InvalidParameter, "netlist and port names must be strs, got 5"),
+    (dict(inputs=(("a", 0), (7, 1))), InvalidParameter, "netlist and port names must be strs, got 7"),
+    (dict(outputs=((None, 0),)), InvalidParameter, "netlist and port names must be strs, got None"),
+    (dict(inputs=(("a", 0), ("a", 1))), DuplicatePortName, "input port 'a' already declared"),
+    (dict(outputs=(("y", 0), ("z", 1), ("y", 1))), DuplicatePortName, "output port 'y' already declared"),
+], ids=["not_of_two", "and_of_none", "xor_of_three", "kind_string", "tuple_gate", "stage_int",
+        "constant_two", "constant_true", "name_int", "input_name_int", "output_name_none",
+        "duplicate_input", "duplicate_output"])
+def test_netlist_rejects_what_the_kernel_or_exporters_cannot_take(tables, error, message):
+    tables = dict(name="hand", gates=(), inputs=(("a", 0), ("b", 1)), outputs=(), constants=()) | tables
+    with pytest.raises(error, match=f"^{message}$"):
+        Netlist(tables["name"], tables["gates"], tables["inputs"], tables["outputs"], tables["constants"])
+
+
+def test_builder_reports_a_name_that_is_no_str_from_finish():
+    for b in (NetlistBuilder(5), NetlistBuilder("t")):
+        b.add_output("y", b.add_input(7 if b.name == "t" else "x"))
+        with pytest.raises(InvalidParameter, match="^netlist and port names must be strs, got [57]$"):
+            b.finish()
+
+
+def test_net_checks_come_before_the_gate_and_port_checks():
+    # a bad kind, stage or name does not hide a gate that reads a later one, nor an unknown net
+    gates = (Gate("AND", (0, 1), 2, 7), Gate(GateKind.NOT, (3,), 3))
+    with pytest.raises(CombinationalLoop, match="^gate 1 of netlist 'hand' reads gate 1, which is not earlier$"):
+        Netlist("hand", gates, (("a", 0), ("a", 1)), ())
+    with pytest.raises(UnknownNet, match="^no net 9 in netlist '5'$"):
+        Netlist(5, (Gate(GateKind.NOT, (0, 1), 2),), ((None, 0), (None, 1)), (("y", 9),), ((2, 3),))
 
 
 # -- delay models ----------------------------------------------------------------
