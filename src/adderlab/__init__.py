@@ -21,7 +21,6 @@ from .analysis import (
 from .builders import (
     AdderSpec,
     Architecture,
-    CarryMerge,
     adder_port_names,
     build_adder,
     build_cia,

@@ -77,7 +77,7 @@ def delay_report(netlist: Netlist, model: DelayModel) -> DelayReport:
     return DelayReport(model_name=model.name, delay=delay, path=tuple(zip(path, arrivals)))
 
 
-def compare(specs, model: DelayModel, verify_widths: bool = True) -> ComparisonTable:
+def compare(specs, model: DelayModel) -> ComparisonTable:
     """Build every spec and tabulate area/delay/verification, in request order.
 
     Rows whose build fails carry the error instead of numbers; the table
@@ -102,7 +102,7 @@ def compare(specs, model: DelayModel, verify_widths: bool = True) -> ComparisonT
             errors[k] = f"{type(exc).__name__}: {exc}"
     by_width: dict[int, list[int]] = {}
     for k in netlists:
-        if verify_widths and specs[k].width <= VERIFY_WIDTH_LIMIT:
+        if specs[k].width <= VERIFY_WIDTH_LIMIT:
             by_width.setdefault(specs[k].width, []).append(k)
     verified: dict[int, bool] = {}
     for width, ks in by_width.items():

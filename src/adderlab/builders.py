@@ -13,7 +13,7 @@ b_0..b_{w-1}, cin (bit 0 is the LSB); outputs s_0..s_{w-1}, cout.
   the previous stage's effective carry; the stage's own carry-out and
   the chain's carry-out are ORed into the next effective carry.  The two
   can never be 1 together, which is what probe_invariant_carry_exclusive
-  checks on the metadata recorded here.
+  checks on the inputs of the OR gates whose indices are recorded here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BadFanIn, BlockTooLarge, InvalidParameter, ZeroWidth
-from .netlist import CarryMerge, GateKind, NetId, Netlist, NetlistBuilder, _require_int
+from .netlist import GateKind, NetId, Netlist, NetlistBuilder, _require_int
 
 
 class Architecture(Enum):
@@ -192,31 +192,29 @@ def _finish_adder(b: NetlistBuilder, sums, cout, carry_merges=None) -> Netlist:
     return b.finish(carry_merges=carry_merges)
 
 
-def build_rca(width: int, *, name: str | None = None) -> Netlist:
+def build_rca(width: int) -> Netlist:
     """Ripple-carry adder: 5*width gates, carry chained through every bit."""
     _check_width(width)
-    b = NetlistBuilder(name or f"rca_w{width}")
+    b = NetlistBuilder(f"rca_w{width}")
     a, y, cin = _declare_operands(b, width)
     sums, cout = _ripple_slice(b, a, y, cin)
     return _finish_adder(b, sums, cout)
 
 
-def build_cla_block(width: int, max_fanin: int | None = None, *, name: str | None = None) -> Netlist:
+def build_cla_block(width: int, max_fanin: int | None = None) -> Netlist:
     """Single-level carry-lookahead adder with flattened product terms."""
     _check_width(width)
     _check_fanin(max_fanin)
-    if name is None:
-        name = f"cla_w{width}" + (f"_f{max_fanin}" if max_fanin is not None else "")
-    b = NetlistBuilder(name)
+    b = NetlistBuilder(f"cla_w{width}" + (f"_f{max_fanin}" if max_fanin is not None else ""))
     a, y, cin = _declare_operands(b, width)
     sums, cout = _lookahead_slice(b, a, y, cin, max_fanin)
     return _finish_adder(b, sums, cout)
 
 
-def build_incrementer(width: int, *, name: str | None = None) -> Netlist:
+def build_incrementer(width: int) -> Netlist:
     """Adds a single carry bit into an operand: a chain of width half adders."""
     _check_width(width)
-    b = NetlistBuilder(name or f"inc_w{width}")
+    b = NetlistBuilder(f"inc_w{width}")
     xs = [b.add_input(f"x_{i}") for i in range(width)]
     cin = b.add_input("cin")
     ys, cout = _increment_slice(b, xs, cin)
@@ -231,8 +229,6 @@ def build_cia(
     block_size: int,
     block_kind: Architecture,
     max_fanin: int | None = None,
-    *,
-    name: str | None = None,
 ) -> Netlist:
     """Carry-increment adder over ``block_size``-bit blocks.
 
@@ -247,15 +243,14 @@ def build_cia(
     if block_kind not in (Architecture.RCA, Architecture.CLA):
         raise InvalidParameter(f"block kind must be RCA or CLA, got {block_kind}")
     _check_fanin(max_fanin)
-    if name is None:
-        name = f"cia_{block_kind.value}_w{width}_b{block_size}"
-        if block_kind is Architecture.CLA and max_fanin is not None:
-            name += f"_f{max_fanin}"
+    name = f"cia_{block_kind.value}_w{width}_b{block_size}"
+    if block_kind is Architecture.CLA and max_fanin is not None:
+        name += f"_f{max_fanin}"
 
     b = NetlistBuilder(name)
     a, y, cin = _declare_operands(b, width)
     sums: list[NetId] = []
-    merges: list[CarryMerge] = []
+    merges: list[int] = []
     eff = None
     for k, start in enumerate(range(0, width, block_size)):
         stop = min(start + block_size, width)
@@ -275,7 +270,7 @@ def build_cia(
         bumped, inc_carry = _increment_slice(b, partial, eff, inc_stage)
         sums.extend(bumped)
         eff = b.add_gate(GateKind.OR, [block_carry, inc_carry], stage=inc_stage)
-        merges.append(CarryMerge(k, block_carry, inc_carry, b.gate_count - 1))
+        merges.append(b.gate_count - 1)
     return _finish_adder(b, sums, eff, carry_merges=merges)
 
 

@@ -7,7 +7,9 @@ plain int in every table of a netlist; ``NetId`` is only the handle a
 source: an input port, a constant or one gate's output.  ``constants``
 lists (value, net) pairs in ascending value order; output ports tap any
 net.  ``drivers[i]``, derived from the gates, is the gate that drives
-net i, or None.  Gates are stored in dependency order: each reads only
+net i, or None.  A carry-increment adder's ``carry_merges`` are the
+indices of the OR gates that merge each stage's two carries, which are
+those gates' inputs.  Gates are stored in dependency order: each reads only
 inputs, constants and earlier gates, as the builder guarantees and
 ``Netlist`` checks on construction, along with each gate's kind, fan-in
 and stage and the ports' names.  ``NetlistBuilder`` is the only
@@ -37,13 +39,12 @@ optionally scaled by ceil(log2(fan-in)) for wide gates.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,17 +97,6 @@ class Gate:
     inputs: tuple[int, ...]
     output: int
     stage: str | None = None
-
-
-@dataclass(frozen=True)
-class CarryMerge:
-    """One per-stage effective-carry OR, kept for invariant probing.  ``finish()``
-    takes the builder's handles of the two carries and stores their net indices."""
-
-    stage: int
-    block_carry: int | NetId
-    increment_carry: int | NetId
-    gate: int
 
 
 class FaninPenalty(Enum):
@@ -203,10 +193,16 @@ class Netlist:
         self.inputs = inputs
         self.outputs = outputs
         self.constants = constants
-        self.input_names = tuple(name for name, _ in inputs)
-        self.output_names = tuple(name for name, _ in outputs)
-        # Per-stage carry metadata attached by the carry-increment builder;
-        # None means "not an increment-style build", () means single block.
+        try:  # a table that cannot even be read is refused here, one that reads but is no tuple last
+            self.input_names = tuple(name for name, _ in inputs)
+            self.output_names = tuple(name for name, _ in outputs)
+            for _, _ in constants:
+                pass
+            iter(gates)
+        except (TypeError, ValueError):
+            raise InvalidParameter(self._loose_table()) from None
+        # The carry-increment builder's merge OR gates, by index, one per stage
+        # after the first; None means "not an increment-style build", () one block.
         self.carry_merges = carry_merges
         self._plans: dict = {}  # kept nets (None: all) -> plan, see _plan; the kernel's only state
         self.drivers = self._derive_drivers()
@@ -214,18 +210,35 @@ class Netlist:
 
     # -- structure ---------------------------------------------------------
 
+    def _loose_table(self) -> str:
+        """Why a table is no tuple, of pairs for the ports and constants, or a gate's inputs no tuple; "" if none."""
+        for what, table in (("gates", self.gates), ("inputs", self.inputs), ("outputs", self.outputs),
+                            ("constants", self.constants)):
+            if type(table) is not tuple:
+                return f"{what} of netlist '{self.name}' must be a tuple, not {type(table).__name__}"
+            for k, entry in enumerate(table):
+                if isinstance(entry, Gate) and type(entry.inputs) is not tuple:
+                    return f"gate {k} of netlist '{self.name}': inputs must be a tuple, got {entry.inputs!r}"
+                if what != "gates" and (type(entry) is not tuple or len(entry) != 2):
+                    return f"{what} of netlist '{self.name}' must be a tuple of pairs, got {entry!r}"
+        return ""
+
     def _derive_drivers(self) -> tuple[int | None, ...]:
         """The gate driving each net, or None for an input or constant net.
 
         Checks on the way that each gate is a ``Gate``, that each net
-        0..n-1 has exactly one source, that every net read, tapped or named
-        by a carry merge is one of these ints, that each carry merge is a
-        ``CarryMerge``, and that each gate reads only inputs, constants and
+        0..n-1 has exactly one source, that every net read or tapped is one
+        of these ints, and that each gate reads only inputs, constants and
         earlier gates.  Then, for the kernel and the exporters, that each
         gate's kind is a ``GateKind`` whose fan-in rule it meets (else
-        FanInViolation) and its stage a str or None, that constants are 0
-        or 1, that all names are strs, and that no input or output port
-        name repeats (else DuplicatePortName); the rest raise InvalidParameter.
+        FanInViolation) and its stage a str or None, that each carry merge
+        is a gate's index (else UnknownNet) and that gate has two inputs,
+        that constants are 0 or 1, that all names are strs, and that no
+        input or output port name repeats (else DuplicatePortName).  Last,
+        that the tables and each gate's inputs are tuples, and the ports
+        and constants pairs, so that a netlist is immutable and hashable;
+        one that cannot even be read fails first.  The rest raise
+        InvalidParameter.
         """
         ports = [net for _, net in (*self.inputs, *self.constants)]
         for gi, gate in enumerate(self.gates):
@@ -244,16 +257,13 @@ class Netlist:
             if rank[net] is not None:
                 raise InvariantViolation(f"net {net} has more than one source")
             rank[net] = k - first
-        merges = self.carry_merges or ()
-        for merge in merges:
-            if not isinstance(merge, CarryMerge):
-                raise UnknownNet(f"carry merge {merge!r} of netlist '{self.name}' is not a CarryMerge")
-        carries = [net for merge in merges for net in (merge.block_carry, merge.increment_carry)]
-        for net in [net for _, net in self.outputs] + carries:
+        for _, net in self.outputs:
             if type(net) is not int or not 0 <= net < n:
                 raise unknown(net)
         odd = None  # the first gate of a kind, fan-in or stage the kernel or an exporter cannot take
         for gi, gate in enumerate(self.gates):
+            if type(gate.inputs) is not tuple and not isinstance(gate.inputs, Collection):
+                raise InvalidParameter(self._loose_table())
             for net in gate.inputs:
                 if type(net) is not int or not 0 <= net < n:
                     raise unknown(net)
@@ -274,6 +284,13 @@ class Netlist:
             if not gate.kind.arity_ok(len(gate.inputs)):
                 raise FanInViolation(f"{gate.kind.value} cannot take {len(gate.inputs)} input(s) at {where}")
             raise InvalidParameter(f"{where}: stage must be a str or None, got {gate.stage!r}")
+        if self.carry_merges is not None and type(self.carry_merges) is not tuple:
+            raise InvalidParameter(f"carry merges of netlist '{self.name}' must be None or a tuple")
+        for gi in self.carry_merges or ():
+            if type(gi) is not int or not 0 <= gi < len(self.gates):
+                raise UnknownNet(f"no gate {gi!r} in netlist '{self.name}'")
+            if len(self.gates[gi].inputs) != 2:
+                raise InvalidParameter(f"carry merge gate {gi} of netlist '{self.name}' has no two inputs to merge")
         for value, _ in self.constants:
             if type(value) is not int or value not in (0, 1):
                 raise InvalidParameter(f"constant of netlist '{self.name}' must be 0 or 1, got {value!r}")
@@ -284,6 +301,8 @@ class Netlist:
             if len(set(names)) < len(names):
                 name = next(name for k, name in enumerate(names) if name in names[:k])
                 raise DuplicatePortName(f"{what} port '{name}' already declared")
+        if problem := self._loose_table():
+            raise InvalidParameter(problem)
         return tuple(None if r < 0 else r for r in rank)
 
     def with_gate_kind(self, gate_index: int, kind: GateKind) -> "Netlist":
@@ -526,19 +545,27 @@ class NetlistBuilder:
             indices.append(nid.index)
         return tuple(indices)
 
+    @staticmethod
+    def _check_new_port(ports: dict, name, what: str) -> None:
+        """Reject a name already in ``ports`` and one no dict can hold; ``finish()`` rejects the other non-strs."""
+        try:
+            taken = name in ports
+        except TypeError:  # unhashable
+            raise InvalidParameter(f"netlist and port names must be strs, got {name!r}") from None
+        if taken:
+            raise DuplicatePortName(f"{what} port '{name}' already declared")
+
     def add_input(self, name: str) -> NetId:
         """Declare an input port; it mints and returns a fresh net."""
         self._require_open()
-        if name in self._inputs:
-            raise DuplicatePortName(f"input port '{name}' already declared")
+        self._check_new_port(self._inputs, name, "input")
         self._inputs[name] = self._new_net()
         return NetId(self._inputs[name], self._owner)
 
     def add_output(self, name: str, net: NetId) -> NetId:
         """Declare an output port tapping the existing ``net``; returns ``net``."""
         self._require_open()
-        if name in self._outputs:
-            raise DuplicatePortName(f"output port '{name}' already declared")
+        self._check_new_port(self._outputs, name, "output")
         (self._outputs[name],) = self._indices((net,))
         return net
 
@@ -570,24 +597,18 @@ class NetlistBuilder:
         self._gates.append(Gate(kind, ins, out, stage))
         return NetId(out, self._owner)
 
-    def _merge(self, merge) -> CarryMerge:
-        """``merge`` with its carries' handles replaced by their net indices."""
-        if not isinstance(merge, CarryMerge):
-            raise UnknownNet(f"carry merge {merge!r} of netlist '{self.name}' is not a CarryMerge")
-        block, increment = self._indices((merge.block_carry, merge.increment_carry))
-        return dataclasses.replace(merge, block_carry=block, increment_carry=increment)
-
-    def finish(self, carry_merges: Sequence[CarryMerge] | None = None) -> Netlist:
-        """Freeze into an immutable ``Netlist``; the builder rejects further edits.
-        Each carry merge must be a ``CarryMerge`` of this builder's nets (else UnknownNet)."""
+    def finish(self, carry_merges: Sequence[int] | None = None) -> Netlist:
+        """Freeze into an immutable ``Netlist``; the builder then rejects further edits.
+        ``carry_merges`` are gate indices (see ``Netlist.carry_merges``).  A
+        ``Netlist`` that its checks refuse leaves the builder open."""
         self._require_open()
-        merges = None if carry_merges is None else tuple(map(self._merge, carry_merges))
-        self._finished = True
-        return Netlist(
+        netlist = Netlist(
             self.name,
             tuple(self._gates),
             tuple(self._inputs.items()),
             tuple(self._outputs.items()),
             tuple(sorted(self._consts.items())),
-            carry_merges=merges,
+            carry_merges=None if carry_merges is None else tuple(carry_merges),
         )
+        self._finished = True
+        return netlist

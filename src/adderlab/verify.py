@@ -366,8 +366,9 @@ def probe_invariant_carry_exclusive(
 ) -> bool:
     """True iff no stage ever raises its block carry and increment carry together.
 
-    Needs the CarryMerge metadata the carry-increment builder records;
-    netlists without it raise MissingStageMetadata.  The sweep is
+    The two carries are the inputs of each merge OR gate that the
+    carry-increment builder records in ``carry_merges``; netlists without
+    that metadata raise MissingStageMetadata.  The sweep is
     exhaustive, so the same case cap as check_exhaustive applies.
     """
     if netlist.carry_merges is None:
@@ -375,7 +376,7 @@ def probe_invariant_carry_exclusive(
     _exhaustive_size(netlist, width, case_cap)
     if not netlist.carry_merges:
         return True
-    pairs = tuple(net for merge in netlist.carry_merges for net in (merge.block_carry, merge.increment_carry))
+    pairs = tuple(net for gi in netlist.carry_merges for net in netlist.gates[gi].inputs)
     for _, _, planes in _exhaustive_inputs(width):
         carries = netlist.simulate_planes(planes, len(planes["cin"]), pairs)
         if any((block & increment).any() for block, increment in zip(carries[::2], carries[1::2])):

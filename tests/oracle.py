@@ -31,9 +31,14 @@ topological sort that gives ``import_json``'s build order.
 replays a document through ``NetlistBuilder``, checking it field by
 field: the plain forms that ``adderlab.io``'s line-template writer and
 direct table build must match byte for byte and error for error.
+
+``reference_import_verilog`` reads back the structural Verilog that
+``export_verilog`` writes and rebuilds its netlist through
+``NetlistBuilder``, so an exported adder can be checked again.
 """
 
 import json
+import re
 from functools import reduce
 from operator import and_, or_
 
@@ -370,3 +375,60 @@ def reference_exhaustive_chunks(width, words, start=0):
         sums = np.pad(sums, (0, -n % 64))
         bits = np.stack([((sums >> np.uint64(i)) & np.uint64(1)).astype(np.uint8) for i in range(width + 1)])
         yield first, np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+# -- Verilog ---------------------------------------------------------------------------
+
+_VERILOG_GATES = {"and": GateKind.AND, "or": GateKind.OR, "xor": GateKind.XOR, "not": GateKind.NOT, "buf": None}
+_VERILOG_LINE = re.compile(
+    r"module (?P<module>\w+) \((?P<ports>[\w, ]*)\);"
+    r"|(?P<decl>input|output|wire) (?P<name>\w+);"
+    r"|(?P<gate>and|or|xor|not|buf) g[0-9]+ \((?P<nets>[\w', ]+)\);"
+    r"|(?P<end>endmodule)"
+)
+
+
+def reference_import_verilog(text):
+    """The netlist that ``export_verilog`` wrote as ``text``, rebuilt through ``NetlistBuilder``.
+
+    Reads only the subset the exporter writes, one statement a line: a
+    ``module`` header, ``input``, ``output`` and ``wire`` declarations,
+    ``and``/``or``/``xor``/``not``/``buf`` instances whose first terminal
+    is the output, the constants ``1'b0`` and ``1'b1``, and
+    ``endmodule``.  A ``buf`` adds no gate: its output names the same
+    net as its input.  Input ports are declared in file order, and
+    output ports in file order once every instance is read.  Anything
+    else raises ValueError, and a net read before it is driven KeyError.
+    """
+    lines = text.splitlines()
+    head = _VERILOG_LINE.fullmatch(lines[0]) if lines else None
+    if head is None or head["module"] is None:
+        raise ValueError("no module header on the first line")
+    builder = NetlistBuilder(head["module"])
+    nets, declared = {}, {"input": [], "output": [], "wire": []}
+
+    def net(term):
+        return builder.constant(int(term[-1])) if term in ("1'b0", "1'b1") else nets[term]
+
+    for k, line in enumerate(lines[1:], 2):
+        match = _VERILOG_LINE.fullmatch(line.strip())
+        if match is None or match["module"] is not None or declared is None:
+            raise ValueError(f"line {k} is outside the subset export_verilog writes: {line!r}")
+        if match["decl"] is not None:
+            declared[match["decl"]].append(match["name"])
+            if match["decl"] == "input":
+                nets[match["name"]] = builder.add_input(match["name"])
+        elif match["gate"] is not None:
+            out, *ins = match["nets"].split(", ")
+            kind = _VERILOG_GATES[match["gate"]]
+            nets[out] = net(ins[0]) if kind is None else builder.add_gate(kind, map(net, ins))
+        else:
+            for name in declared["output"]:
+                builder.add_output(name, nets[name])
+            ports = ", ".join(declared["input"] + declared["output"])
+            if head["ports"] != ports or not set(declared["wire"]) <= nets.keys():
+                raise ValueError("the header's ports are not the declared ones, or a wire is never driven")
+            declared = None
+    if declared is not None:
+        raise ValueError("no endmodule")
+    return builder.finish()

@@ -193,9 +193,12 @@ def test_compare_skips_verification_above_width_limit(unit):
     assert table.rows[0].delay.delay == 27.0
 
 
-def test_compare_can_skip_verification_entirely(unit):
-    table = compare([AdderSpec(Architecture.RCA, 4)], unit, verify_widths=False)
-    assert table.rows[0].verified is None
+def test_compare_can_skip_verification_entirely(monkeypatch, unit):
+    # compare() has no switch to skip verification: rows over the width limit
+    # are the only ones it skips, and a table of only those sweeps nothing
+    monkeypatch.setattr(verify, "_expected_planes", None)
+    table = compare([AdderSpec(Architecture.RCA, 13), AdderSpec(Architecture.CIA_CLA, 16, 4)], unit)
+    assert [row.verified for row in table.rows] == [None, None]
 
 
 def test_compare_mixed_rows_keep_request_order_and_verdicts(monkeypatch, unit):
@@ -211,9 +214,6 @@ def test_compare_mixed_rows_keep_request_order_and_verdicts(monkeypatch, unit):
     assert [row.spec for row in table.rows] == specs
     assert [row.verified for row in table.rows] == [True, None, None, True, True, True]
     assert [row.error is not None for row in table.rows] == [False, False, True, False, False, False]
-    skipped = compare(specs, unit, verify_widths=False)
-    assert [row.verified for row in skipped.rows] == [None] * len(specs)
-    assert [row.delay for row in skipped.rows] == [row.delay for row in table.rows]
     # a wrong row must be reported on its own row, not on a neighbor sharing its sweep
     def build_with_fault(spec):
         netlist = build_adder(spec)
@@ -244,9 +244,6 @@ def test_compare_sweeps_each_verifiable_width_once(monkeypatch, unit):
     table = compare(specs, unit)
     assert sorted(calls) == [4, 6]
     assert sum(row.verified is True for row in table.rows) == 5
-    calls.clear()
-    compare(specs, unit, verify_widths=False)
-    assert calls == []
 
 
 def test_compare_is_deterministic(unit):

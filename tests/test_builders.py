@@ -193,17 +193,19 @@ def test_cia_stage_labels(cia_rca_8_4):
 def test_cia_merge_metadata_points_at_or_gates(cia_cla_8_4):
     merges = cia_cla_8_4.carry_merges
     assert len(merges) == 1
-    merge = merges[0]
-    gate = cia_cla_8_4.gates[merge.gate]
-    assert gate.kind is GateKind.OR
-    assert set(gate.inputs) == {merge.block_carry, merge.increment_carry}
-    assert merge.stage == 1
+    gate = cia_cla_8_4.gates[merges[0]]
+    assert gate.kind is GateKind.OR and len(gate.inputs) == 2
+    assert gate.stage == "inc1"
 
 
 def test_cia_merge_count_tracks_block_count():
     nl = build_cia(10, 2, Architecture.RCA)
     assert len(nl.carry_merges) == 4
-    assert [m.stage for m in nl.carry_merges] == [1, 2, 3, 4]
+    gates = [nl.gates[gi] for gi in nl.carry_merges]
+    assert all(type(gi) is int for gi in nl.carry_merges)
+    assert [(gate.kind, len(gate.inputs), gate.stage) for gate in gates] == [
+        (GateKind.OR, 2, f"inc{k}") for k in (1, 2, 3, 4)
+    ]
 
 
 @pytest.mark.parametrize("kind", [Architecture.RCA, Architecture.CLA])

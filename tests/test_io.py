@@ -23,6 +23,7 @@ from adderlab import (
     ParseError,
     UnknownGateKind,
     UnsupportedVersion,
+    build_adder,
     build_cia,
     build_cla_block,
     build_full_adder,
@@ -39,7 +40,12 @@ from adderlab import (
     import_json,
 )
 from adderlab.analysis import ComparisonTable
-from oracle import reference_doc_order, reference_export_json, reference_import_json
+from oracle import (
+    reference_doc_order,
+    reference_export_json,
+    reference_import_json,
+    reference_import_verilog,
+)
 from strategies import netlists
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -607,6 +613,39 @@ def test_verilog_output_alias_uses_buf():
     text = export_verilog(b.finish())
     assert "  not g0 (y, x);" in text
     assert "  buf g1 (y_copy, y);" in text
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_verilog_reads_back_as_an_adder(arch, width):
+    blocks = range(1, width + 1) if arch.is_cia else [4]
+    fanins = [None, 2, 3] if arch.block_kind is Architecture.CLA else [None]
+    for block, fanin in itertools.product(blocks, fanins):
+        nl = build_adder(AdderSpec(arch, width, block, fanin))
+        back = reference_import_verilog(export_verilog(nl))
+        assert (back.name, back.input_names, back.output_names) == (nl.name, nl.input_names, nl.output_names)
+        assert len(back.gates) == len(nl.gates)
+        assert check_exhaustive(back, width).ok, (block, fanin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(netlists())
+def test_verilog_of_random_netlists_reads_back_alike(nl):
+    back = reference_import_verilog(export_verilog(nl))
+    assert (back.input_names, back.output_names) == (nl.input_names, nl.output_names)
+    rows = np.array(list(itertools.product([0, 1], repeat=len(nl.inputs))), dtype=np.uint8).T
+    assignment = dict(zip(nl.input_names, rows))
+    want, got = nl.evaluate(assignment), back.evaluate(assignment)
+    assert {name: value.tolist() for name, value in want.items()} == {name: value.tolist() for name, value in got.items()}
+
+
+def test_verilog_reader_takes_only_what_the_exporter_writes():
+    text = export_verilog(build_half_adder())
+    assert reference_import_verilog(text).evaluate({"a": 1, "b": 1}) == {"s": 0, "c": 1}
+    for bad in (text.replace("xor g0", "xnor g0"), text.replace("endmodule\n", ""), text + "wire z;\n",
+                text.replace("  input b;\n", "")):
+        with pytest.raises((ValueError, KeyError)):
+            reference_import_verilog(bad)
 
 
 # -- CSV ------------------------------------------------------------------------------

@@ -496,6 +496,55 @@ def test_netlist_rejects_what_the_kernel_or_exporters_cannot_take(tables, error,
         Netlist(tables["name"], tables["gates"], tables["inputs"], tables["outputs"], tables["constants"])
 
 
+# Each row is a table of the wrong shape; inputs a and b sit on nets 0 and 1.
+@pytest.mark.parametrize("tables,message", [
+    (dict(gates=(Gate(GateKind.AND, 5, 2),)), "gate 0 of netlist 'hand': inputs must be a tuple, got 5"),
+    (dict(gates=(Gate(GateKind.AND, [0, 1], 2),)), r"gate 0 of netlist 'hand': inputs must be a tuple, got \[0, 1\]"),
+    (dict(gates=[Gate(GateKind.AND, (0, 1), 2)]), "gates of netlist 'hand' must be a tuple, not list"),
+    (dict(inputs=(("a", 0, 5), ("b", 1))), r"inputs of netlist 'hand' must be a tuple of pairs, got \('a', 0, 5\)"),
+    (dict(inputs=5), "inputs of netlist 'hand' must be a tuple, not int"),
+    (dict(outputs=[("y", 0)]), "outputs of netlist 'hand' must be a tuple, not list"),
+    (dict(constants=((0,),)), r"constants of netlist 'hand' must be a tuple of pairs, got \(0,\)"),
+], ids=["gate_inputs_int", "gate_inputs_list", "gates_list", "input_triple", "inputs_int", "outputs_list",
+        "constant_single"])
+def test_netlist_rejects_tables_of_the_wrong_shape(tables, message):
+    tables = dict(gates=(), inputs=(("a", 0), ("b", 1)), outputs=(), constants=()) | tables
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        Netlist("hand", tables["gates"], tables["inputs"], tables["outputs"], tables["constants"])
+
+
+def test_a_table_that_reads_but_is_no_tuple_is_reported_last():
+    # a list where a tuple belongs does not hide any other fault
+    with pytest.raises(CombinationalLoop, match="^gate 0 of netlist 'hand' reads gate 0"):
+        Netlist("hand", [Gate(GateKind.NOT, [2], 2)], [("a", 0), ("b", 1)], ())
+    with pytest.raises(UnknownNet, match="^no net 9 in netlist 'hand'$"):
+        Netlist("hand", (Gate(GateKind.NOT, [0], 2),), (("a", 0), ["b", 1]), (("y", 9),))
+    with pytest.raises(DuplicatePortName, match="^input port 'a' already declared$"):
+        Netlist("hand", (), [("a", 0), ("a", 1)], ())
+
+
+@pytest.mark.parametrize("declare", [
+    lambda b: b.add_input(["a"]),
+    lambda b: b.add_output(["a"], b.add_input("x")),
+], ids=["input", "output"])
+def test_builder_rejects_an_unhashable_port_name(declare):
+    b = NetlistBuilder("t")
+    with pytest.raises(InvalidParameter, match=r"^netlist and port names must be strs, got \['a'\]$"):
+        declare(b)
+    b.add_output("y", b.add_input("a"))
+    assert b.finish().output_names == ("y",)
+
+
+def test_a_refused_finish_leaves_the_builder_open():
+    b = NetlistBuilder("t")
+    x = b.add_input(7)
+    with pytest.raises(InvalidParameter, match="^netlist and port names must be strs, got 7$"):
+        b.finish()
+    b.add_output("y", b.add_gate(GateKind.NOT, [x]))  # no NetlistFrozen
+    with pytest.raises(InvalidParameter):
+        b.finish()
+
+
 def test_builder_reports_a_name_that_is_no_str_from_finish():
     for b in (NetlistBuilder(5), NetlistBuilder("t")):
         b.add_output("y", b.add_input(7 if b.name == "t" else "x"))
@@ -656,7 +705,7 @@ def check_net_tables(nl):
     for table in (nl, import_json(export_json(nl))):
         nets = [net for _, net in (*table.inputs, *table.outputs, *table.constants)]
         nets += [net for gate in table.gates for net in (*gate.inputs, gate.output)]
-        nets += [net for merge in table.carry_merges or () for net in (merge.block_carry, merge.increment_carry)]
+        nets += [net for gi in table.carry_merges or () for net in table.gates[gi].inputs]
         assert all(type(net) is int for net in nets), table.name
     sources = [[] for _ in nl.drivers]
     for name, net in nl.inputs:

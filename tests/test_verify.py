@@ -1,15 +1,14 @@
 """Equivalence checking, random sampling, invariant probes, fault injection."""
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adderlab import (
     Architecture,
-    CarryMerge,
     ExhaustiveTooLarge,
+    Gate,
     GateKind,
     InvalidParameter,
     MissingStageMetadata,
@@ -250,7 +249,7 @@ def test_probe_single_block_trivially_true():
 def sabotaged_cia():
     """A hand-built 2-bit, block-1 carry-increment adder whose second block adds
     a hard 1 instead of 0: its block carry and increment carry can then both
-    fire.  Returns the open builder and the stage's merge."""
+    fire.  Returns the open builder and the index of the stage's merge gate."""
     b = NetlistBuilder("sabotaged")
     a = [b.add_input("a_0"), b.add_input("a_1")]
     y = [b.add_input("b_0"), b.add_input("b_1")]
@@ -262,46 +261,49 @@ def sabotaged_cia():
     b.add_output("s_0", s0)
     b.add_output("s_1", bumped[0])
     b.add_output("cout", eff1)
-    return b, CarryMerge(1, block_carry, inc_carry, b.gate_count - 1)
+    return b, b.gate_count - 1
 
 
 def test_probe_flags_a_sabotaged_stage():
     b, merge = sabotaged_cia()
     nl = b.finish(carry_merges=[merge])
-    [stored] = nl.carry_merges
-    assert stored == replace(merge, block_carry=merge.block_carry.index, increment_carry=merge.increment_carry.index)
+    assert nl.carry_merges == (merge,) and nl.gates[merge].kind is GateKind.OR
     assert probe_invariant_carry_exclusive(nl, 2) is False
 
 
 @pytest.mark.parametrize("spoil", [
-    lambda merge: replace(merge, block_carry=NetlistBuilder("other").add_input("x")),  # in range, another builder's
-    lambda merge: replace(merge, increment_carry=NetId(999, merge.increment_carry.owner)),  # no such net
-    lambda merge: replace(merge, block_carry="x"),  # no net at all
-    lambda merge: (merge.stage, merge.block_carry, merge.increment_carry, merge.gate),  # no CarryMerge
+    lambda merge: NetlistBuilder("other").add_input("x"),  # a handle, of another builder
+    lambda merge: 999,  # no such gate
+    lambda merge: "x",  # no gate index at all
+    lambda merge: (1, merge),  # a tuple
 ], ids=["foreign net", "net out of range", "string", "tuple"])
 def test_finish_rejects_a_carry_merge_of_foreign_nets(spoil):
+    # a refused finish() leaves the builder open, so it can still finish
     b, merge = sabotaged_cia()
-    with pytest.raises(UnknownNet, match="netlist 'sabotaged'"):
+    with pytest.raises(UnknownNet, match="^no gate .* in netlist 'sabotaged'$"):
         b.finish(carry_merges=[merge, spoil(merge)])
     assert probe_invariant_carry_exclusive(b.finish(carry_merges=[merge]), 2) is False
 
 
-@pytest.mark.parametrize("spoil,shown", [
-    (lambda merge: replace(merge, increment_carry=999), "no net 999"),  # no such net
-    (lambda merge: replace(merge, block_carry=-1), "no net -1"),
-    (lambda merge: replace(merge, block_carry=True), "no net True"),  # a bool, not an int
-    (lambda merge: replace(merge, increment_carry=np.int64(3)), r"no net (np\.int64\(3\)|3)"),  # not exactly an int
-    (lambda merge: replace(merge, block_carry=NetId(3, 0)), r"no net NetId\(index=3, owner=0\)"),  # a handle
-    (lambda merge: "x", "carry merge 'x' of netlist 'cia_rca_w4_b2' is not a CarryMerge"),
-], ids=["net out of range", "negative net", "bool", "numpy int", "handle", "string"])
-def test_netlist_rejects_a_carry_merge_naming_no_net(spoil, shown):
-    # hand-built tables, with no builder to vet the merges first
+@pytest.mark.parametrize("spoil,error,shown", [
+    (lambda nl: 999, UnknownNet, "no gate 999"),  # no such gate
+    (lambda nl: -1, UnknownNet, "no gate -1"),
+    (lambda nl: True, UnknownNet, "no gate True"),  # a bool, not an int
+    (lambda nl: np.int64(3), UnknownNet, r"no gate (np\.int64\(3\)|3)"),  # not exactly an int
+    (lambda nl: NetId(3, 0), UnknownNet, r"no gate NetId\(index=3, owner=0\)"),  # a handle
+    (lambda nl: "x", UnknownNet, "no gate 'x'"),
+    (lambda nl: len(nl.gates), InvalidParameter,  # the NOT gate that ``rebuilt`` appends
+     "carry merge gate [0-9]+ of netlist 'cia_rca_w4_b2' has no two inputs to merge"),
+], ids=["net out of range", "negative net", "bool", "numpy int", "handle", "string", "one-input gate"])
+def test_netlist_rejects_a_carry_merge_naming_no_net(spoil, error, shown):
+    # hand-built tables, with no builder to vet the merges first, and one NOT gate that nothing reads
     nl = build_cia(4, 2, Architecture.RCA)
     [merge] = nl.carry_merges
+    gates = (*nl.gates, Gate(GateKind.NOT, (0,), len(nl.drivers)))
 
     def rebuilt(merges):
-        return Netlist(nl.name, nl.gates, nl.inputs, nl.outputs, nl.constants, carry_merges=merges)
+        return Netlist(nl.name, gates, nl.inputs, nl.outputs, nl.constants, carry_merges=merges)
 
-    with pytest.raises(UnknownNet, match=f"^{shown}( in netlist 'cia_rca_w4_b2')?$"):
-        rebuilt((merge, spoil(merge)))
+    with pytest.raises(error, match=f"^{shown}( in netlist 'cia_rca_w4_b2')?$"):
+        rebuilt((merge, spoil(nl)))
     assert probe_invariant_carry_exclusive(rebuilt((merge,)), 4) is True
