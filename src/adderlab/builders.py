@@ -14,6 +14,12 @@ b_0..b_{w-1}, cin (bit 0 is the LSB); outputs s_0..s_{w-1}, cout.
   the chain's carry-out are ORed into the next effective carry.  The two
   can never be 1 together, which is what probe_invariant_carry_exclusive
   checks on the inputs of the OR gates whose indices are recorded here.
+
+Past the ports, the gate-level fragments work on plain net ints: they
+append gates through ``NetlistBuilder._gate``, which checks nothing, and
+take each lookahead product term as one slice of the reversed propagate
+nets.  The checking is ``Netlist()``'s, which ``finish()`` runs: every
+net's range and single source, dependency order, kind and fan-in.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BadFanIn, BlockTooLarge, InvalidParameter, ZeroWidth
-from .netlist import GateKind, NetId, Netlist, NetlistBuilder, _require_int
+from .netlist import GateKind, Netlist, NetlistBuilder, _require_int
 
 
 class Architecture(Enum):
@@ -78,18 +84,18 @@ def _check_fanin(max_fanin: int | None) -> None:
 
 # -- gate-level fragments ----------------------------------------------------
 
-def _half_adder(b: NetlistBuilder, x: NetId, y: NetId, stage: str | None = None):
-    s = b.add_gate(GateKind.XOR, [x, y], stage=stage)
-    c = b.add_gate(GateKind.AND, [x, y], stage=stage)
-    return s, c
+_AND, _OR, _XOR = GateKind.AND, GateKind.OR, GateKind.XOR
 
 
-def _full_adder(b: NetlistBuilder, x: NetId, y: NetId, cin: NetId, stage: str | None = None):
+def _half_adder(b: NetlistBuilder, x: int, y: int, stage: str | None = None) -> tuple[int, int]:
+    return b._gate(_XOR, (x, y), stage), b._gate(_AND, (x, y), stage)
+
+
+def _full_adder(b: NetlistBuilder, x: int, y: int, cin: int, stage: str | None = None) -> tuple[int, int]:
     # two half adders plus the carry OR: 5 gates
     p, g = _half_adder(b, x, y, stage)
     s, t = _half_adder(b, p, cin, stage)
-    cout = b.add_gate(GateKind.OR, [g, t], stage=stage)
-    return s, cout
+    return s, b._gate(_OR, (g, t), stage)
 
 
 def _ripple_slice(b, a_bits, b_bits, cin, stage=None):
@@ -101,7 +107,7 @@ def _ripple_slice(b, a_bits, b_bits, cin, stage=None):
     return sums, carry
 
 
-def _tree_reduce(b, kind, nets, max_fanin, stage=None):
+def _tree_reduce(b, kind, nets: tuple[int, ...], max_fanin, stage=None) -> int:
     """One gate if the fan-in allows it, else a balanced k-ary tree.
 
     Leaves fill left subtrees first, so the shape (and the netlist) is
@@ -111,36 +117,33 @@ def _tree_reduce(b, kind, nets, max_fanin, stage=None):
     if n == 1:
         return nets[0]
     if max_fanin is None or n <= max_fanin:
-        return b.add_gate(kind, nets, stage=stage)
+        return b._gate(kind, nets, stage)
     cap = max_fanin
     while cap * max_fanin < n:
         cap *= max_fanin
-    children = [
+    children = tuple(
         _tree_reduce(b, kind, nets[i : i + cap], max_fanin, stage) for i in range(0, n, cap)
-    ]
-    return b.add_gate(kind, children, stage=stage)
+    )
+    return b._gate(kind, children, stage)
 
 
 def _lookahead_slice(b, a_bits, b_bits, cin, max_fanin, stage=None):
     width = len(a_bits)
-    p = []
-    g = []
+    p, g = [], []
     for x, y in zip(a_bits, b_bits):
-        p.append(b.add_gate(GateKind.XOR, [x, y], stage=stage))
-        g.append(b.add_gate(GateKind.AND, [x, y], stage=stage))
+        p.append(b._gate(_XOR, (x, y), stage))
+        g.append(b._gate(_AND, (x, y), stage))
+    rp = tuple(reversed(p))  # rp[width-1-k] is p_k, so p_i..p_{j+1} is rp[width-1-i : width-1-j]
     carries = [cin]
     for i in range(width):
         # c_{i+1} = g_i | p_i g_{i-1} | p_i p_{i-1} g_{i-2} | ... | p_i..p_0 cin
+        top = width - 1 - i
         terms = [g[i]]
         for j in range(i - 1, -1, -1):
-            factors = [p[k] for k in range(i, j, -1)] + [g[j]]
-            terms.append(_tree_reduce(b, GateKind.AND, factors, max_fanin, stage))
-        tail = [p[k] for k in range(i, -1, -1)] + [cin]
-        terms.append(_tree_reduce(b, GateKind.AND, tail, max_fanin, stage))
-        carries.append(_tree_reduce(b, GateKind.OR, terms, max_fanin, stage))
-    sums = [
-        b.add_gate(GateKind.XOR, [p[i], carries[i]], stage=stage) for i in range(width)
-    ]
+            terms.append(_tree_reduce(b, _AND, (*rp[top : width - 1 - j], g[j]), max_fanin, stage))
+        terms.append(_tree_reduce(b, _AND, (*rp[top:], cin), max_fanin, stage))
+        carries.append(_tree_reduce(b, _OR, tuple(terms), max_fanin, stage))
+    sums = [b._gate(_XOR, (p[i], carries[i]), stage) for i in range(width)]
     return sums, carries[width]
 
 
@@ -158,37 +161,37 @@ def _increment_slice(b, x_bits, cin, stage=None):
 def build_half_adder() -> Netlist:
     """Two gates: s = a xor b, c = a and b."""
     b = NetlistBuilder("half_adder")
-    a = b.add_input("a")
-    y = b.add_input("b")
+    a = b.add_input("a").index
+    y = b.add_input("b").index
     s, c = _half_adder(b, a, y)
-    b.add_output("s", s)
-    b.add_output("c", c)
+    b._output("s", s)
+    b._output("c", c)
     return b.finish()
 
 
 def build_full_adder() -> Netlist:
     """Five gates: two half adders plus the carry OR."""
     b = NetlistBuilder("full_adder")
-    a = b.add_input("a")
-    y = b.add_input("b")
-    cin = b.add_input("cin")
+    a = b.add_input("a").index
+    y = b.add_input("b").index
+    cin = b.add_input("cin").index
     s, cout = _full_adder(b, a, y, cin)
-    b.add_output("s", s)
-    b.add_output("cout", cout)
+    b._output("s", s)
+    b._output("cout", cout)
     return b.finish()
 
 
 def _declare_operands(b: NetlistBuilder, width: int):
-    a = [b.add_input(f"a_{i}") for i in range(width)]
-    y = [b.add_input(f"b_{i}") for i in range(width)]
-    cin = b.add_input("cin")
+    a = [b.add_input(f"a_{i}").index for i in range(width)]
+    y = [b.add_input(f"b_{i}").index for i in range(width)]
+    cin = b.add_input("cin").index
     return a, y, cin
 
 
 def _finish_adder(b: NetlistBuilder, sums, cout, carry_merges=None) -> Netlist:
     for i, s in enumerate(sums):
-        b.add_output(f"s_{i}", s)
-    b.add_output("cout", cout)
+        b._output(f"s_{i}", s)
+    b._output("cout", cout)
     return b.finish(carry_merges=carry_merges)
 
 
@@ -215,12 +218,12 @@ def build_incrementer(width: int) -> Netlist:
     """Adds a single carry bit into an operand: a chain of width half adders."""
     _check_width(width)
     b = NetlistBuilder(f"inc_w{width}")
-    xs = [b.add_input(f"x_{i}") for i in range(width)]
-    cin = b.add_input("cin")
+    xs = [b.add_input(f"x_{i}").index for i in range(width)]
+    cin = b.add_input("cin").index
     ys, cout = _increment_slice(b, xs, cin)
     for i, v in enumerate(ys):
-        b.add_output(f"y_{i}", v)
-    b.add_output("cout", cout)
+        b._output(f"y_{i}", v)
+    b._output("cout", cout)
     return b.finish()
 
 
@@ -249,13 +252,13 @@ def build_cia(
 
     b = NetlistBuilder(name)
     a, y, cin = _declare_operands(b, width)
-    sums: list[NetId] = []
+    sums: list[int] = []
     merges: list[int] = []
     eff = None
     for k, start in enumerate(range(0, width, block_size)):
         stop = min(start + block_size, width)
         stage = f"block{k}"
-        block_cin = cin if k == 0 else b.constant(0)
+        block_cin = cin if k == 0 else b.constant(0).index
         if block_kind is Architecture.RCA:
             partial, block_carry = _ripple_slice(b, a[start:stop], y[start:stop], block_cin, stage)
         else:
@@ -269,7 +272,7 @@ def build_cia(
         inc_stage = f"inc{k}"
         bumped, inc_carry = _increment_slice(b, partial, eff, inc_stage)
         sums.extend(bumped)
-        eff = b.add_gate(GateKind.OR, [block_carry, inc_carry], stage=inc_stage)
+        eff = b._gate(_OR, (block_carry, inc_carry), inc_stage)
         merges.append(b.gate_count - 1)
     return _finish_adder(b, sums, eff, carry_merges=merges)
 

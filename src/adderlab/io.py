@@ -79,9 +79,9 @@ def export_json(netlist: Netlist) -> str:
         "    }"
         for value, net in netlist.constants
     ]
-    gates = [
+    gates = [  # a gate has at least one input, so its array is never "[]"
         "{\n"
-        f'      "inputs": {_json_list(list(map(ids.__getitem__, gate.inputs)), 3)},\n'
+        '      "inputs": [\n        ' + ",\n        ".join(map(ids.__getitem__, gate.inputs)) + "\n      ],\n"
         f'      "kind": "{gate.kind.value}",\n'
         f'      "output": {ids[gate.output]}\n'
         "    }"
@@ -311,9 +311,9 @@ def export_dot(netlist: Netlist) -> str:
     source = {net: _dot_str("in:" + name) for name, net in netlist.inputs}
     source.update((net, f'"const{value}"') for value, net in netlist.constants)
     source.update((gate.output, f"g{gi}") for gi, gate in enumerate(netlist.gates))
-    for gi, gate in enumerate(netlist.gates):
-        for net in gate.inputs:
-            lines.append(f"  {source[net]} -> g{gi};")
+    for gi, gate in enumerate(netlist.gates):  # one "  {source} -> g{gi};" line per input
+        edge = f" -> g{gi};"
+        lines.append("  " + (edge + "\n  ").join(map(source.__getitem__, gate.inputs)) + edge)
     for name, net in netlist.outputs:
         lines.append(f"  {source[net]} -> {_dot_str('out:' + name)};")
     lines.append("}")
@@ -389,8 +389,8 @@ def export_verilog(netlist: Netlist) -> str:
             while ident in taken:  # a port already holds the name
                 suffix += 1
                 ident = f"n{index}_{suffix}"
-            names[index] = reserve(ident, "wire")
-            wires.append(names[index])
+            names[index] = ident  # an identifier, no keyword, and no other wire's name: reserve() would pass it
+            wires.append(ident)
 
     lines = [f"module {module} ({', '.join(in_ports + out_ports)});"]
     for ident in in_ports:
@@ -400,8 +400,8 @@ def export_verilog(netlist: Netlist) -> str:
     for wire in wires:
         lines.append(f"  wire {wire};")
     for gi, gate in enumerate(netlist.gates):
-        ops = [names[gate.output]] + [names[net] for net in gate.inputs]
-        lines.append(f"  {gate.kind.value.lower()} g{gi} ({', '.join(ops)});")
+        ins = ", ".join(map(names.__getitem__, gate.inputs))
+        lines.append(f"  {gate.kind.value.lower()} g{gi} ({names[gate.output]}, {ins});")
     for k, (ident, net) in enumerate(aliases):
         lines.append(f"  buf g{len(netlist.gates) + k} ({ident}, {names[net]});")
     lines.append("endmodule")

@@ -104,6 +104,9 @@ class FaninPenalty(Enum):
     LOG2 = "log2"
 
 
+_LOG2 = FaninPenalty.LOG2  # as _NOT and _XOR: gate_delay asks once per gate
+
+
 @dataclass(frozen=True)
 class DelayModel:
     """Per-kind gate delays in dimensionless gate-delay units.
@@ -132,7 +135,7 @@ class DelayModel:
             _require_int(fanin, "fan-in")
             fanin = int(fanin)
         d = self.base[kind]
-        if self.fanin_penalty is FaninPenalty.LOG2:
+        if self.fanin_penalty is _LOG2:
             # ceil(log2(n)) for n >= 2, computed exactly in integers
             d = d * (max(fanin, 2) - 1).bit_length()
         return d
@@ -150,6 +153,14 @@ def _require_int(value, what: str) -> None:
     """Reject anything but an integer (numpy's included), and bools, with InvalidParameter."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+
+
+def _iterable(value, what: str):
+    """An iterator over ``value``; InvalidParameter if it is not iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise InvalidParameter(f"{what} must be iterable, got {value!r}") from None
 
 
 def _as_bit(value, name: str):
@@ -232,7 +243,7 @@ class Netlist:
         earlier gates.  Then, for the kernel and the exporters, that each
         gate's kind is a ``GateKind`` whose fan-in rule it meets (else
         FanInViolation) and its stage a str or None, that each carry merge
-        is a gate's index (else UnknownNet) and that gate has two inputs,
+        is a gate's index (else UnknownNet) and that gate a two-input OR,
         that constants are 0 or 1, that all names are strs, and that no
         input or output port name repeats (else DuplicatePortName).  Last,
         that the tables and each gate's inputs are tuples, and the ports
@@ -291,6 +302,8 @@ class Netlist:
                 raise UnknownNet(f"no gate {gi!r} in netlist '{self.name}'")
             if len(self.gates[gi].inputs) != 2:
                 raise InvalidParameter(f"carry merge gate {gi} of netlist '{self.name}' has no two inputs to merge")
+            if self.gates[gi].kind is not GateKind.OR:
+                raise InvalidParameter(f"carry merge gate {gi} of netlist '{self.name}' is no OR gate")
         for value, _ in self.constants:
             if type(value) is not int or value not in (0, 1):
                 raise InvalidParameter(f"constant of netlist '{self.name}' must be 0 or 1, got {value!r}")
@@ -512,7 +525,14 @@ _owner_counter = itertools.count(1)
 
 
 class NetlistBuilder:
-    """Accumulates ports and gates, named by ``NetId`` handles, then freezes into a ``Netlist``."""
+    """Accumulates ports and gates, named by ``NetId`` handles, then freezes into a ``Netlist``.
+
+    The public methods check every handle, kind and fan-in as it comes.
+    The private ``_gate`` and ``_output``, which the adder generators
+    use, take plain net ints and check none of them: ``finish()`` builds
+    a ``Netlist``, whose constructor checks every net, source, order,
+    kind and fan-in.
+    """
 
     def __init__(self, name: str = "netlist"):
         self.name = name
@@ -569,6 +589,11 @@ class NetlistBuilder:
         (self._outputs[name],) = self._indices((net,))
         return net
 
+    def _output(self, name: str, net: int) -> None:
+        """``add_output`` on a net int: only the name is checked."""
+        self._check_new_port(self._outputs, name, "output")
+        self._outputs[name] = net
+
     def constant(self, value: int) -> NetId:
         """Net pinned to 0 or 1; one shared net per value."""
         self._require_open()
@@ -589,13 +614,17 @@ class NetlistBuilder:
         self._require_open()
         if not isinstance(kind, GateKind):
             raise InvalidParameter(f"gate kind must be a GateKind, got {kind!r}")
-        ins = tuple(inputs)
+        ins = tuple(_iterable(inputs, "gate inputs"))
         if not kind.arity_ok(len(ins)):
             raise FanInViolation(f"{kind.value} gate cannot take {len(ins)} input(s)")
-        ins = self._indices(ins)
-        out = self._new_net()
+        return NetId(self._gate(kind, self._indices(ins), stage), self._owner)
+
+    def _gate(self, kind: GateKind, ins: tuple[int, ...], stage: str | None = None) -> int:
+        """Append a gate reading the net ints ``ins``, unchecked; returns its output net."""
+        out = self._nets
+        self._nets = out + 1
         self._gates.append(Gate(kind, ins, out, stage))
-        return NetId(out, self._owner)
+        return out
 
     def finish(self, carry_merges: Sequence[int] | None = None) -> Netlist:
         """Freeze into an immutable ``Netlist``; the builder then rejects further edits.
@@ -608,7 +637,7 @@ class NetlistBuilder:
             tuple(self._inputs.items()),
             tuple(self._outputs.items()),
             tuple(sorted(self._consts.items())),
-            carry_merges=None if carry_merges is None else tuple(carry_merges),
+            carry_merges=None if carry_merges is None else tuple(_iterable(carry_merges, "carry merges")),
         )
         self._finished = True
         return netlist

@@ -32,6 +32,10 @@ replays a document through ``NetlistBuilder``, checking it field by
 field: the plain forms that ``adderlab.io``'s line-template writer and
 direct table build must match byte for byte and error for error.
 
+``reference_export_dot`` writes the DOT rendering with one f-string per
+edge; ``export_dot``, which writes each gate's in-edges with one join,
+must match it byte for byte.
+
 ``reference_import_verilog`` reads back the structural Verilog that
 ``export_verilog`` writes and rebuilds its netlist through
 ``NetlistBuilder``, so an exported adder can be checked again.
@@ -375,6 +379,53 @@ def reference_exhaustive_chunks(width, words, start=0):
         sums = np.pad(sums, (0, -n % 64))
         bits = np.stack([((sums >> np.uint64(i)) & np.uint64(1)).astype(np.uint8) for i in range(width + 1)])
         yield first, np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+# -- DOT -------------------------------------------------------------------------------
+
+def _dot_str(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def reference_export_dot(netlist):
+    """``export_dot``'s text, built line by line with one f-string per edge."""
+    lines = [f"digraph {_dot_str(netlist.name)} {{", "  rankdir=LR;"]
+    for name, _ in netlist.inputs:
+        lines.append(f"  {_dot_str('in:' + name)} [shape=ellipse, label={_dot_str(name)}];")
+    for value, _ in netlist.constants:
+        lines.append(f'  "const{value}" [shape=diamond, label="{value}"];')
+    flat, stages = [], {}
+    for gi, gate in enumerate(netlist.gates):
+        if gate.stage is None:
+            flat.append(gi)
+        else:
+            stages.setdefault(gate.stage, []).append(gi)
+
+    def gate_line(gi, pad):
+        return f'{pad}g{gi} [shape=box, label="{netlist.gates[gi].kind.value}#{gi}"];'
+
+    for gi in flat:
+        lines.append(gate_line(gi, "  "))
+    for stage, members in stages.items():
+        lines.append(f"  subgraph {_dot_str('cluster_' + stage)} {{")
+        lines.append(f"    label={_dot_str(stage)};")
+        for gi in members:
+            lines.append(gate_line(gi, "    "))
+        lines.append("  }")
+    for name, _ in netlist.outputs:
+        lines.append(f"  {_dot_str('out:' + name)} [shape=doubleoctagon, label={_dot_str(name)}];")
+    source = {net: _dot_str("in:" + name) for name, net in netlist.inputs}
+    for value, net in netlist.constants:
+        source[net] = f'"const{value}"'
+    for gi, gate in enumerate(netlist.gates):
+        source[gate.output] = f"g{gi}"
+    for gi, gate in enumerate(netlist.gates):
+        for net in gate.inputs:
+            lines.append(f"  {source[net]} -> g{gi};")
+    for name, net in netlist.outputs:
+        lines.append(f"  {source[net]} -> {_dot_str('out:' + name)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # -- Verilog ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Adder generators: structure, gate budgets, port contract, function."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -318,3 +319,27 @@ def test_all_architectures_expose_the_port_contract(arch):
     want_in, want_out = adder_port_names(5)
     assert list(nl.input_names) == want_in
     assert list(nl.output_names) == want_out
+
+
+# -- built tables, pinned --------------------------------------------------------
+
+def pinned_netlists():
+    yield build_half_adder()
+    yield build_full_adder()
+    for width in range(1, 17):
+        yield build_incrementer(width)
+    for arch, width, block, fanin in itertools.product(Architecture, range(1, 17), (1, 2, 3, 4, 5, 8), (None, 2, 3)):
+        if block <= width or not arch.is_cia:
+            yield build_adder(AdderSpec(arch, width, block, fanin))
+
+
+def test_built_tables_are_pinned():
+    # One digest over the name and tables of 1,068 netlists: every architecture
+    # at w1-16, block sizes 1-5 and 8, fan-in unlimited, 2 and 3, plus the
+    # half adder, full adder and incrementers.  A change to any gate, port,
+    # constant or carry merge of a built netlist changes it.
+    digest = hashlib.sha256()
+    for nl in pinned_netlists():
+        gates = tuple((gate.kind.value, gate.inputs, gate.output, gate.stage) for gate in nl.gates)
+        digest.update(repr((nl.name, gates, nl.inputs, nl.outputs, nl.constants, nl.carry_merges)).encode())
+    assert digest.hexdigest() == "4e6f9fcd96845769b1754fb29898a232480fa1f2e0733eb8673fab8b4198fd65"

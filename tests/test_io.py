@@ -42,6 +42,7 @@ from adderlab import (
 from adderlab.analysis import ComparisonTable
 from oracle import (
     reference_doc_order,
+    reference_export_dot,
     reference_export_json,
     reference_import_json,
     reference_import_verilog,
@@ -646,6 +647,36 @@ def test_verilog_reader_takes_only_what_the_exporter_writes():
                 text.replace("  input b;\n", "")):
         with pytest.raises((ValueError, KeyError)):
             reference_import_verilog(bad)
+
+
+# -- writers against their plain references -------------------------------------------
+
+def assert_writers_match_references(nl):
+    """DOT and JSON equal the reference writers' bytes; the Verilog reads back gate for gate."""
+    assert export_dot(nl) == reference_export_dot(nl)
+    assert export_json(nl) == reference_export_json(nl)
+    back = reference_import_verilog(export_verilog(nl))
+    twin = {net: back_net for (_, net), (_, back_net) in zip(nl.inputs, back.inputs)}
+    back_constants = dict(back.constants)
+    twin |= {net: back_constants.get(value) for value, net in nl.constants}
+    twin |= {gate.output: back_gate.output for gate, back_gate in zip(nl.gates, back.gates)}
+    want = [(gate.kind, tuple(map(twin.__getitem__, gate.inputs))) for gate in nl.gates]
+    assert [(gate.kind, gate.inputs) for gate in back.gates] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists())
+def test_writers_match_references_on_random_netlists(nl):
+    assert_writers_match_references(nl)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_cla_block(16),
+    lambda: build_cla_block(12, 3),
+    lambda: build_cia(17, 5, Architecture.CLA, 2),
+], ids=["cla_w16", "cla_w12_f3", "cia_cla_w17_b5_f2"])
+def test_writers_match_references_on_wide_gate_adders(build):
+    assert_writers_match_references(build())
 
 
 # -- CSV ------------------------------------------------------------------------------

@@ -79,6 +79,20 @@ def test_add_gate_needs_a_gate_kind(kind):
     assert b.gate_count == 0
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda b, x: b.add_gate(GateKind.AND, 5), "^gate inputs must be iterable, got 5$"),
+    (lambda b, x: b.add_gate(GateKind.NOT, x), r"^gate inputs must be iterable, got NetId\(index=0, owner=[0-9]+\)$"),
+    (lambda b, x: b.finish(carry_merges=5), "^carry merges must be iterable, got 5$"),
+], ids=["int inputs", "one handle as inputs", "int merges"])
+def test_builder_rejects_what_is_not_iterable(call, message):
+    b = NetlistBuilder("t")
+    x = b.add_input("x")
+    with pytest.raises(InvalidParameter, match=message):
+        call(b, x)
+    b.add_output("y", b.add_gate(GateKind.NOT, [x]))  # the builder is still open
+    assert len(b.finish().gates) == 1
+
+
 def test_wide_and_or_allowed():
     b = NetlistBuilder("t")
     nets = [b.add_input(f"i{k}") for k in range(6)]

@@ -249,18 +249,19 @@ def test_probe_single_block_trivially_true():
 def sabotaged_cia():
     """A hand-built 2-bit, block-1 carry-increment adder whose second block adds
     a hard 1 instead of 0: its block carry and increment carry can then both
-    fire.  Returns the open builder and the index of the stage's merge gate."""
+    fire.  Returns the open builder and the index of the stage's merge gate.
+    The fragments, like the builder's ``_gate`` and ``_output``, take net ints."""
     b = NetlistBuilder("sabotaged")
-    a = [b.add_input("a_0"), b.add_input("a_1")]
-    y = [b.add_input("b_0"), b.add_input("b_1")]
-    cin = b.add_input("cin")
+    a = [b.add_input("a_0").index, b.add_input("a_1").index]
+    y = [b.add_input("b_0").index, b.add_input("b_1").index]
+    cin = b.add_input("cin").index
     s0, eff0 = _full_adder(b, a[0], y[0], cin)
-    partial, block_carry = _ripple_slice(b, a[1:], y[1:], b.constant(1))
+    partial, block_carry = _ripple_slice(b, a[1:], y[1:], b.constant(1).index)
     bumped, inc_carry = _increment_slice(b, partial, eff0)
-    eff1 = b.add_gate(GateKind.OR, [block_carry, inc_carry])
-    b.add_output("s_0", s0)
-    b.add_output("s_1", bumped[0])
-    b.add_output("cout", eff1)
+    eff1 = b._gate(GateKind.OR, (block_carry, inc_carry))
+    b._output("s_0", s0)
+    b._output("s_1", bumped[0])
+    b._output("cout", eff1)
     return b, b.gate_count - 1
 
 
@@ -294,7 +295,9 @@ def test_finish_rejects_a_carry_merge_of_foreign_nets(spoil):
     (lambda nl: "x", UnknownNet, "no gate 'x'"),
     (lambda nl: len(nl.gates), InvalidParameter,  # the NOT gate that ``rebuilt`` appends
      "carry merge gate [0-9]+ of netlist 'cia_rca_w4_b2' has no two inputs to merge"),
-], ids=["net out of range", "negative net", "bool", "numpy int", "handle", "string", "one-input gate"])
+    (lambda nl: 2, InvalidParameter,  # block 0's second XOR: two inputs, but no merge of carries
+     "carry merge gate 2 of netlist 'cia_rca_w4_b2' is no OR gate"),
+], ids=["net out of range", "negative net", "bool", "numpy int", "handle", "string", "one-input gate", "xor gate"])
 def test_netlist_rejects_a_carry_merge_naming_no_net(spoil, error, shown):
     # hand-built tables, with no builder to vet the merges first, and one NOT gate that nothing reads
     nl = build_cia(4, 2, Architecture.RCA)
