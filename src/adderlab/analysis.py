@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .builders import AdderSpec, _check_spec, build_adder
-from .errors import AdderLabError, EmptySpecList
+from .errors import AdderLabError, EmptySpecList, InvalidParameter
 from .netlist import DelayModel, GateKind, Netlist
 from .verify import _check_exhaustive_all
 
@@ -85,14 +85,16 @@ def compare(specs, model: DelayModel) -> ComparisonTable:
     VERIFY_WIDTH_LIMIT and is skipped (verified=None) beyond that.  All
     rows of one width are verified in one shared sweep, so the oracle's
     planes for that width are built once.  An item that is not an
-    ``AdderSpec`` of an ``Architecture`` raises InvalidParameter before
-    anything is built.
+    ``AdderSpec`` of an ``Architecture``, or a ``model`` that is not a
+    ``DelayModel``, raises InvalidParameter before anything is built.
     """
     specs = list(specs)
     if not specs:
         raise EmptySpecList("no adder specs to compare")
     for spec in specs:  # rows read spec.arch even when the build fails
         _check_spec(spec)
+    if not isinstance(model, DelayModel):
+        raise InvalidParameter(f"delay model must be a DelayModel, got {model!r}")
     netlists: dict[int, Netlist] = {}
     errors: dict[int, str] = {}
     for k, spec in enumerate(specs):

@@ -4,11 +4,11 @@ Verilog, and CSV comparison tables.
 JSON is the only round-trippable format.  Export is canonical (keys
 sorted, nets renumbered densely, gates in stored order), so rebuilds and
 re-imports give identical bytes; it is written from fixed line templates.
-Import checks every field, then builds the netlist's tables directly.
-A document's gates may come in any order; they are sorted only when
-their output ids do not ascend in dependency order, as an exported
-document's do.  DOT and Verilog are one-way views; CSV serializes
-comparison tables.
+Import checks every field and the document's own net ids, then replays
+the netlist through ``NetlistBuilder``.  A document's gates may come in
+any order; they are sorted only when their output ids do not ascend in
+dependency order, as an exported document's do.  DOT and Verilog are
+one-way views; CSV serializes comparison tables.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from operator import lt
 
 from .analysis import ComparisonTable, _row_cells
 from .errors import (
+    DuplicatePortName,
     InvalidIdentifier,
     InvariantViolation,
     NameCollisionAfterSanitization,
@@ -27,7 +28,7 @@ from .errors import (
     UnknownGateKind,
     UnsupportedVersion,
 )
-from .netlist import Gate, GateKind, Netlist
+from .netlist import GateKind, Netlist, NetlistBuilder
 from .verify import EquivalenceReport
 
 FORMAT_VERSION = 1
@@ -151,14 +152,17 @@ def import_json(text: str) -> Netlist:
     arity, cycles, duplicate ports) raise InvariantViolation; malformed
     documents raise ParseError; foreign kinds or versions raise
     UnknownGateKind / UnsupportedVersion.  Every field is checked, in
-    document order, before any net is numbered.  Nets are numbered as
-    ``NetlistBuilder`` would number them: inputs, then one net per
-    constant value, then gate outputs in build order, which is the
-    document's order unless a gate reads a later gate.
+    document order, before any net is numbered.  Then the document is
+    replayed through ``NetlistBuilder``, which numbers the nets: inputs,
+    then one net per constant value, then gate outputs in build order,
+    which is the document's order unless a gate reads a later gate.  The
+    builder rejects repeated port names; ``import_json`` itself checks
+    what only a document has, its net ids: none driven twice, none read
+    or tapped undriven.
     """
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also too-deep nesting, too-long integers
+    except (ValueError, RecursionError, TypeError) as exc:  # also too-deep nesting, too-long integers, non-text
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
@@ -203,60 +207,40 @@ def import_json(text: str) -> Netlist:
         kinds.append(kind)
         refs.append(ins)
 
+    builder = NetlistBuilder(name)
     nets: dict[int, int] = {}  # document net id -> net
-    in_ports: list[tuple[str, int]] = []
-    taken: set[str] = set()
-    for entry in inputs:
-        ref, port = entry["net"], entry["name"]
-        if ref in nets:
-            raise InvariantViolation(f"net {ref} has more than one driver (input {port})")
-        if port in taken:
-            raise InvariantViolation(f"input port '{port}' already declared")
-        taken.add(port)
-        nets[ref] = len(in_ports)
-        in_ports.append((port, nets[ref]))
-    consts: dict[int, int] = {}  # one net per value, numbered in first-appearance order
-    for entry in constants:
-        ref, value = entry["net"], entry["value"]
-        if ref in nets:
-            raise InvariantViolation(f"net {ref} has more than one driver (constant)")
-        if value not in consts:
-            consts[value] = len(in_ports) + len(consts)
-        nets[ref] = consts[value]
+    try:
+        for entry in inputs:
+            ref = entry["net"]
+            if ref in nets:
+                raise InvariantViolation(f"net {ref} has more than one driver (input {entry['name']})")
+            nets[ref] = builder.add_input(entry["name"]).index
+        for entry in constants:
+            ref = entry["net"]
+            if ref in nets:
+                raise InvariantViolation(f"net {ref} has more than one driver (constant)")
+            nets[ref] = builder.constant(entry["value"]).index
 
-    # Gate outputs ascending, each above its gate's inputs: then every gate
-    # reads only earlier gates and the document order is the build order.
-    in_order = all(map(lt, outs, outs[1:])) and all(map(lt, map(max, refs), outs))
-    order = range(len(outs)) if in_order else _doc_order(refs, outs)
-    first = len(in_ports) + len(consts)
-    built: list[Gate] = []
-    for gi in order:
-        out = outs[gi]
-        if out in nets:
-            raise InvariantViolation(f"net {out} has more than one driver (gate {gi})")
-        try:
-            feeds = tuple(map(nets.__getitem__, refs[gi]))
-        except KeyError as exc:
-            raise InvariantViolation(f"gate reads undriven net {exc.args[0]}") from None
-        nets[out] = first + len(built)
-        built.append(Gate(kinds[gi], feeds, nets[out]))
-    out_ports: list[tuple[str, int]] = []
-    taken = set()
-    for entry in outputs:
-        ref, port = entry["net"], entry["name"]
-        if ref not in nets:
-            raise InvariantViolation(f"output port '{port}' taps undriven net")
-        if port in taken:
-            raise InvariantViolation(f"output port '{port}' already declared")
-        taken.add(port)
-        out_ports.append((port, nets[ref]))
-    return Netlist(
-        name,
-        tuple(built),
-        tuple(in_ports),
-        tuple(out_ports),
-        tuple(sorted(consts.items())),
-    )
+        # Gate outputs ascending, each above its gate's inputs: then every gate
+        # reads only earlier gates and the document order is the build order.
+        in_order = all(map(lt, outs, outs[1:])) and all(map(lt, map(max, refs), outs))
+        for gi in range(len(outs)) if in_order else _doc_order(refs, outs):
+            out = outs[gi]
+            if out in nets:
+                raise InvariantViolation(f"net {out} has more than one driver (gate {gi})")
+            try:
+                feeds = tuple(map(nets.__getitem__, refs[gi]))
+            except KeyError as exc:
+                raise InvariantViolation(f"gate reads undriven net {exc.args[0]}") from None
+            nets[out] = builder._gate(kinds[gi], feeds)
+        for entry in outputs:
+            ref, port = entry["net"], entry["name"]
+            if ref not in nets:
+                raise InvariantViolation(f"output port '{port}' taps undriven net")
+            builder._output(port, nets[ref])
+    except DuplicatePortName as exc:
+        raise InvariantViolation(str(exc)) from exc
+    return builder.finish()
 
 
 def export_report(report: EquivalenceReport) -> str:

@@ -528,10 +528,10 @@ class NetlistBuilder:
     """Accumulates ports and gates, named by ``NetId`` handles, then freezes into a ``Netlist``.
 
     The public methods check every handle, kind and fan-in as it comes.
-    The private ``_gate`` and ``_output``, which the adder generators
-    use, take plain net ints and check none of them: ``finish()`` builds
-    a ``Netlist``, whose constructor checks every net, source, order,
-    kind and fan-in.
+    The private ``_gate`` and ``_output``, which the adder generators and
+    ``import_json`` use, take plain net ints and check none of them:
+    ``finish()`` builds a ``Netlist``, whose constructor checks every net,
+    source, order, kind and fan-in.
     """
 
     def __init__(self, name: str = "netlist"):

@@ -28,9 +28,9 @@ topological sort that gives ``import_json``'s build order.
 
 ``reference_export_json`` writes the interchange document with
 ``json.dumps(indent=2, sort_keys=True)``, and ``reference_import_json``
-replays a document through ``NetlistBuilder``, checking it field by
-field: the plain forms that ``adderlab.io``'s line-template writer and
-direct table build must match byte for byte and error for error.
+replays a document through ``NetlistBuilder``'s public methods, checking
+it field by field: the plain forms that ``adderlab.io``'s line-template
+writer and importer must match byte for byte and error for error.
 
 ``reference_export_dot`` writes the DOT rendering with one f-string per
 edge; ``export_dot``, which writes each gate's in-edges with one join,
@@ -191,7 +191,7 @@ def reference_import_json(text):
     ``reference_doc_order``, which limits it to small documents."""
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError, TypeError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")

@@ -173,6 +173,15 @@ def test_compare_rejects_a_bad_spec_before_building_any(unit, monkeypatch, bad):
     assert built == []
 
 
+@pytest.mark.parametrize("model", ["unit", None, DelayModel.unit], ids=["string", "none", "factory"])
+def test_compare_rejects_a_bad_model_before_building_any(monkeypatch, model):
+    built = []
+    monkeypatch.setattr(analysis, "build_adder", lambda spec: built.append(spec) or build_adder(spec))
+    with pytest.raises(InvalidParameter, match="^delay model must be a DelayModel, got "):
+        compare([AdderSpec(Architecture.RCA, 4)], model)
+    assert built == []
+
+
 def test_compare_keeps_failed_rows(unit):
     specs = [
         AdderSpec(Architecture.RCA, 4),
