@@ -496,7 +496,12 @@ class Netlist:
     # -- timing ----------------------------------------------------------------
 
     def arrival_times(self, model: DelayModel) -> list[float]:
-        """Latest-arrival time of every net; inputs and constants arrive at 0."""
+        """Latest-arrival time of every net; inputs and constants arrive at 0.
+
+        ``model`` must be a ``DelayModel`` (else InvalidParameter).
+        """
+        if not isinstance(model, DelayModel):
+            raise InvalidParameter(f"delay model must be a DelayModel, got {model!r}")
         arr = [0.0] * len(self.drivers)
         for gate in self.gates:
             delay = model.gate_delay(gate.kind, len(gate.inputs))

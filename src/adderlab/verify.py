@@ -3,23 +3,28 @@
 The reference is integer addition, ``a + b + cin`` per case (over Python
 ints for random draws, over numpy case indices for exhaustive sweeps;
 ``oracle_add`` is the one-case form), which shares no code with the
-netlist simulator.  Both checkers run the netlist through its kernel in
+netlist simulator.  Both checkers run netlists through the kernel in
 chunks of 131,072 cases, 64 per uint64 word, keeping only the output
 nets; the oracle's sums are packed into expected bit-planes by
 ``np.packbits`` so one XOR/OR pass compares a whole chunk.  An exhaustive
 sweep packs the sums of one chunk's case indices once per width and
 derives every chunk's expected planes from them (``_expected_planes``).
-On a 2-core VM, ``compare`` of all four architectures at w12 takes a
-median 0.24-0.29 s with 2,048-word chunks, 0.35-0.36 s with 1,024,
-and 0.19-0.23 s with 4,096, which raise peak memory by 2 MiB.
 
 One sweep serves a list of netlists of the same width: each chunk's
-input and expected planes are built once and every netlist is simulated
-and compared against them, which is how ``analysis.compare`` verifies
-all rows of a width.  Exhaustive checks sweep the full (a, b, cin)
-space; random checks draw from a seeded PCG64 stream and always include
-the corner cases.  Reports cap the failure list at 32 entries but keep
-the exact count.
+input and expected planes are built once, and the netlists are replayed
+into one netlist over shared input ports (``_merged``), so each chunk is
+one kernel run whose hash-consing computes the logic they share once:
+every ``a_i ^ b_i`` and ``a_i & b_i``, and cia_rca's block 0, which is
+rca's low bits.  Each netlist's outputs are then compared with the
+expected planes on their own.  The compare is not folded into the
+program: at w12 that would add 100 kernel steps per chunk to save 100
+numpy calls, and would run the oracle check through the simulator.  This
+is how ``analysis.compare`` verifies all rows of a width: at w12 its
+four architectures run 306 steps per chunk, not 450, and on a 2-core VM
+it takes a median 0.20 s (0.23 s with one run per netlist).  Exhaustive
+checks sweep the full (a, b, cin) space; random checks draw from a
+seeded PCG64 stream and always include the corner cases.  Reports cap
+the failure list at 32 entries but keep the exact count.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .errors import (
     PortContractViolation,
     ZeroWidth,
 )
-from .netlist import Netlist, _require_int
+from .netlist import Netlist, NetlistBuilder, _require_int
 
 FAILURE_CAP = 32
 DEFAULT_CASE_CAP = 1 << 21  # full sweep allowed up to width 10
@@ -233,17 +238,15 @@ def _lane_value(rows, word: int, lane: int) -> int:
     return sum(((int(row[word]) >> lane) & 1) << i for i, row in enumerate(rows))
 
 
-def _mismatches(
-    netlist: Netlist, out_nets: tuple[int, ...], width: int, chunk, failures: list[Failure]
-) -> int:
-    """Simulate one chunk on ``netlist`` and count the cases whose outputs miss the oracle.
+def _mismatches(got: list[np.ndarray], width: int, chunk, failures: list[Failure]) -> int:
+    """Count the cases of one chunk whose output planes ``got`` miss the oracle.
 
-    Appends failing cases to ``failures`` until it holds FAILURE_CAP.
-    Only the output nets are kept, and only for this call.  Lanes past
-    the chunk's last case never count.
+    ``got`` holds one netlist's output planes for the chunk, in
+    ``adder_port_names`` order.  Appends failing cases to ``failures``
+    until it holds FAILURE_CAP.  Lanes past the chunk's last case never
+    count.
     """
     planes, expected, n = chunk
-    got = netlist.simulate_planes(planes, expected.shape[1], out_nets)
     bad = got[0] ^ expected[0]
     for plane, want in zip(got[1:], expected[1:]):
         bad |= plane ^ want
@@ -266,21 +269,54 @@ def _mismatches(
     return int(np.count_nonzero(np.unpackbits(bad.view(np.uint8))))
 
 
+def _merged(netlists: list[Netlist], width: int) -> tuple[Netlist, tuple[int, ...]]:
+    """One netlist computing every netlist's outputs over shared input ports, and those outputs' nets.
+
+    The netlists are replayed through ``NetlistBuilder`` as ``import_json``
+    replays a document: one input per adder port name, each netlist's
+    constants through ``constant()`` and its gates in stored order.  The
+    kernel's hash-consing then runs the logic they share once per chunk.
+    The nets come width + 1 per netlist, its outputs in
+    ``adder_port_names`` order.  A lone netlist is its own merged
+    netlist, so its plan cache serves repeated checks.
+    """
+    inputs, outputs = adder_port_names(width)
+    if len(netlists) == 1:
+        [netlist] = netlists
+        return netlist, tuple(map(dict(netlist.outputs).__getitem__, outputs))
+    builder = NetlistBuilder(f"sweep_w{width}")
+    ports = {name: builder.add_input(name).index for name in inputs}
+    taps: list[int] = []
+    for netlist in netlists:
+        nets = [0] * len(netlist.drivers)  # the netlist's net -> merged net
+        for name, net in netlist.inputs:
+            nets[net] = ports[name]
+        for value, net in netlist.constants:
+            nets[net] = builder.constant(value).index
+        for gate in netlist.gates:
+            nets[gate.output] = builder._gate(gate.kind, tuple(map(nets.__getitem__, gate.inputs)))
+        out = dict(netlist.outputs)
+        taps.extend(nets[out[name]] for name in outputs)
+    return builder.finish(), tuple(taps)
+
+
 def _sweep(netlists: list[Netlist], width: int, chunks) -> list[tuple[int, tuple[Failure, ...]]]:
     """Run every netlist on each chunk and compare it with the chunk's expected planes.
 
     The chunks (input and oracle planes) are made once and shared by all
-    netlists, which must expose the width-``width`` adder ports.  Returns,
-    per netlist, the exact mismatch count and the first FAILURE_CAP
-    failing cases in chunk order.
+    netlists, which must expose the width-``width`` adder ports.  Each
+    chunk is one kernel run of the ``_merged`` netlist.  Returns, per
+    netlist, the exact mismatch count and the first FAILURE_CAP failing
+    cases in chunk order.
     """
-    _, outputs = adder_port_names(width)
-    out_nets = [tuple(map(dict(netlist.outputs).__getitem__, outputs)) for netlist in netlists]
+    program, taps = _merged(netlists, width)
     counts = [0] * len(netlists)
     failures: list[list[Failure]] = [[] for _ in netlists]
     for chunk in chunks:
-        for k, netlist in enumerate(netlists):
-            counts[k] += _mismatches(netlist, out_nets[k], width, chunk, failures[k])
+        planes, expected, _ = chunk
+        got = program.simulate_planes(planes, expected.shape[1], taps)
+        for k, first in enumerate(range(0, len(taps), width + 1)):
+            counts[k] += _mismatches(got[first : first + width + 1], width, chunk, failures[k])
     return [(count, tuple(found)) for count, found in zip(counts, failures)]
 
 

@@ -96,6 +96,12 @@ def test_delay_report_arrivals_equal_arrival_times(arch, unit, log2):
         assert report.delay == report.path[-1][1]
 
 
+@pytest.mark.parametrize("model", ["unit", None, DelayModel.unit], ids=["string", "none", "factory"])
+def test_delay_report_rejects_a_bad_model(cla4, model):
+    with pytest.raises(InvalidParameter, match="^delay model must be a DelayModel, got "):
+        delay_report(cla4, model)
+
+
 def test_one_delay_report_runs_one_forward_pass(monkeypatch, cia_cla_8_4, unit):
     calls = Counter()
     arrival_times, gate_delay = Netlist.arrival_times, DelayModel.gate_delay

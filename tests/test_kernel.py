@@ -25,15 +25,18 @@ from adderlab import (
     GateKind,
     InvalidAssignment,
     MissingInput,
+    Netlist,
     NetlistBuilder,
     UnknownInput,
     UnknownNet,
+    adder_port_names,
     build_adder,
     build_cia,
     build_half_adder,
     build_rca,
     check_exhaustive,
     check_random,
+    compare,
     probe_invariant_carry_exclusive,
 )
 from oracle import (
@@ -381,22 +384,49 @@ def test_chunk_boundaries_do_not_change_reports(monkeypatch):
         assert check_random(netlist, 4, 300, seed=2) == reference_check_random(netlist, 4, 300, seed=2)
 
 
-@pytest.mark.parametrize("words", [1024, 1], ids=["one_chunk", "one_word_chunks"])
-def test_shared_sweep_reports_each_netlist_like_its_own_check(monkeypatch, words):
-    # one sweep, one set of oracle planes, many netlists: no report may leak into another
+@pytest.mark.parametrize("width,words", [(4, 1024), (4, 1), (6, 1024)], ids=["one_chunk", "one_word_chunks", "w6"])
+def test_shared_sweep_reports_each_netlist_like_its_own_check(monkeypatch, width, words):
+    # one merged program per chunk for every kind-swap mutant of the four adders, the
+    # adders themselves and one netlist listed twice: hashing must lend no value across them
     monkeypatch.setattr(verify, "_WORDS", words)
-    rca = build_rca(4)
-    cla = build_adder(AdderSpec(Architecture.CLA, 4))
-    netlists = [rca, *kind_swap_mutants(rca), cla, build_cia(4, 2, Architecture.CLA)]
-    reports = verify._check_exhaustive_all(netlists, 4, verify.DEFAULT_CASE_CAP)
+    adders = [build_adder(AdderSpec(arch, width, 2)) for arch in Architecture]
+    netlists = [*adders, *(mutant for adder in adders for mutant in kind_swap_mutants(adder)), adders[2]]
+    assert len(netlists) == {4: 188, 6: 295}[width]
+    reports = verify._check_exhaustive_all(netlists, width, verify.DEFAULT_CASE_CAP)
     assert len(reports) == len(netlists)
     capped = 0
-    for netlist, report in zip(netlists, reports):
-        assert report == check_exhaustive(netlist, 4), netlist.name
-        assert report == reference_check_exhaustive(netlist, 4), netlist.name
+    for k, (netlist, report) in enumerate(zip(netlists, reports)):
+        assert report == check_exhaustive(netlist, width), netlist.name
+        if k % 5 == 0:
+            assert report == reference_check_exhaustive(netlist, width), netlist.name
         capped += report.failure_count > len(report.failures) == verify.FAILURE_CAP
-    assert reports[0].ok and reports[-1].ok and reports[-2].ok
-    assert capped > 0 and not all(report.ok for report in reports[1:-2])
+    assert all(report.ok for report in reports[:4]) and reports[-1].ok
+    assert capped > 0 and not all(report.ok for report in reports[4:-1])
+
+
+def test_one_width_runs_the_kernel_once_per_chunk(monkeypatch, unit):
+    # 2^13 cases at w6 in 16-word chunks: 8 chunks, each one run of the merged program
+    monkeypatch.setattr(verify, "_WORDS", 16)
+    calls = []
+    simulate_planes = Netlist.simulate_planes
+
+    def spy(self, planes, words, nets=None):
+        calls.append(len(nets))
+        return simulate_planes(self, planes, words, nets)
+
+    monkeypatch.setattr(Netlist, "simulate_planes", spy)
+    table = compare([AdderSpec(arch, 6, 2) for arch in Architecture], unit)
+    assert [row.verified for row in table.rows] == [True] * 4
+    assert calls == [4 * 7] * 8
+
+
+def test_merged_plan_runs_fewer_steps_than_its_netlists():
+    # the adders share every a_i ^ b_i and a_i & b_i, and cia_rca's block 0 is rca's low bits
+    adders = [build_adder(AdderSpec(arch, 12, 4)) for arch in Architecture]
+    merged, taps = verify._merged(adders, 12)
+    outputs = adder_port_names(12)[1]
+    own = [adder._plan(tuple(map(dict(adder.outputs).__getitem__, outputs)))[1] for adder in adders]
+    assert len(merged._plan(taps)[1]) < sum(map(len, own))
 
 
 # -- expected planes of the exhaustive sweep against per-chunk integer sums ---------

@@ -654,6 +654,12 @@ def test_critical_path_ties_go_to_first_port_and_first_input(unit):
     assert b.finish().critical_path(unit) == (2.0, [1, 2])
 
 
+@pytest.mark.parametrize("model", ["unit", None, DelayModel.unit], ids=["string", "none", "factory"])
+def test_critical_path_rejects_a_bad_model(rca4, model):
+    with pytest.raises(InvalidParameter, match="^delay model must be a DelayModel, got "):
+        rca4.critical_path(model)
+
+
 def test_critical_path_witness_is_connected(cia_cla_8_4, unit):
     delay, path = cia_cla_8_4.critical_path(unit)
     for prev, cur in zip(path, path[1:]):
