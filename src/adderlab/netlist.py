@@ -16,22 +16,27 @@ and stage and the ports' names.  ``NetlistBuilder`` is the only
 supported way to grow one; after ``finish()`` the result is immutable
 and safe to share.
 
-One kernel simulates: ``simulate_planes`` runs a program of two-operand
-bitwise steps on uint64 bit-planes, 64 cases per word (parallel-pattern
-simulation).  A netlist keeps one cache of such programs, one plan per
-tuple of nets a caller keeps (None: every net), and lowers its gates
-anew on each miss.  The lowering is hash-consed (structural hashing):
-gates' operands are sorted, a step computed once is never emitted
-again, and nets whose values are the same step, or a constant, share
-one slot.  So the product terms that lookahead carries share run once,
-and a w12 lookahead adder runs 192 steps, not the 478 of lowering each
-gate on its own.  A plan then skips steps none of the kept nets depends
-on, and each run writes into one fresh slab of planes in which a
-slot's row is reused once its last reader has run, so the slab holds
-far fewer planes than there are nets.  The checkers build the input
-planes themselves and keep only the nets they compare; ``evaluate``
-packs 0/1 integers or numpy arrays of them into planes and keeps its
-output taps, so a whole input space runs in one pass.  Timing and the
+One kernel simulates: a program of two-operand bitwise steps on uint64
+bit-planes, 64 cases per word (parallel-pattern simulation), run by the
+one loop of ``_runner``.  A netlist keeps one cache of such programs,
+one plan per tuple of nets a caller keeps (None: every net) and set of
+input ports whose planes change between runs, and lowers its gates anew
+on each miss.  The lowering is hash-consed (structural hashing): gates'
+operands are sorted, a step computed once is never emitted again, and
+nets whose values are the same step, or a constant, share one slot.  So
+the product terms that lookahead carries share run once, and a w12
+lookahead adder runs 192 steps, not the 478 of lowering each gate on
+its own.  A plan then skips steps none of the kept nets depends on, and
+moves the steps that read no changing port ahead of the rest: a series
+of runs computes those once, in the first run, and keeps their rows.
+The runs write into one slab of planes in which any other slot's row is
+reused once its last reader has run, so the slab holds far fewer planes
+than there are nets.  ``simulate_planes`` is one run with every port
+changing.  The exhaustive checkers build the input planes themselves,
+fix the operands' high bits per run and keep only the nets they compare,
+so a w12 sweep runs the logic of bits 0-7 once; ``evaluate`` packs 0/1
+integers or numpy arrays of them into planes and keeps its output taps,
+so a whole input space runs in one pass.  Timing and the
 exporters never see the program: they walk the stored gates.  Timing
 uses a ``DelayModel`` that assigns a base delay per gate kind,
 optionally scaled by ceil(log2(fan-in)) for wide gates.
@@ -215,7 +220,7 @@ class Netlist:
         # The carry-increment builder's merge OR gates, by index, one per stage
         # after the first; None means "not an increment-style build", () one block.
         self.carry_merges = carry_merges
-        self._plans: dict = {}  # kept nets (None: all) -> plan, see _plan; the kernel's only state
+        self._plans: dict = {}  # (kept nets or None, varying ports) -> plan, see _plan; the kernel's only state
         self.drivers = self._derive_drivers()
         self._input_set = frozenset(self.input_names)
 
@@ -395,17 +400,17 @@ class Netlist:
 
         ``planes`` maps each input port to a uint64 array of ``words``
         words; bit k of word j is that input's value in case 64*j + k, and
-        every returned plane has that layout.  The steps of ``_plan(nets)``
-        write into one fresh slab, in which a row not kept is reused once
-        its last reader has run.  Input planes are the caller's arrays, so
-        treat every plane as read-only.  Lanes no case occupies may hold
-        any value.
+        every returned plane has that layout.  The steps of the plan for
+        ``nets`` with every input varying write into one fresh slab, in
+        which a row not kept is reused once its last reader has run (see
+        ``_runner``).  Input planes are the caller's arrays, so treat every
+        plane as read-only.  Lanes no case occupies may hold any value.
         """
         self._check_input_names(planes, "planes")
         if isinstance(words, bool) or not isinstance(words, numbers.Integral) or words < 0:
             raise InvalidAssignment(f"words must be an integer >= 0, got {words!r}")
-        values = [planes[name] for name in self.input_names]
-        for name, plane in zip(self.input_names, values):
+        for name in self.input_names:
+            plane = planes[name]
             if not isinstance(plane, np.ndarray) or plane.dtype != np.uint64 or plane.shape != (words,):
                 raise InvalidAssignment(f"input '{name}' must be a uint64 array of {words} words")
         if nets is not None:
@@ -413,23 +418,53 @@ class Netlist:
                 hash(nets := tuple(nets))  # the plan cache's key
             except TypeError:
                 raise UnknownNet(f"nets must be None or a sequence of net ids, got {nets!r}") from None
-        rows, steps, taps = self._plan(nets)
+        run, _ = self._runner(words, nets, self._input_set)
+        return run(planes)
+
+    def _runner(self, words: int, nets, varying: frozenset[str]):
+        """(run, fixed): the kernel loop over ``_plan(nets, varying)`` for runs of ``words`` words.
+
+        ``run(planes)`` takes one set of input planes, laid out as in
+        ``simulate_planes``, and returns the planes of ``nets``.  The first
+        run executes every step, later runs only the per-run steps: the
+        run-once values stay in their pinned rows of the one slab, so
+        ports outside ``varying`` must get the same planes in every run.
+        Each run overwrites the planes the last one returned.
+        ``fixed[i]`` is true iff the i-th kept net's plane is the same in
+        every run.  Nothing is checked here; ``simulate_planes`` checks
+        what callers pass.
+        """
+        rows, steps, once, taps, fixed = self._plan(nets, varying)
         slab = np.empty((rows, words), dtype=np.uint64)
         slab[0] = 0
         slab[1] = ~np.uint64(0)
-        values.extend(slab)
-        for op, left, right, out in steps:
-            op(values[left], values[right], values[out])
-        return [values[tap] for tap in taps]
+        names, values = self.input_names, [None] * len(self.inputs) + list(slab)
+        todo, later = steps, steps[once:]
 
-    def _plan(self, nets) -> tuple[int, tuple[Step, ...], tuple[int, ...]]:
-        """(slab rows, steps, taps) that compute ``nets`` (None: every net); cached.
+        def run(planes: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+            nonlocal todo
+            values[: len(names)] = map(planes.__getitem__, names)
+            for op, left, right, out in todo:
+                op(values[left], values[right], values[out])
+            todo = later
+            return [values[tap] for tap in taps]
 
-        Each step (op, left, right, out) stores op(value left, value right),
-        op being numpy's bitwise AND, OR or XOR, in value ``out`` of a list
-        that holds the input ports' planes in port order, then the slab's
-        rows, the first two all zeros and all ones.  Kept nets must be ints
-        in 0..n-1 (else UnknownNet).
+        return run, fixed
+
+    def _plan(self, nets, varying: frozenset[str]) -> tuple[
+        int, tuple[Step, ...], int, tuple[int, ...], tuple[bool, ...]
+    ]:
+        """(slab rows, steps, run-once count, taps, fixed) that compute ``nets`` (None: every net); cached.
+
+        ``varying`` names the input ports whose planes change between runs
+        (see ``_runner``).  Each step (op, left, right, out) stores
+        op(value left, value right), op being numpy's bitwise AND, OR or
+        XOR, in value ``out`` of a list that holds the input ports' planes
+        in port order, then the slab's rows, the first two all zeros and
+        all ones.  The first ``once`` steps read no varying port, directly
+        or through other steps, and run once; the rest run on every run.
+        ``fixed[i]`` tells whether kept net i is such a run-once value.
+        Kept nets must be ints in 0..n-1 (else UnknownNet).
 
         A miss lowers the gates over slots: 0..n-1 the nets, n and n+1 the
         zeros and ones, n+2 and up wide gates' intermediate results.  An
@@ -440,10 +475,12 @@ class Netlist:
         keyed on (op, left, right) with left <= right and emitted once; a
         gate's net maps to the slot of its last step.  Shared product terms
         thus run once, and kept nets that share a slot share a row.  Steps
-        no kept net depends on are dropped.  A slot takes a free row when
-        first written and frees it after its last reader, unless it is kept.
+        no kept net depends on are dropped, and the run-once steps move
+        ahead of the rest, each part in stored order.  A slot takes a free
+        row when first written and frees it after its last reader, unless
+        it is kept or a run-once value that a per-run step reads.
         """
-        plan = self._plans.get(nets)
+        plan = self._plans.get((nets, varying))
         if plan is not None:
             return plan
         n, k = len(self.drivers), len(self.inputs)
@@ -478,19 +515,28 @@ class Netlist:
                 live.update(step[1:3])
                 needed.append(step)
         needed.reverse()
+        invariant = {zeros, ones} | {net for name, net in self.inputs if name not in varying}
+        for _, left, right, out in needed:
+            if left in invariant and right in invariant:
+                invariant.add(out)
+        first = [step for step in needed if step[3] in invariant]
+        once = len(first)
+        needed = first + [step for step in needed if step[3] not in invariant]
         last_read = {slot: s for s, step in enumerate(needed) for slot in step[1:3]}
         where = {net: j for j, (_, net) in enumerate(self.inputs)} | {zeros: k, ones: k + 1}
-        fixed, free, rows, steps = set(where) | set(kept), [], 2, []
+        pinned = set(where) | set(kept) | {slot for step in needed[once:] for slot in step[1:3] if slot in invariant}
+        free, rows, steps = [], 2, []
         for s, (op, left, right, out) in enumerate(needed):
             for slot in {left, right}:
-                if last_read[slot] == s and slot not in fixed:
+                if last_read[slot] == s and slot not in pinned:
                     free.append(where[slot])
             if free:
                 where[out] = free.pop()
             else:
                 where[out], rows = k + rows, rows + 1
             steps.append((op, where[left], where[right], where[out]))
-        plan = self._plans[nets] = (rows, tuple(steps), tuple(map(where.__getitem__, kept)))
+        fixed = tuple(slot in invariant for slot in kept)
+        plan = self._plans[(nets, varying)] = (rows, tuple(steps), once, tuple(map(where.__getitem__, kept)), fixed)
         return plan
 
     # -- timing ----------------------------------------------------------------

@@ -18,9 +18,9 @@ into one uint8 array per input port, simulated with
 comparison.
 
 ``reference_exhaustive_chunks`` gives the expected planes of an
-exhaustive sweep's chunks from the integer sums of each chunk's own case
-indices, packed with ``np.packbits``; ``verify`` packs the sums of one
-chunk's case indices the same way, once per width, and derives every
+exhaustive sweep's chunks from the integer sums ``a + b + cin`` of each
+chunk's own cases, packed with ``np.packbits``; ``verify`` packs the sums
+of one chunk's low operand bits once per width, and derives every
 chunk's planes from that fixed set instead.
 
 ``reference_doc_order`` is the quadratic form of the lowest-index-first
@@ -363,22 +363,27 @@ def reference_check_random(netlist, width, samples, seed):
 
 
 def reference_exhaustive_chunks(width, words, start=0):
-    """Yield (first case index, expected planes) of each exhaustive chunk from ``start`` on.
+    """Yield (a_hi, b_hi, cases, expected planes) of each exhaustive chunk from the ``start``-th on.
 
-    A chunk holds min(2**(2*width+1), 64*words) cases and ``start`` must
-    be a multiple of that.  Plane i holds bit i of a + b + cin for each
-    case index a << (width+1) | b << 1 | cin of the chunk, one case per
-    lane, padded to a whole word with zero cases.
+    With low the largest bit count <= width whose 2**(2*low+1) cases fit
+    in 64*words, a chunk holds those cases: it fixes a >> low to a_hi and
+    b >> low to b_hi, and chunks run in (a_hi, b_hi) order.  Case j of a
+    chunk is a = a_hi << low | j >> (low+1), b = b_hi << low | (j >> 1) %
+    2**low, cin = j % 2.  Plane i holds bit i of a + b + cin for each
+    case, one case per lane, padded to a whole word with zero cases.
     """
-    cases = 1 << (2 * width + 1)
-    n = min(cases, 64 * words)
-    mask = np.uint64((1 << width) - 1)
-    for first in range(start, cases, n):
-        idx = np.arange(first, first + n, dtype=np.uint64)
-        sums = (idx >> np.uint64(width + 1)) + ((idx >> np.uint64(1)) & mask) + (idx & np.uint64(1))
-        sums = np.pad(sums, (0, -n % 64))
+    low = width
+    while 2 << 2 * low > 64 * words:
+        low -= 1
+    n, chunks = 2 << 2 * low, 1 << (width - low)
+    j = np.arange(n, dtype=np.uint64)
+    for chunk in range(start, chunks * chunks):
+        a_hi, b_hi = divmod(chunk, chunks)
+        a = np.uint64(a_hi << low) | (j >> np.uint64(low + 1))
+        b = np.uint64(b_hi << low) | ((j >> np.uint64(1)) & np.uint64((1 << low) - 1))
+        sums = np.pad(a + b + (j & np.uint64(1)), (0, -n % 64))
         bits = np.stack([((sums >> np.uint64(i)) & np.uint64(1)).astype(np.uint8) for i in range(width + 1)])
-        yield first, np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        yield a_hi, b_hi, n, np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
 # -- DOT -------------------------------------------------------------------------------

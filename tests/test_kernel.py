@@ -208,6 +208,28 @@ def test_kept_nets_as_tuple_list_or_none_give_equal_planes(netlist, data):
             assert np.array_equal(plane, every[net]), f"net {net}"
 
 
+@settings(max_examples=150, deadline=None)
+@given(netlists(), st.data())
+def test_runs_that_vary_some_inputs_match_full_runs(netlist, data):
+    # a step run once must read no varying input, directly or through other steps, and a
+    # run-once value that later runs read must keep its row
+    words = data.draw(st.integers(1, 2))
+    varying = frozenset(data.draw(st.sets(st.sampled_from(netlist.input_names))))
+    nets = data.draw(st.none() | st.lists(st.sampled_from(range(len(netlist.drivers))), max_size=8).map(tuple))
+    run, fixed = netlist._runner(words, nets, varying)
+    planes, first = draw_planes(data, netlist, words), None
+    for _ in range(data.draw(st.integers(2, 4))):
+        planes |= {name: plane for name, plane in draw_planes(data, netlist, words).items() if name in varying}
+        got = [plane.copy() for plane in run(planes)]
+        want = netlist.simulate_planes(planes, words, nets)
+        assert len(got) == len(want) == len(fixed)
+        for i, (plane, expected) in enumerate(zip(got, want)):
+            assert np.array_equal(plane, expected), i
+        first = first or got
+        for i, (plane, before) in enumerate(zip(got, first)):
+            assert not fixed[i] or np.array_equal(plane, before), i
+
+
 # -- verify's packer: a (rows, cases) 0/1 matrix into bit-planes ---------------------
 
 @settings(max_examples=100, deadline=None)
@@ -225,19 +247,38 @@ def test_to_planes_puts_each_case_in_its_lane(bits):
             assert bit == (bits[r, j] if j < cases else 0), (r, j)
 
 
+def full_plan(netlist, nets=None):
+    """The plan ``simulate_planes`` runs: every input varies."""
+    return netlist._plan(nets, netlist._input_set)
+
+
 # per w12 adder: steps of its hashed program, and slab rows when every net is kept
 HASHED = {"rca": (60, 62), "cla": (192, 128), "cia_rca": (78, 80), "cia_cla": (120, 98)}
+# the w12 compare's merged program over the four adders, its sweep fixing a_8.., b_8.. per
+# chunk: steps run once (bits 0-7's logic) and per chunk; every input varying, all 306 per run
+MERGED_SPLIT = (157, 149)
 
 
 @pytest.mark.parametrize("arch", ["rca", "cla", "cia_rca", "cia_cla"])
 def test_output_only_plans_reuse_rows(arch):
     nl = build_adder(AdderSpec(Architecture(arch), 12, 4))
-    rows, steps, taps = nl._plan(tuple(net for _, net in nl.outputs))
-    assert len(taps) == 13
+    rows, steps, once, taps, fixed = full_plan(nl, tuple(net for _, net in nl.outputs))
+    assert len(taps) == 13 and once == 0 and not any(fixed)
     assert rows < len(nl.gates) < len(nl.drivers)
-    assert len(steps) == len(nl._plan(None)[1])  # every gate of an adder feeds an output
+    assert len(steps) == len(full_plan(nl)[1])  # every gate of an adder feeds an output
     # keeping every net: a row per slot some net maps to, plus the zeros and ones rows
-    assert nl._plan(None)[0] == HASHED[arch][1]
+    assert full_plan(nl)[0] == HASHED[arch][1]
+
+
+def test_merged_sweep_plan_runs_the_low_bits_once():
+    adders = [build_adder(AdderSpec(arch, 12, 4)) for arch in Architecture]
+    merged, taps = verify._merged(adders, 12)
+    rows, steps, once, _, fixed = merged._plan(taps, verify._high_ports(12))
+    assert (once, len(steps) - once) == MERGED_SPLIT
+    assert sum(MERGED_SPLIT) == len(full_plan(merged, taps)[1]) == 306 and full_plan(merged, taps)[2] == 0
+    # s_0..s_7 of each adder are run-once values; s_8..s_11 and cout are not
+    assert fixed == (*[True] * 8, *[False] * 5) * 4
+    assert rows > full_plan(merged, taps)[0]  # the run-once values that per-chunk steps read stay pinned
 
 
 # -- hash-consed steps: shared terms run once ----------------------------------------
@@ -249,7 +290,7 @@ def unhashed_steps(netlist):
 
 def assert_ops_commute(netlist):
     """Every step of the full plan is AND, OR or XOR, which commute."""
-    for op, _, _, _ in netlist._plan(None)[1]:
+    for op, _, _, _ in full_plan(netlist)[1]:
         assert op in (np.bitwise_and, np.bitwise_or, np.bitwise_xor)
 
 
@@ -259,7 +300,7 @@ def assert_ops_commute(netlist):
 ])
 def test_hashed_programs_run_shared_terms_once(arch, width, steps):
     nl = build_adder(AdderSpec(Architecture(arch), width, 4))
-    assert len(nl._plan(None)[1]) == steps
+    assert len(full_plan(nl)[1]) == steps and full_plan(nl)[2] == 0
     assert_ops_commute(nl)
 
 
@@ -290,7 +331,7 @@ def repeating_netlists(draw):
 def test_repeated_gates_hash_to_shared_steps(base_and_repeats, data):
     base, netlist = base_and_repeats
     # a copy, whatever its operands' order, hashes to its original's steps
-    assert len(netlist._plan(None)[1]) == len(base._plan(None)[1]) < unhashed_steps(netlist)
+    assert len(full_plan(netlist)[1]) == len(full_plan(base)[1]) < unhashed_steps(netlist)
     assert_ops_commute(netlist)
     words = data.draw(st.integers(1, 2))
     planes = draw_planes(data, netlist, words)
@@ -313,7 +354,7 @@ def test_reordered_operands_reach_an_earlier_step():
     b.add_output("ab", ab)
     b.add_output("c_ab", b.add_gate(GateKind.AND, [c, ab]))
     nl = b.finish()
-    assert len(nl._plan(None)[1]) == 2
+    assert len(full_plan(nl)[1]) == 2
     bits = np.array(list(itertools.product([0, 1], repeat=3)), dtype=np.uint8).T
     got = nl.evaluate(dict(zip("abc", bits)))
     assert np.array_equal(got["ab"], bits[0] & bits[1])
@@ -323,11 +364,11 @@ def test_reordered_operands_reach_an_earlier_step():
 
 def test_mutant_does_not_reuse_parent_compiled_form():
     parent = build_rca(4)
-    before = parent._plan(None)
+    before = full_plan(parent)
     mutant = parent.with_gate_kind(0, GateKind.AND)
-    assert mutant._plan(None) is not before
-    assert mutant._plan(None)[1][0][0] is np.bitwise_and
-    assert parent._plan(None) is before
+    assert full_plan(mutant) is not before
+    assert full_plan(mutant)[1][0][0] is np.bitwise_and
+    assert full_plan(parent) is before
     assert before[1][0][0] is np.bitwise_xor
     assert check_exhaustive(parent, 4).ok
     assert not check_exhaustive(mutant, 4).ok
@@ -374,14 +415,31 @@ def test_random_matches_reference_on_wide_operands():
         assert check_random(netlist, 64, 300, seed=5) == reference_check_random(netlist, 64, 300, seed=5)
 
 
-def test_chunk_boundaries_do_not_change_reports(monkeypatch):
-    # one word per chunk: w4's 512 cases and 304 random cases span many chunks
+def test_failures_merge_across_chunks_in_case_order(monkeypatch):
+    # one-word chunks fix a >> 2 and b >> 2 at w5: the cases of one a span eight chunks, so
+    # the first failures in (a, b, cin) order come from several chunks, interleaved
     monkeypatch.setattr(verify, "_WORDS", 1)
+    adders = [build_adder(AdderSpec(arch, 5, 2)) for arch in Architecture]
+    mutants = [mutant for adder in adders for mutant in kind_swap_mutants(adder)]
+    spread = 0
+    for mutant, report in zip(mutants, verify._check_exhaustive_all(mutants, 5, verify.DEFAULT_CASE_CAP)):
+        want = reference_check_exhaustive(mutant, 5)
+        assert report == want == check_exhaustive(mutant, 5), mutant.name
+        chunks = [(failure.a >> 2, failure.b >> 2) for failure in want.failures]
+        spread += chunks != sorted(chunks)  # chunk order would list these failures otherwise
+    assert spread > 0
+
+
+def test_chunk_boundaries_do_not_change_reports(monkeypatch):
+    # one-word chunks: w4's 512 cases in 16 chunks of 32, and 304 random cases in 5 chunks;
+    # two-word chunks: 4 of 128 cases, and random chunks of 2, 2 and 1 words
     clean = build_cia(4, 2, Architecture.RCA)
-    assert probe_invariant_carry_exclusive(clean, 4)
-    for netlist in (clean, *kind_swap_mutants(clean)):
-        assert check_exhaustive(netlist, 4) == reference_check_exhaustive(netlist, 4), netlist.name
-        assert check_random(netlist, 4, 300, seed=2) == reference_check_random(netlist, 4, 300, seed=2)
+    for words in (1, 2):
+        monkeypatch.setattr(verify, "_WORDS", words)
+        assert probe_invariant_carry_exclusive(clean, 4)
+        for netlist in (clean, *kind_swap_mutants(clean)):
+            assert check_exhaustive(netlist, 4) == reference_check_exhaustive(netlist, 4), netlist.name
+            assert check_random(netlist, 4, 300, seed=2) == reference_check_random(netlist, 4, 300, seed=2)
 
 
 @pytest.mark.parametrize("width,words", [(4, 1024), (4, 1), (6, 1024)], ids=["one_chunk", "one_word_chunks", "w6"])
@@ -405,19 +463,27 @@ def test_shared_sweep_reports_each_netlist_like_its_own_check(monkeypatch, width
 
 
 def test_one_width_runs_the_kernel_once_per_chunk(monkeypatch, unit):
-    # 2^13 cases at w6 in 16-word chunks: 8 chunks, each one run of the merged program
+    # 16-word chunks fix a_4, a_5, b_4 and b_5 at w6: 16 chunks of 512 cases, each one
+    # run of the merged program, all from the one runner of the sweep
     monkeypatch.setattr(verify, "_WORDS", 16)
-    calls = []
-    simulate_planes = Netlist.simulate_planes
+    runners, calls = [], []
+    runner = Netlist._runner
 
-    def spy(self, planes, words, nets=None):
-        calls.append(len(nets))
-        return simulate_planes(self, planes, words, nets)
+    def spy(self, words, nets, varying):
+        run, fixed = runner(self, words, nets, varying)
+        runners.append((words, len(nets), varying))
 
-    monkeypatch.setattr(Netlist, "simulate_planes", spy)
+        def counted(planes):
+            calls.append(len(nets))
+            return run(planes)
+
+        return counted, fixed
+
+    monkeypatch.setattr(Netlist, "_runner", spy)
     table = compare([AdderSpec(arch, 6, 2) for arch in Architecture], unit)
     assert [row.verified for row in table.rows] == [True] * 4
-    assert calls == [4 * 7] * 8
+    assert runners == [(8, 4 * 7, frozenset({"a_4", "a_5", "b_4", "b_5"}))]
+    assert calls == [4 * 7] * 16
 
 
 def test_merged_plan_runs_fewer_steps_than_its_netlists():
@@ -425,25 +491,34 @@ def test_merged_plan_runs_fewer_steps_than_its_netlists():
     adders = [build_adder(AdderSpec(arch, 12, 4)) for arch in Architecture]
     merged, taps = verify._merged(adders, 12)
     outputs = adder_port_names(12)[1]
-    own = [adder._plan(tuple(map(dict(adder.outputs).__getitem__, outputs)))[1] for adder in adders]
-    assert len(merged._plan(taps)[1]) < sum(map(len, own))
+    own = [full_plan(adder, tuple(map(dict(adder.outputs).__getitem__, outputs)))[1] for adder in adders]
+    assert len(full_plan(merged, taps)[1]) < sum(map(len, own))
 
 
 # -- expected planes of the exhaustive sweep against per-chunk integer sums ---------
 
 def sweep_chunks(width):
-    """(first case index, expected planes, cases) of each exhaustive chunk, in sweep order."""
+    """(a_hi, b_hi, cases, expected planes) of each exhaustive chunk, in sweep order."""
     expected = verify._expected_planes(width)
-    return ((start, expected(start), n) for start, n, _ in verify._exhaustive_inputs(width))
+    return ((a_hi, b_hi, n, expected(a_hi, b_hi)) for a_hi, b_hi, n, _ in verify._exhaustive_inputs(width))
 
 
-def assert_chunks_match(width, words, starts):
-    """The expected planes at each aligned start equal the reference chunk's."""
+def assert_same_cases(got, want, where):
+    """Planes ``got`` equal ``want`` in every lane a case occupies; lanes past the cases may differ."""
+    a_hi, b_hi, n, planes = want
+    assert got[:3] == (a_hi, b_hi, n), where
+    assert len(got[3]) == len(planes), where
+    cases = [np.unpackbits(np.asarray(rows, dtype="<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]
+             for rows in (got[3], planes)]
+    assert np.array_equal(*cases), where
+
+
+def assert_chunks_match(width, words, numbers):
+    """The expected planes of the chunks with these sweep positions equal the reference chunks'."""
     expected = verify._expected_planes(width)
-    for start in starts:
-        first, want = next(reference_exhaustive_chunks(width, words, start))
-        assert first == start
-        assert np.array_equal(expected(start), want), (width, start)
+    for number in numbers:
+        a_hi, b_hi, n, want = next(reference_exhaustive_chunks(width, words, number))
+        assert_same_cases((a_hi, b_hi, n, expected(a_hi, b_hi)), (a_hi, b_hi, n, want), (width, number))
 
 
 @pytest.mark.parametrize("words", [verify._WORDS, 1], ids=["default_words", "one_word_chunks"])
@@ -453,33 +528,27 @@ def test_expected_planes_match_per_chunk_integer_sums(monkeypatch, words):
     for width in range(1, 13):
         chunks = sweep_chunks(width)
         reference = reference_exhaustive_chunks(width, words)
-        total = 1 << (2 * width + 1)
-        n = min(total, 64 * words)
-        if total // n <= 4096:
+        low = min(width, {2048: 8, 1: 2}[words])  # each operand's bits that vary inside a chunk
+        count = 4 ** (width - low)
+        if count <= 4096:
             # every chunk, in sweep order
             pairs = list(itertools.zip_longest(chunks, reference))
-            assert len(pairs) == total // n
-            for (first, got, cases), (start, want) in pairs:
-                assert (first, cases) == (start, n)
-                assert np.array_equal(got, want), (width, start)
+            assert len(pairs) == count
+            for got, want in pairs:
+                assert want[2] == 2 << 2 * low
+                assert_same_cases(got, want, (width, *want[:2]))
         else:
             # one-word chunks at w9-w12: the first 512, the last, and random ones
-            for (first, got, _), (start, want) in itertools.islice(zip(chunks, reference), 512):
-                assert first == start
-                assert np.array_equal(got, want), (width, start)
-            starts = [total - n] + [rng.randrange(total // n) * n for _ in range(256)]
-            assert_chunks_match(width, words, starts)
+            for got, want in itertools.islice(zip(chunks, reference), 512):
+                assert_same_cases(got, want, (width, *want[:2]))
+            assert_chunks_match(width, words, [count - 1] + [rng.randrange(count) for _ in range(256)])
 
 
 @pytest.mark.parametrize("width", range(16, 25))
 def test_expected_planes_match_where_b_crosses_chunks(width):
-    # a 2,048-word chunk holds index bits 0-16, so b (bits 1..width) spills into the chunk constant
-    n = verify._WORDS * 64
-    total = 1 << (2 * width + 1)
-    for (first, got, _), (start, want) in zip(
-        itertools.islice(sweep_chunks(width), 3), reference_exhaustive_chunks(width, verify._WORDS)
-    ):
-        assert first == start
-        assert np.array_equal(got, want), (width, start)
+    # a 2,048-word chunk holds a_0..a_7, b_0..b_7 and cin: both operands' high bits feed the chunk constant
+    count = 4 ** (width - 8)
+    for got, want in zip(itertools.islice(sweep_chunks(width), 3), reference_exhaustive_chunks(width, verify._WORDS)):
+        assert_same_cases(got, want, (width, *want[:2]))
     rng = random.Random(width)
-    assert_chunks_match(width, verify._WORDS, [total - n] + [rng.randrange(total // n) * n for _ in range(6)])
+    assert_chunks_match(width, verify._WORDS, [count - 1] + [rng.randrange(count) for _ in range(6)])

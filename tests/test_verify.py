@@ -29,6 +29,7 @@ from adderlab import (
     oracle_add,
     probe_invariant_carry_exclusive,
 )
+from adderlab import verify
 from adderlab.builders import _full_adder, _increment_slice, _ripple_slice
 
 
@@ -246,21 +247,23 @@ def test_probe_single_block_trivially_true():
     assert probe_invariant_carry_exclusive(nl, 4) is True
 
 
-def sabotaged_cia():
-    """A hand-built 2-bit, block-1 carry-increment adder whose second block adds
-    a hard 1 instead of 0: its block carry and increment carry can then both
-    fire.  Returns the open builder and the index of the stage's merge gate.
-    The fragments, like the builder's ``_gate`` and ``_output``, take net ints."""
+def sabotaged_cia(width=2):
+    """A hand-built carry-increment adder of two blocks, bit 0 and bits
+    1..width-1, whose second block adds a hard 1 instead of 0: its block
+    carry and increment carry can then both fire.  Returns the open builder
+    and the index of the stage's merge gate.  The fragments, like the
+    builder's ``_gate`` and ``_output``, take net ints."""
     b = NetlistBuilder("sabotaged")
-    a = [b.add_input("a_0").index, b.add_input("a_1").index]
-    y = [b.add_input("b_0").index, b.add_input("b_1").index]
+    a = [b.add_input(f"a_{i}").index for i in range(width)]
+    y = [b.add_input(f"b_{i}").index for i in range(width)]
     cin = b.add_input("cin").index
     s0, eff0 = _full_adder(b, a[0], y[0], cin)
     partial, block_carry = _ripple_slice(b, a[1:], y[1:], b.constant(1).index)
     bumped, inc_carry = _increment_slice(b, partial, eff0)
     eff1 = b._gate(GateKind.OR, (block_carry, inc_carry))
     b._output("s_0", s0)
-    b._output("s_1", bumped[0])
+    for i, net in enumerate(bumped, 1):
+        b._output(f"s_{i}", net)
     b._output("cout", eff1)
     return b, b.gate_count - 1
 
@@ -270,6 +273,14 @@ def test_probe_flags_a_sabotaged_stage():
     nl = b.finish(carry_merges=[merge])
     assert nl.carry_merges == (merge,) and nl.gates[merge].kind is GateKind.OR
     assert probe_invariant_carry_exclusive(nl, 2) is False
+
+
+def test_probe_flags_a_stage_that_only_later_chunks_break(monkeypatch):
+    # one-word chunks fix a_2, a_3, b_2 and b_3 at w4: the sabotaged block's carry needs
+    # (a >> 1) + (b >> 1) + 1 >= 8, which no case of the first chunk reaches
+    monkeypatch.setattr(verify, "_WORDS", 1)
+    b, merge = sabotaged_cia(4)
+    assert probe_invariant_carry_exclusive(b.finish(carry_merges=[merge]), 4) is False
 
 
 @pytest.mark.parametrize("spoil", [
