@@ -6,7 +6,10 @@ ints for random draws, over numpy case indices for exhaustive sweeps;
 netlist simulator.  Both checkers run netlists through the kernel in
 chunks of up to 131,072 cases, 64 per uint64 word, keeping only the
 output nets; the oracle's sums are packed into expected bit-planes by
-``np.packbits`` so one XOR/OR pass compares a whole chunk.
+``np.packbits`` so one XOR/OR pass compares a whole chunk.  Each chunk
+also carries its cases as integers, so a reported failure takes its
+(a, b, cin) and its expected sum and carry from the case and
+``a + b + cin``; only the netlist's own output planes are read back.
 
 An exhaustive chunk fixes the operands' bits from 8 up (a_8.., b_8..)
 and varies a_0..a_7, b_0..b_7 and cin inside it, so the planes of those
@@ -14,8 +17,8 @@ ports are the same in every chunk (``_exhaustive_inputs``).  The kernel
 then runs the logic that reads only them once per sweep, not once per
 chunk (``Netlist._runner``): outputs s_0..s_7 are compared with the
 oracle once, and each chunk's expected planes 8..width are picked from
-four fixed planes by the chunk's a_hi + b_hi (``_expected_planes``).  Failures found chunk by chunk are merged into
-(a, b, cin) order.
+four fixed planes by the chunk's a_hi + b_hi (``_expected_planes``).
+Failures found chunk by chunk are merged into (a, b, cin) order.
 
 One sweep serves a list of netlists of the same width: each chunk's
 input and expected planes are built once, and the netlists are replayed
@@ -26,29 +29,27 @@ rca's low bits.  Each netlist's outputs are then compared with the
 expected planes on their own.  The compare is not folded into the
 program, which would run the oracle check through the simulator.  This
 is how ``analysis.compare`` verifies all rows of a width: at w12 its
-four architectures run 157 steps once and 149 per chunk, where one run
-per netlist of every chunk would take 450.  On a 2-core VM that
-verification took 0.06-0.10 s in process, against 0.19-0.25 s when
-every chunk ran all 306 merged steps (medians of 9, interleaved).
-Exhaustive checks sweep the full (a, b, cin) space; random checks draw
-from a seeded PCG64 stream and always include the corner cases.  Reports
-cap the failure list at 32 entries but keep the exact count.
+four architectures run 157 steps once and 149 per chunk.
+Exhaustive checks sweep the full (a, b, cin) space; random checks take
+their cases from one draw of a seeded PCG64 stream and always include
+the corner cases.  Reports cap the failure list at 32 entries but keep
+the exact count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .builders import adder_port_names
+from .builders import _check_width, adder_port_names
 from .errors import (
     ExhaustiveTooLarge,
     InvalidParameter,
     MissingStageMetadata,
     OperandOutOfRange,
     PortContractViolation,
-    ZeroWidth,
 )
 from .netlist import Netlist, NetlistBuilder, _require_int
 
@@ -104,9 +105,8 @@ def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
     """Reference semantics: (a + b + cin) as a width-bit sum and a carry-out."""
     for what, value in (("a", a), ("b", b), ("cin", cin), ("width", width)):
         _require_int(value, what)
+    _check_width(width)
     a, b, cin, width = int(a), int(b), int(cin), int(width)  # numpy integers wrap in shifts
-    if width < 1:
-        raise ZeroWidth(f"width must be >= 1, got {width}")
     limit = 1 << width
     if not 0 <= a < limit:
         raise OperandOutOfRange(f"a={a} does not fit in {width} bits")
@@ -119,9 +119,7 @@ def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
 
 
 def _check_contract(netlist: Netlist, width: int) -> None:
-    _require_int(width, "width")
-    if width < 1:
-        raise ZeroWidth(f"width must be >= 1, got {width}")
+    _check_width(width)
     want_in, want_out = adder_port_names(width)
     if set(netlist.input_names) != set(want_in) or set(netlist.output_names) != set(want_out):
         raise PortContractViolation(
@@ -160,19 +158,28 @@ def _high_ports(width: int) -> frozenset[str]:
     return frozenset(f"{operand}_{i}" for operand in "ab" for i in range(_low_bits(width), width))
 
 
+def _exhaustive_case(low: int, a_hi: int, b_hi: int, j):
+    """Case j, as (a, b, cin), of the exhaustive chunk that fixes a >> low to a_hi and b >> low to b_hi.
+
+    j = a_lo << (low+1) | b_lo << 1 | cin, where a_lo and b_lo are a's and
+    b's low ``low`` bits.  ``j`` may be an int or a numpy array of them.
+    """
+    return a_hi << low | j >> (low + 1), b_hi << low | (j >> 1) & ((1 << low) - 1), j & 1
+
+
 def _exhaustive_inputs(width: int):
     """Yield (a_hi, b_hi, cases, input planes) of each chunk that together cover every (a, b, cin).
 
     With low = ``_low_bits(width)``, a chunk fixes a >> low to a_hi and
     b >> low to b_hi, so each of those ports is all 0 or all 1 for the
     whole chunk; chunks run in (a_hi, b_hi) order.  Inside a chunk, case
-    j = a_lo << (low+1) | b_lo << 1 | cin runs over the low parts in
-    (a, b, cin) order.  Bits 0-5 of j vary across the lanes of a word, so
-    their planes are fixed lane masks; higher bits are constant within a
-    word and follow the word index.  So the low ports and cin get the
-    same planes in every chunk, and operands are never unpacked.  At
-    width <= low there is one chunk, and j is a << (width+1) | b << 1 | cin.
-    Below 64 cases the unused lanes repeat the used ones.
+    j (``_exhaustive_case``) runs over the low parts in (a, b, cin) order.
+    Bits 0-5 of j vary across the lanes of a word, so their planes are
+    fixed lane masks; higher bits are constant within a word and follow
+    the word index.  So the low ports and cin get the same planes in every
+    chunk, and operands are never unpacked.  At width <= low there is one
+    chunk, with a_hi = b_hi = 0.  Below 64 cases the unused lanes repeat
+    the used ones.
     """
     low = _low_bits(width)
     names = ["cin", *(f"b_{i}" for i in range(low)), *(f"a_{i}" for i in range(low))]
@@ -209,11 +216,10 @@ def _expected_planes(width: int):
     """
     low = _low_bits(width)
     n = 1 << (2 * low + 1)
-    mask = (1 << low) - 1
     fixed = np.empty((low + 1, (n + 63) // 64), dtype=np.uint64)
     for first in range(0, n, _SUM_BLOCK):
         index = np.arange(first, min(n, first + _SUM_BLOCK), dtype=np.uint32)  # a sum never exceeds its index
-        sums = (index >> (low + 1)) + ((index >> 1) & mask) + (index & 1)
+        sums = sum(_exhaustive_case(low, 0, 0, index))
         bits = ((sums >> np.arange(low + 1, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
         fixed[:, first // 64 : (first + len(index) + 63) // 64] = _to_planes(bits)
     carry = fixed[low]
@@ -228,7 +234,7 @@ def _expected_planes(width: int):
 
 
 def _random_chunks(cases: list[tuple[int, int, int]], width: int):
-    """Yield (input planes, expected planes, cases) for ``cases`` in list order.
+    """Yield (input planes, expected planes, case count, case(j)) for ``cases`` in list order.
 
     Each case becomes the integer a | b << w | cin << 2w | (a + b + cin) << 2w+1,
     whose bits, unpacked from its little-endian bytes, are those of the
@@ -243,18 +249,12 @@ def _random_chunks(cases: list[tuple[int, int, int]], width: int):
         data = np.frombuffer(b"".join(value.to_bytes(nbytes, "little") for value in ints), np.uint8)
         bits = np.unpackbits(np.ascontiguousarray(data.reshape(-1, nbytes).T), axis=0, bitorder="little")
         planes = _to_planes(bits)
-        yield dict(zip(names, planes)), planes[2 * width + 1 : 3 * width + 2], len(chunk)
+        yield dict(zip(names, planes)), planes[2 * width + 1 : 3 * width + 2], len(chunk), chunk.__getitem__
 
 
 def _lane_value(rows, word: int, lane: int) -> int:
     """The integer whose bit i is lane ``lane`` of ``rows[i][word]``."""
     return sum(((int(row[word]) >> lane) & 1) << i for i, row in enumerate(rows))
-
-
-def _case(inputs, word: int, lane: int, width: int) -> tuple[int, int, int]:
-    """(a, b, cin) of one lane of ``inputs``, the input planes in ``adder_port_names`` order."""
-    case, mask = _lane_value(inputs, word, lane), (1 << width) - 1  # a | b << width | cin << 2*width
-    return case & mask, case >> width & mask, case >> 2 * width
 
 
 def _differ(got, expected, first: int, outputs) -> np.ndarray | None:
@@ -272,11 +272,11 @@ def _differ(got, expected, first: int, outputs) -> np.ndarray | None:
     return bad
 
 
-def _failures(bad, inputs, expected, got, width: int) -> list[Failure]:
+def _failures(bad, case, got, width: int) -> list[Failure]:
     """The first FAILURE_CAP cases that ``bad`` marks, in chunk order.
 
-    ``got`` and ``expected`` hold one netlist's and the oracle's output
-    planes, in ``adder_port_names`` order.
+    ``case(j)`` is the chunk's j-th (a, b, cin), and ``got`` holds one
+    netlist's output planes in ``adder_port_names`` order.
     """
     mask, failures = (1 << width) - 1, []
     for word in np.flatnonzero(bad)[:FAILURE_CAP]:
@@ -284,10 +284,9 @@ def _failures(bad, inputs, expected, got, width: int) -> list[Failure]:
         while lanes and len(failures) < FAILURE_CAP:
             lane = (lanes & -lanes).bit_length() - 1
             lanes &= lanes - 1
-            want, have = _lane_value(expected, word, lane), _lane_value(got, word, lane)
-            failures.append(Failure(
-                *_case(inputs, word, lane, width), want & mask, want >> width, have & mask, have >> width,
-            ))
+            a, b, cin = case(int(word) * 64 + lane)
+            want, have = a + b + cin, _lane_value(got, word, lane)
+            failures.append(Failure(a, b, cin, want & mask, want >> width, have & mask, have >> width))
     return failures
 
 
@@ -331,25 +330,24 @@ def _sweep(
 ) -> list[tuple[int, tuple[Failure, ...]]]:
     """Run every netlist on each chunk and compare it with the chunk's expected planes.
 
-    The chunks, (input planes, expected planes, cases), are made once and
-    shared by all netlists, which must expose the width-``width`` adder
-    ports.  Each chunk is one run of the ``_merged`` netlist's kernel
-    program (``Netlist._runner``).  Input ports outside ``varying`` and
-    expected planes 0..low-1 must be the same in every chunk, so the steps
-    that read only those ports run once, and so does the compare of each
-    output below bit ``low`` that only such steps compute.  The other
-    outputs are compared chunk by chunk.  Returns, per netlist, the exact
+    The chunks, (input planes, expected planes, case count, case(j)), are
+    made once and shared by all netlists, which must expose the
+    width-``width`` adder ports.  Each chunk is one run of the ``_merged``
+    netlist's kernel program (``Netlist._runner``).  Input ports outside
+    ``varying`` and expected planes 0..low-1 must be the same in every
+    chunk, so the steps that read only those ports run once, and so does
+    the compare of each output below bit ``low`` that only such steps
+    compute.  The other outputs are compared chunk by chunk.  Returns, per netlist, the exact
     mismatch count and its first FAILURE_CAP failing cases in (a, b, cin)
     order: each chunk's first FAILURE_CAP failures, merged.  Once the cap
     is filled, a chunk whose first case sorts after the last failure kept
     is counted but not decoded.
     """
     program, taps = _merged(netlists, width)
-    names = adder_port_names(width)[0]
     counts = [0] * len(netlists)
     found: list[list[Failure]] = [[] for _ in netlists]
     words = None
-    for planes, expected, n in chunks:
+    for planes, expected, n, case in chunks:
         if len(expected[-1]) != words:  # a new runner runs every step on its first chunk
             words = len(expected[-1])
             run, fixed = program._runner(words, taps, varying)
@@ -361,7 +359,6 @@ def _sweep(
                 split.append((first, each, _differ(got, expected, first, once)))
         else:
             got = run(planes)
-        inputs = None
         for k, (first, each, base) in enumerate(split):
             bad = _differ(got, expected, first, each)
             if base is not None:
@@ -371,10 +368,9 @@ def _sweep(
             if not bad.any():
                 continue
             counts[k] += int(np.count_nonzero(np.unpackbits(bad.view(np.uint8))))
-            inputs = inputs or [planes[name] for name in names]
-            if len(found[k]) < FAILURE_CAP or _case(inputs, 0, 0, width) < _order(found[k][-1]):
+            if len(found[k]) < FAILURE_CAP or case(0) < _order(found[k][-1]):
                 mine = got[first : first + width + 1]
-                found[k] = sorted(found[k] + _failures(bad, inputs, expected, mine, width), key=_order)[:FAILURE_CAP]
+                found[k] = sorted(found[k] + _failures(bad, case, mine, width), key=_order)[:FAILURE_CAP]
     return [(count, tuple(failures)) for count, failures in zip(counts, found)]
 
 
@@ -382,9 +378,12 @@ def _check_exhaustive_all(netlists: list[Netlist], width: int, case_cap: int) ->
     """check_exhaustive for several netlists of one width, in one shared sweep."""
     cases = [_exhaustive_size(netlist, width, case_cap) for netlist in netlists]
     width = int(width)  # a numpy integer would leak into the reports
-    expected = _expected_planes(width)
-    chunks = ((planes, expected(a_hi, b_hi), n) for a_hi, b_hi, n, planes in _exhaustive_inputs(width))
-    results = _sweep(netlists, width, chunks, _high_ports(width), _low_bits(width))
+    expected, low = _expected_planes(width), _low_bits(width)
+    chunks = (
+        (planes, expected(a_hi, b_hi), n, partial(_exhaustive_case, low, a_hi, b_hi))
+        for a_hi, b_hi, n, planes in _exhaustive_inputs(width)
+    )
+    results = _sweep(netlists, width, chunks, _high_ports(width), low)
     return [
         EquivalenceReport(
             netlist=netlist.name,
@@ -416,11 +415,15 @@ def check_exhaustive(netlist: Netlist, width: int, case_cap: int = DEFAULT_CASE_
 def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> EquivalenceReport:
     """Compare against oracle_add on seeded random draws plus the corner cases.
 
-    The generator is PCG64 (recorded in the report).  Each sample draws
-    a, then b, as ceil(width/8)-byte strings masked to ``width`` bits,
-    then cin.  A seed therefore replays the same cases at the same width,
-    and widths with the same byte count draw the same bytes, masked
-    differently; across byte counts the cases are unrelated.  The four
+    The generator is PCG64 (recorded in the report).  All samples come
+    from one draw of 2k + 1 uint32 words each, k = ceil(width/32): a is
+    the little-endian bytes of the first k words masked to ``width`` bits,
+    b those of the next k, and cin the top bit of the last word.  These
+    are the cases that drawing a, then b, as ceil(width/8)-byte strings
+    (``Generator.bytes``) and then cin as ``integers(0, 2)`` gives, sample
+    by sample.  A seed therefore replays the same cases at the same width,
+    and widths with the same word count draw the same words, masked
+    differently; across word counts the cases are unrelated.  The four
     corner cases (0,0,0), (max,max,1), (max,1,0), (0,0,1) are always
     prepended.  ``samples`` and ``seed`` must be integers >= 0.
     """
@@ -429,15 +432,13 @@ def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> Equiv
         _require_int(value, what)
         if value < 0:
             raise InvalidParameter(f"{what} must be >= 0, got {value}")
-    width, samples, seed = int(width), int(samples), int(seed)  # numpy integers have no to_bytes
+    width, samples, seed = int(width), int(samples), int(seed)  # numpy integers wrap in shifts
     rng = np.random.Generator(np.random.PCG64(seed))
-    mask = (1 << width) - 1
-    nbytes = (width + 7) // 8
-    cases = list(boundary_cases(width))
-    for _ in range(samples):
-        a = int.from_bytes(rng.bytes(nbytes), "little") & mask
-        b = int.from_bytes(rng.bytes(nbytes), "little") & mask
-        cases.append((a, b, int(rng.integers(0, 2))))
+    mask, k = (1 << width) - 1, -(-width // 32)  # k uint32 words per operand
+    draws = rng.integers(0, 1 << 32, size=(samples, 2 * k + 1), dtype=np.uint32)
+    data = draws[:, :-1].astype("<u4").tobytes()
+    operands = [int.from_bytes(data[i : i + 4 * k], "little") & mask for i in range(0, len(data), 4 * k)]
+    cases = [*boundary_cases(width), *zip(operands[::2], operands[1::2], (draws[:, -1] >> 31).tolist())]
     # Sweeping in (a, b, cin) order makes the first failures found the
     # first failures in report order.
     cases.sort()
@@ -475,11 +476,8 @@ def probe_invariant_carry_exclusive(
     run = None
     for _, _, _, planes in _exhaustive_inputs(width):
         if run is None:
-            run, fixed = netlist._runner(len(planes["cin"]), pairs, _high_ports(width))
-            varies = [j for j in range(0, len(pairs), 2) if not (fixed[j] and fixed[j + 1])]
-            check = range(0, len(pairs), 2)  # every pair on the first chunk, then the ones that vary
+            run, _ = netlist._runner(len(planes["cin"]), pairs, _high_ports(width))
         carries = run(planes)
-        if any((carries[j] & carries[j + 1]).any() for j in check):
+        if any((carries[j] & carries[j + 1]).any() for j in range(0, len(pairs), 2)):
             return False
-        check = varies
     return True

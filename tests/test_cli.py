@@ -11,6 +11,7 @@ import pytest
 from adderlab import (
     Architecture,
     GateKind,
+    analysis,
     build_cia,
     build_rca,
     export_json,
@@ -284,6 +285,21 @@ def test_compare_rejects_empty_arch_list(capsys):
 def test_compare_error_row_exits_two(capsys):
     assert run(["compare", "--archs", "cia_cla", "--width", "2", "--block", "4"]) == 2
     assert "BlockTooLarge" in capsys.readouterr().out
+
+
+def test_compare_failed_verification_exits_one(monkeypatch, capsys):
+    build_adder = analysis.build_adder
+
+    def with_fault(spec):  # rca's gate 0 is a_0 XOR b_0; as an OR its s_0 is wrong
+        netlist = build_adder(spec)
+        return netlist.with_gate_kind(0, GateKind.OR) if spec.arch is Architecture.RCA else netlist
+
+    monkeypatch.setattr(analysis, "build_adder", with_fault)
+    assert run(["compare", "--archs", "cla,rca", "--width", "4"]) == 1
+    out, err = capsys.readouterr()
+    rows = [line.split() for line in out.splitlines()[1:3]]
+    assert [(row[0], row[5]) for row in rows] == [("cla", "true"), ("rca", "false")]
+    assert err == ""
 
 
 def test_compare_all_architectures_matches_golden(capsys):

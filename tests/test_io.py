@@ -408,6 +408,8 @@ BIG = 2**70
     ),
     # a gate with no inputs fails the arity check, before any net is numbered
     ([("a", 0)], [], [("AND", [], 1)], [], (InvariantViolation, "gate 0: AND cannot take 0 input(s)")),
+    # a constant on an input's net
+    ([("a", 0)], [(0, 1)], [], [], (InvariantViolation, "net 0 has more than one driver (constant)")),
 ])
 def test_import_explicit_cases_match_builder_replay(inputs, constants, gates, outputs, want):
     text = json.dumps({

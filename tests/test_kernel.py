@@ -39,6 +39,7 @@ from adderlab import (
     compare,
     probe_invariant_carry_exclusive,
 )
+import oracle
 from oracle import (
     reference_check_exhaustive,
     reference_check_random,
@@ -413,6 +414,35 @@ def test_random_matches_reference_on_wide_operands():
     mutant = clean.with_gate_kind(len(clean.gates) - 1, GateKind.AND)
     for netlist in (clean, mutant):
         assert check_random(netlist, 64, 300, seed=5) == reference_check_random(netlist, 64, 300, seed=5)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 31, 32, 33, 64, 65, 100])
+def test_random_draws_the_reference_loops_cases(monkeypatch, width):
+    # check_random draws every sample's words at once; the reference draws a and b
+    # with Generator.bytes and cin with integers(0, 2), sample by sample
+    drawn = []
+    random_chunks, evaluate = verify._random_chunks, oracle.reference_evaluate
+
+    def chunks_spy(cases, width):
+        drawn.append(sorted(cases))
+        return random_chunks(cases, width)
+
+    def evaluate_spy(netlist, assignment):
+        def operand(op, j):
+            return sum(int(assignment[f"{op}_{i}"][j]) << i for i in range(width))
+
+        cases = range(len(assignment["cin"]))
+        drawn.append(sorted((operand("a", j), operand("b", j), int(assignment["cin"][j])) for j in cases))
+        return evaluate(netlist, assignment)
+
+    monkeypatch.setattr(verify, "_random_chunks", chunks_spy)
+    monkeypatch.setattr(oracle, "reference_evaluate", evaluate_spy)
+    netlist = build_rca(width)
+    for samples, seed in itertools.product([0, 1, 70], [0, 5]):
+        drawn.clear()
+        assert check_random(netlist, width, samples, seed) == reference_check_random(netlist, width, samples, seed)
+        mine, reference = drawn
+        assert len(mine) == samples + 4 and mine == reference, (samples, seed)
 
 
 def test_failures_merge_across_chunks_in_case_order(monkeypatch):

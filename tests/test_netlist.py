@@ -527,6 +527,12 @@ def test_netlist_rejects_tables_of_the_wrong_shape(tables, message):
         Netlist("hand", tables["gates"], tables["inputs"], tables["outputs"], tables["constants"])
 
 
+def test_netlist_rejects_carry_merges_that_are_no_tuple():
+    rca = build_rca(2)
+    with pytest.raises(InvalidParameter, match="^carry merges of netlist 'rca_w2' must be None or a tuple$"):
+        Netlist(rca.name, rca.gates, rca.inputs, rca.outputs, rca.constants, carry_merges=[0])
+
+
 def test_a_table_that_reads_but_is_no_tuple_is_reported_last():
     # a list where a tuple belongs does not hide any other fault
     with pytest.raises(CombinationalLoop, match="^gate 0 of netlist 'hand' reads gate 0"):
@@ -628,6 +634,12 @@ def test_gateless_netlist_has_zero_delay(unit):
     b.add_output("y", x)
     nl = b.finish()
     assert nl.critical_path(unit) == (0.0, [])
+
+
+def test_netlist_without_outputs_has_an_empty_critical_path(unit):
+    b = NetlistBuilder("sink")
+    b.add_gate(GateKind.NOT, [b.add_input("x")])
+    assert b.finish().critical_path(unit) == (0.0, [])
 
 
 @pytest.mark.parametrize("builder,expected", [

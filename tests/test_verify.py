@@ -132,6 +132,23 @@ def test_failures_are_ordered_and_faithful(rca4):
         assert out["cout"] == f.got_cout
 
 
+def test_failures_take_expected_values_from_integer_addition(monkeypatch, rca4):
+    # with oracle plane 0 flipped every case mismatches, but each failure must still
+    # report its case's integer sum, not what the corrupted plane holds
+    expected_planes = verify._expected_planes
+
+    def flipped(width):
+        at = expected_planes(width)
+        return lambda a_hi, b_hi: [~plane if i == 0 else plane for i, plane in enumerate(at(a_hi, b_hi))]
+
+    monkeypatch.setattr(verify, "_expected_planes", flipped)
+    report = check_exhaustive(rca4, 4)
+    assert report.failure_count == 512 and len(report.failures) == verify.FAILURE_CAP
+    for f in report.failures:
+        assert (f.expected_sum, f.expected_cout) == oracle_add(f.a, f.b, f.cin, 4)
+        assert (f.got_sum, f.got_cout) == oracle_add(f.a, f.b, f.cin, 4)
+
+
 # -- random --------------------------------------------------------------------
 
 def test_random_is_deterministic(cia_cla_8_4):
