@@ -4,11 +4,17 @@ Verilog, and CSV comparison tables.
 JSON is the only round-trippable format.  Export is canonical (keys
 sorted, nets renumbered densely, gates in stored order), so rebuilds and
 re-imports give identical bytes; it is written from fixed line templates.
-Import checks every field and the document's own net ids, then replays
-the netlist through ``NetlistBuilder``.  A document's gates may come in
-any order; they are sorted only when their output ids do not ascend in
-dependency order, as an exported document's do.  DOT and Verilog are
-one-way views; CSV serializes comparison tables.
+Import has two routes, and the document alone picks one.  A canonical
+document, laid out as export writes it, already numbers its nets as the
+netlist does, so its tables go straight to ``Netlist()``, whose checks
+cover every net, kind and port.  Every other document, and any canonical
+one that ``Netlist()`` refuses, takes the checked route: each field and
+the document's own net ids are checked, then the netlist is replayed
+through ``NetlistBuilder``, so each error is raised as that route words
+it.  A document's gates may come in any order; they are sorted only when
+their output ids do not ascend in dependency order, as an exported
+document's do.  DOT and Verilog are one-way views; CSV serializes
+comparison tables.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import (
     UnknownGateKind,
     UnsupportedVersion,
 )
-from .netlist import GateKind, Netlist, NetlistBuilder
+from .netlist import Gate, GateKind, Netlist, NetlistBuilder
 from .verify import EquivalenceReport
 
 FORMAT_VERSION = 1
@@ -145,25 +151,75 @@ def _doc_order(refs: list[list[int]], outs: list[int]) -> list[int]:
     return order
 
 
+_KINDS = {kind.value: kind for kind in GateKind}  # a document's kind name -> GateKind
+
+
+def _import_canonical(doc) -> Netlist:
+    """The netlist of a canonical document, its ids taken as net ints; any
+    other document raises, with an exception of any type.
+
+    Canonical is what ``export_json`` writes: the input ports on ids
+    0..i-1 in order, the constants on the next ids with ascending values,
+    the gate outputs on the ids after those in document order.  Those ids
+    are the nets that the checked route's replay would number, so only
+    their places are checked here, once per port, constant and gate.
+    ``Netlist()`` checks the rest: that every id is an int, that each gate
+    reads only earlier nets and every port taps one, and every kind,
+    fan-in, constant value and name.
+    """
+    version, inputs, outputs = doc["format_version"], doc["inputs"], doc["outputs"]
+    constants, gates = doc["constants"], doc["gates"]
+    if type(version) is not int or version != FORMAT_VERSION or not (
+        type(inputs) is type(outputs) is type(constants) is type(gates) is list
+    ):
+        raise ValueError("not a canonical document")
+    ins = tuple([(entry["name"], entry["net"]) for entry in inputs])
+    consts = tuple([(entry["value"], entry["net"]) for entry in constants])
+    table = tuple([Gate(_KINDS[entry["kind"]], tuple(entry["inputs"]), entry["output"]) for entry in gates])
+    first = len(ins) + len(consts)
+    values = [value for value, _ in consts]
+    if (
+        [net for _, net in ins + consts] != list(range(first))
+        or [gate.output for gate in table] != list(range(first, first + len(table)))
+        or values != sorted(set(values))  # two constants of one value share one net
+    ):
+        raise ValueError("not a canonical document")
+    return Netlist(doc["name"], table, ins, tuple([(entry["name"], entry["net"]) for entry in outputs]), consts)
+
+
 def import_json(text: str) -> Netlist:
     """Parse and re-validate an interchange document into a fresh netlist.
 
     Structural problems (a net with two sources, undriven references, bad
     arity, cycles, duplicate ports) raise InvariantViolation; malformed
     documents raise ParseError; foreign kinds or versions raise
-    UnknownGateKind / UnsupportedVersion.  Every field is checked, in
-    document order, before any net is numbered.  Then the document is
+    UnknownGateKind / UnsupportedVersion.
+
+    A canonical document, as ``export_json`` writes it, is built straight
+    from its ids (see ``_import_canonical``).  Every other document, and
+    every canonical one that ``Netlist()`` refuses, takes the checked
+    route, which alone words the errors.  There every field is checked,
+    in document order, before any net is numbered.  Then the document is
     replayed through ``NetlistBuilder``, which numbers the nets: inputs,
     then one net per constant value, then gate outputs in build order,
     which is the document's order unless a gate reads a later gate.  The
-    builder rejects repeated port names; ``import_json`` itself checks
+    builder rejects repeated port names; the checked route itself checks
     what only a document has, its net ids: none driven twice, none read
-    or tapped undriven.
+    or tapped undriven.  Both routes give equal tables.
     """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError, TypeError) as exc:  # also too-deep nesting, too-long integers, non-text
         raise ParseError(f"not valid JSON: {exc}") from exc
+    try:
+        return _import_canonical(doc)
+    except Exception:  # not canonical, or Netlist() refuses it: the checked route accepts or words each defect
+        pass  # outside this handler, so that its errors do not chain to the direct route's
+    return _import_checked(doc)
+
+
+def _import_checked(doc) -> Netlist:
+    """``import_json``'s checked route: every field, then a builder replay."""
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     version = _field(doc, "format_version", int)

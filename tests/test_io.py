@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import adderlab.io
 from adderlab import (
     AdderLabError,
     AdderSpec,
@@ -258,6 +259,14 @@ def test_import_rejects_bool_format_version():
         import_json(json.dumps(doc | {"format_version": True}))
 
 
+@pytest.mark.parametrize("table", ["inputs", "outputs", "constants", "gates"])
+@pytest.mark.parametrize("empty", [{}, ""])
+def test_import_rejects_empty_tables_that_are_no_list(table, empty):
+    # iterates as an empty list, yet is no JSON array
+    text = json.dumps(json.loads(doc_of([], inputs=())) | {table: empty})
+    assert assert_imports_like_reference(text) == (ParseError, f"'{table}' must be list")
+
+
 def test_import_accepts_non_canonical_gate_order():
     # gates listed consumer-first still import; export then normalizes
     text = doc_of([
@@ -410,6 +419,52 @@ BIG = 2**70
     ([("a", 0)], [], [("AND", [], 1)], [], (InvariantViolation, "gate 0: AND cannot take 0 input(s)")),
     # a constant on an input's net
     ([("a", 0)], [(0, 1)], [], [], (InvariantViolation, "net 0 has more than one driver (constant)")),
+    # canonical ids with one defect each: Netlist() refuses them, or the checked route numbers them its own way
+    (
+        [("a", 0), ("b", 1)], [], [("AND", [0, True], 2)], [("y", 2)],
+        (ParseError, "gate 0 input must be a non-negative integer net id"),
+    ),
+    (
+        [("a", 0), ("b", 1)], [], [("AND", [0, 1.0], 2)], [("y", 2)],
+        (ParseError, "gate 0 input must be a non-negative integer net id"),
+    ),
+    (
+        [("a", 0), ("b", 1)], [], [("AND", [0, 2], 2)], [("y", 2)],
+        (InvariantViolation, "gate 0 sits on a combinational loop"),
+    ),
+    (
+        [("a", 0), ("b", 1)], [], [("NOT", [3], 2), ("AND", [0, 1], 3)], [("y", 2)],
+        ([("a", 0), ("b", 1)], [], [("y", 3)]),
+    ),
+    (
+        [("a", 0)], [(1, 0), (2, 0)], [("AND", [0, 1], 3), ("OR", [2, 3], 4)], [("y", 4)],
+        ([("a", 0)], [(0, 1)], [("y", 3)]),
+    ),
+    (
+        [("a", 0), ("b", 1)], [], [("AND", {"0": 0, "1": 1}, 2)], [("y", 2)],
+        (ParseError, "'inputs' must be list"),
+    ),
+    (
+        [("a", 0), ("b", 1)], [], [("AND", [0, 1], 3)], [("y", 3)],
+        ([("a", 0), ("b", 1)], [], [("y", 2)]),
+    ),
+    (
+        [("a", 0), ("b", 1)], [], [("AND", [0, 1], 2)], [("y", 2), ("y", 0)],
+        (InvariantViolation, "output port 'y' already declared"),
+    ),
+    (
+        [("a", 0), ("b", 1)], [], [("AND", [0], 2)], [("y", 2)],
+        (InvariantViolation, "gate 0: AND cannot take 1 input(s)"),
+    ),
+    # every id in range and driven once, yet not in export's order: the checked route renumbers
+    (
+        [("a", 1), ("b", 0)], [], [("NOT", [1], 2)], [("y", 2)],
+        ([("a", 0), ("b", 1)], [], [("y", 2)]),
+    ),
+    (
+        [("a", 0)], [(1, 1), (2, 0)], [("AND", [0, 2], 3)], [("y", 3)],
+        ([("a", 0)], [(0, 2), (1, 1)], [("y", 3)]),
+    ),
 ])
 def test_import_explicit_cases_match_builder_replay(inputs, constants, gates, outputs, want):
     text = json.dumps({
@@ -425,6 +480,49 @@ def test_import_explicit_cases_match_builder_replay(inputs, constants, gates, ou
         assert got == want
     else:  # the input ports, constants and output ports
         assert (list(got[3]), list(got[5]), list(got[4])) == want
+
+
+def test_canonical_documents_skip_the_checked_route(monkeypatch):
+    # Every exported document is canonical, so none of them needs the checked
+    # route; if one took it, import would have lost its direct route.
+    texts = [export_json(nl) for nl in (*builder_menagerie(), build_adder(AdderSpec(Architecture.CLA, 32)))]
+    wants = [outcome(reference_import_json, text) for text in texts]
+
+    def refuse(doc):
+        raise AssertionError("a canonical document took the checked route")
+
+    monkeypatch.setattr(adderlab.io, "_import_checked", refuse)
+    for text, want in zip(texts, wants):
+        assert outcome(import_json, text) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlists(), st.data())
+def test_canonically_numbered_mutants_import_like_the_reference(netlist, data):
+    # Mutations that keep every id on its canonical place, so import takes
+    # its direct route and falls back only on what Netlist() refuses.
+    doc = json.loads(export_json(netlist))
+    gates, constants = doc["gates"], doc["constants"]
+    n = len(doc["inputs"]) + len(constants) + len(gates)
+    tables = [table for table in (doc["inputs"], doc["outputs"]) if len(table) > 1]
+    mutations = ["retarget", "kind"] * bool(gates) + ["flip"] * bool(constants) + ["rename"] * bool(tables)
+    for _ in range(data.draw(st.integers(0, 3)) if mutations else 0):
+        mutation = data.draw(st.sampled_from(mutations))
+        if mutation == "flip":
+            constant = data.draw(st.sampled_from(constants))
+            constant["value"] ^= 1
+        elif mutation == "rename":
+            table = data.draw(st.sampled_from(tables))
+            source, target = data.draw(st.lists(st.sampled_from(table), min_size=2, max_size=2, unique_by=id))
+            target["name"] = source["name"]
+        else:
+            gate = data.draw(st.sampled_from(gates))
+            if mutation == "kind":
+                gate["kind"] = data.draw(st.sampled_from([kind.value for kind in GateKind]))
+            else:
+                slot = data.draw(st.integers(0, len(gate["inputs"]) - 1))
+                gate["inputs"][slot] = data.draw(st.integers(0, n + 1) | st.sampled_from([n, n + 1]))  # n, n + 1: no net
+    assert_imports_like_reference(json.dumps(doc))
 
 
 def test_reimported_tables_are_pinned():
