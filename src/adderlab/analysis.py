@@ -14,7 +14,7 @@ from itertools import accumulate
 
 from .builders import AdderSpec, _check_spec, build_adder
 from .errors import AdderLabError, EmptySpecList, InvalidParameter
-from .netlist import DelayModel, GateKind, Netlist
+from .netlist import DelayModel, GateKind, Netlist, _iterable
 from .verify import _check_exhaustive_all
 
 # compare() verifies rows exhaustively up to this operand width
@@ -88,7 +88,7 @@ def compare(specs, model: DelayModel) -> ComparisonTable:
     ``AdderSpec`` of an ``Architecture``, or a ``model`` that is not a
     ``DelayModel``, raises InvalidParameter before anything is built.
     """
-    specs = list(specs)
+    specs = list(_iterable(specs, "adder specs"))
     if not specs:
         raise EmptySpecList("no adder specs to compare")
     for spec in specs:  # rows read spec.arch even when the build fails

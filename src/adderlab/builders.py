@@ -68,10 +68,11 @@ def adder_port_names(width: int) -> tuple[list[str], list[str]]:
     return ins, outs
 
 
-def _check_width(width: int, what: str = "width") -> None:
-    _require_int(width, what)
+def _check_width(width: int, what: str = "width") -> int:
+    width = _require_int(width, what)
     if width < 1:
         raise ZeroWidth(f"{what} must be >= 1, got {width}")
+    return width
 
 
 def _check_fanin(max_fanin: int | None) -> None:

@@ -11,10 +11,9 @@ cover every net, kind and port.  Every other document, and any canonical
 one that ``Netlist()`` refuses, takes the checked route: each field and
 the document's own net ids are checked, then the netlist is replayed
 through ``NetlistBuilder``, so each error is raised as that route words
-it.  A document's gates may come in any order; they are sorted only when
-their output ids do not ascend in dependency order, as an exported
-document's do.  DOT and Verilog are one-way views; CSV serializes
-comparison tables.
+it.  There a document's gates may come in any order: they are replayed
+in dependency order, the lowest document index first.  DOT and Verilog
+are one-way views; CSV serializes comparison tables.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from operator import lt
 
 from .analysis import ComparisonTable, _row_cells
 from .errors import (
@@ -249,14 +247,12 @@ def _import_checked(doc) -> Netlist:
         if not isinstance(entry, dict):
             raise ParseError("gates must be objects")
         kind_name = _field(entry, "kind", str)
-        try:
-            kind = GateKind(kind_name)
-        except ValueError:
-            raise UnknownGateKind(f"gate {gi} has unknown kind '{kind_name}'") from None
+        kind = _KINDS.get(kind_name)
+        if kind is None:
+            raise UnknownGateKind(f"gate {gi} has unknown kind '{kind_name}'")
         ins = _field(entry, "inputs", list)
-        if ins and (set(map(type, ins)) != {int} or min(ins) < 0):
-            for ref in ins:
-                _net_ref(ref, f"gate {gi} input")
+        for ref in ins:
+            _net_ref(ref, f"gate {gi} input")
         outs.append(_net_ref(entry.get("output"), f"gate {gi} output"))
         if not kind.arity_ok(len(ins)):
             raise InvariantViolation(f"gate {gi}: {kind.value} cannot take {len(ins)} input(s)")
@@ -276,11 +272,7 @@ def _import_checked(doc) -> Netlist:
             if ref in nets:
                 raise InvariantViolation(f"net {ref} has more than one driver (constant)")
             nets[ref] = builder.constant(entry["value"]).index
-
-        # Gate outputs ascending, each above its gate's inputs: then every gate
-        # reads only earlier gates and the document order is the build order.
-        in_order = all(map(lt, outs, outs[1:])) and all(map(lt, map(max, refs), outs))
-        for gi in range(len(outs)) if in_order else _doc_order(refs, outs):
+        for gi in _doc_order(refs, outs):
             out = outs[gi]
             if out in nets:
                 raise InvariantViolation(f"net {out} has more than one driver (gate {gi})")

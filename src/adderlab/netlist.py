@@ -31,14 +31,15 @@ moves the steps that read no changing port ahead of the rest: a series
 of runs computes those once, in the first run, and keeps their rows.
 The runs write into one slab of planes in which any other slot's row is
 reused once its last reader has run, so the slab holds far fewer planes
-than there are nets.  ``simulate_planes`` is one run with every port
-changing.  The exhaustive checkers build the input planes themselves,
-fix the operands' high bits per run and keep only the nets they compare,
-so a w12 sweep runs the logic of bits 0-7 once; ``evaluate`` packs 0/1
-integers or numpy arrays of them into planes and keeps its output taps,
-so a whole input space runs in one pass.  Timing and the
-exporters never see the program: they walk the stored gates.  Timing
-uses a ``DelayModel`` that assigns a base delay per gate kind,
+than there are nets.  Every run goes through ``_runner``, unchecked;
+``simulate_planes`` is the checked public entry point, one run with
+every port changing.  The sweeps and the carry probe build the input
+planes themselves, fix the operands' high bits per run and keep only
+the nets they compare, so a w12 sweep runs the logic of bits 0-7 once;
+``evaluate`` packs 0/1 integers or numpy arrays of them into planes and
+keeps its output taps, so a whole input space runs in one pass.  Timing
+and the exporters never see the program: they walk the stored gates.
+Timing uses a ``DelayModel`` that assigns a base delay per gate kind,
 optionally scaled by ceil(log2(fan-in)) for wide gates.
 """
 
@@ -128,6 +129,8 @@ class DelayModel:
     def __post_init__(self) -> None:
         if not isinstance(self.fanin_penalty, FaninPenalty):
             raise InvalidParameter(f"fan-in penalty must be a FaninPenalty, got {self.fanin_penalty!r}")
+        if not isinstance(self.base, Mapping):
+            raise InvalidParameter(f"delay model '{self.name}' needs a mapping of delays, got {self.base!r}")
         for kind in GateKind:
             if kind not in self.base:
                 raise InvalidParameter(f"delay model '{self.name}' lacks a delay for {kind.value}")
@@ -137,8 +140,7 @@ class DelayModel:
 
     def gate_delay(self, kind: GateKind, fanin: int) -> float:
         if type(fanin) is not int:
-            _require_int(fanin, "fan-in")
-            fanin = int(fanin)
+            fanin = _require_int(fanin, "fan-in")
         d = self.base[kind]
         if self.fanin_penalty is _LOG2:
             # ceil(log2(n)) for n >= 2, computed exactly in integers
@@ -154,10 +156,11 @@ class DelayModel:
         return DelayModel("log2", {k: 1.0 for k in GateKind}, FaninPenalty.LOG2)
 
 
-def _require_int(value, what: str) -> None:
-    """Reject anything but an integer (numpy's included), and bools, with InvalidParameter."""
+def _require_int(value, what: str) -> int:
+    """``value`` as an int; InvalidParameter for anything but an integer (numpy's included) or for a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+    return int(value)  # numpy integers wrap in shifts
 
 
 def _iterable(value, what: str):
@@ -181,6 +184,17 @@ def _as_bit(value, name: str):
             raise InvalidAssignment(f"input '{name}' must be 0 or 1, got {value}")
         return int(value)
     raise InvalidAssignment(f"input '{name}' must be a bit or an array of bits")
+
+
+def _to_planes(bits: np.ndarray) -> np.ndarray:
+    """Pack a (rows, cases) matrix of 0/1 uint8 into uint64 bit-planes.
+
+    Lane k of word j of row r holds ``bits[r, 64*j + k]``.  The case
+    count is padded with zero cases to a whole number of words.
+    """
+    if bits.shape[1] % 64:
+        bits = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 64)))
+    return np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little").view("<u8")
 
 
 Step = tuple[np.ufunc, int, int, int]
@@ -387,8 +401,8 @@ class Netlist:
         cases = np.zeros((len(values), 64 * words), dtype=np.uint8)
         for row, value in zip(cases, values):
             row[:n].reshape(shape)[...] = value
-        packed = np.packbits(cases, axis=1, bitorder="little").view("<u8")
-        taps = self.simulate_planes(dict(zip(names, packed)), words, tuple(net for _, net in self.outputs))
+        run, _ = self._runner(words, tuple(net for _, net in self.outputs), self._input_set)
+        taps = run(dict(zip(names, _to_planes(cases))))
         planes = np.array(taps, dtype="<u8").reshape(len(taps), words).view(np.uint8)
         bits = np.unpackbits(planes, axis=1, count=n, bitorder="little")
         if not arrays:
@@ -432,7 +446,7 @@ class Netlist:
         Each run overwrites the planes the last one returned.
         ``fixed[i]`` is true iff the i-th kept net's plane is the same in
         every run.  Nothing is checked here; ``simulate_planes`` checks
-        what callers pass.
+        what outside callers pass.
         """
         rows, steps, once, taps, fixed = self._plan(nets, varying)
         slab = np.empty((rows, words), dtype=np.uint64)
@@ -494,6 +508,7 @@ class Netlist:
         seen: dict[tuple[np.ufunc, int, int], int] = {}
         fresh = itertools.count(n + 2)
         program = []
+        invariant = {zeros, ones} | {net for name, net in self.inputs if name not in varying}
         for gate in self.gates:
             op, operands = _PLANE_OPS[gate.kind], [slots[net] for net in gate.inputs]
             if gate.kind is GateKind.NOT:
@@ -505,6 +520,8 @@ class Netlist:
                 if key not in seen:
                     seen[key] = gate.output if j == len(operands) else next(fresh)
                     program.append((*key, seen[key]))
+                    if key[1] in invariant and key[2] in invariant:
+                        invariant.add(seen[key])
                 value = seen[key]
             slots[gate.output] = value
         kept = tuple(map(slots.__getitem__, range(n) if nets is None else nets))
@@ -515,10 +532,6 @@ class Netlist:
                 live.update(step[1:3])
                 needed.append(step)
         needed.reverse()
-        invariant = {zeros, ones} | {net for name, net in self.inputs if name not in varying}
-        for _, left, right, out in needed:
-            if left in invariant and right in invariant:
-                invariant.add(out)
         first = [step for step in needed if step[3] in invariant]
         once = len(first)
         needed = first + [step for step in needed if step[3] not in invariant]

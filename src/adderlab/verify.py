@@ -51,7 +51,7 @@ from .errors import (
     OperandOutOfRange,
     PortContractViolation,
 )
-from .netlist import Netlist, NetlistBuilder, _require_int
+from .netlist import Netlist, NetlistBuilder, _require_int, _to_planes
 
 FAILURE_CAP = 32
 DEFAULT_CASE_CAP = 1 << 21  # full sweep allowed up to width 10
@@ -67,7 +67,7 @@ _LANE_MASKS = tuple(
 
 def boundary_cases(width: int) -> tuple[tuple[int, int, int], ...]:
     """Corner cases every random check includes: zeros, saturation, wraparound."""
-    top = (1 << width) - 1
+    top = (1 << _check_width(width)) - 1
     return ((0, 0, 0), (top, top, 1), (top, 1, 0), (0, 0, 1))
 
 
@@ -103,10 +103,9 @@ class EquivalenceReport:
 
 def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
     """Reference semantics: (a + b + cin) as a width-bit sum and a carry-out."""
-    for what, value in (("a", a), ("b", b), ("cin", cin), ("width", width)):
-        _require_int(value, what)
+    checks = (("a", a), ("b", b), ("cin", cin), ("width", width))
+    a, b, cin, width = (_require_int(value, what) for what, value in checks)
     _check_width(width)
-    a, b, cin, width = int(a), int(b), int(cin), int(width)  # numpy integers wrap in shifts
     limit = 1 << width
     if not 0 <= a < limit:
         raise OperandOutOfRange(f"a={a} does not fit in {width} bits")
@@ -118,34 +117,25 @@ def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
     return total & (limit - 1), int(total >= limit)
 
 
-def _check_contract(netlist: Netlist, width: int) -> None:
-    _check_width(width)
+def _check_contract(netlist: Netlist, width: int) -> int:
+    """``width`` as an int, once ``netlist`` exposes the width-``width`` adder ports."""
+    width = _check_width(width)
     want_in, want_out = adder_port_names(width)
     if set(netlist.input_names) != set(want_in) or set(netlist.output_names) != set(want_out):
         raise PortContractViolation(
             f"netlist '{netlist.name}' does not expose the width-{width} adder ports"
         )
+    return width
 
 
-def _exhaustive_size(netlist: Netlist, width: int, case_cap: int) -> int:
-    """Cases in a full sweep of ``netlist``, once its ports and the cap allow one."""
-    _check_contract(netlist, width)
+def _exhaustive_width(netlist: Netlist, width: int, case_cap: int) -> int:
+    """``width`` as an int, once ``netlist``'s ports and the cap allow a full sweep of it."""
+    width = _check_contract(netlist, width)
     _require_int(case_cap, "case_cap")
-    cases = 1 << (2 * int(width) + 1)
+    cases = 1 << (2 * width + 1)
     if cases > case_cap:
         raise ExhaustiveTooLarge(f"width {width} needs {cases} cases, over the cap of {case_cap}")
-    return cases
-
-
-def _to_planes(bits: np.ndarray) -> np.ndarray:
-    """Pack a (rows, cases) matrix of 0/1 uint8 into uint64 bit-planes.
-
-    Lane k of word j of row r holds ``bits[r, 64*j + k]``.  The case
-    count is padded with zero cases to a whole number of words.
-    """
-    if bits.shape[1] % 64:
-        bits = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 64)))
-    return np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little").view("<u8")
+    return width
 
 
 def _low_bits(width: int) -> int:
@@ -376,8 +366,8 @@ def _sweep(
 
 def _check_exhaustive_all(netlists: list[Netlist], width: int, case_cap: int) -> list[EquivalenceReport]:
     """check_exhaustive for several netlists of one width, in one shared sweep."""
-    cases = [_exhaustive_size(netlist, width, case_cap) for netlist in netlists]
-    width = int(width)  # a numpy integer would leak into the reports
+    for netlist in netlists:
+        width = _exhaustive_width(netlist, width, case_cap)
     expected, low = _expected_planes(width), _low_bits(width)
     chunks = (
         (planes, expected(a_hi, b_hi), n, partial(_exhaustive_case, low, a_hi, b_hi))
@@ -389,11 +379,11 @@ def _check_exhaustive_all(netlists: list[Netlist], width: int, case_cap: int) ->
             netlist=netlist.name,
             width=width,
             mode="exhaustive",
-            cases_checked=checked,
+            cases_checked=1 << (2 * width + 1),
             failure_count=failure_count,
             failures=failures,
         )
-        for netlist, checked, (failure_count, failures) in zip(netlists, cases, results)
+        for netlist, (failure_count, failures) in zip(netlists, results)
     ]
 
 
@@ -427,12 +417,13 @@ def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> Equiv
     corner cases (0,0,0), (max,max,1), (max,1,0), (0,0,1) are always
     prepended.  ``samples`` and ``seed`` must be integers >= 0.
     """
-    _check_contract(netlist, width)
+    width = _check_contract(netlist, width)
+    values = []
     for what, value in (("samples", samples), ("seed", seed)):
-        _require_int(value, what)
-        if value < 0:
+        values.append(_require_int(value, what))
+        if values[-1] < 0:
             raise InvalidParameter(f"{what} must be >= 0, got {value}")
-    width, samples, seed = int(width), int(samples), int(seed)  # numpy integers wrap in shifts
+    samples, seed = values
     rng = np.random.Generator(np.random.PCG64(seed))
     mask, k = (1 << width) - 1, -(-width // 32)  # k uint32 words per operand
     draws = rng.integers(0, 1 << 32, size=(samples, 2 * k + 1), dtype=np.uint32)
@@ -469,7 +460,7 @@ def probe_invariant_carry_exclusive(
     """
     if netlist.carry_merges is None:
         raise MissingStageMetadata(f"netlist '{netlist.name}' has no carry-stage metadata")
-    _exhaustive_size(netlist, width, case_cap)
+    width = _exhaustive_width(netlist, width, case_cap)
     if not netlist.carry_merges:
         return True
     pairs = tuple(net for gi in netlist.carry_merges for net in netlist.gates[gi].inputs)

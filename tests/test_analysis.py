@@ -188,6 +188,14 @@ def test_compare_rejects_a_bad_model_before_building_any(monkeypatch, model):
     assert built == []
 
 
+@pytest.mark.parametrize("specs", [5, None])
+def test_compare_rejects_specs_that_are_not_iterable(unit, specs):
+    with pytest.raises(InvalidParameter, match=f"^adder specs must be iterable, got {specs}$"):
+        compare(specs, unit)
+    with pytest.raises(EmptySpecList):
+        compare(iter(()), unit)
+
+
 def test_compare_keeps_failed_rows(unit):
     specs = [
         AdderSpec(Architecture.RCA, 4),

@@ -613,6 +613,10 @@ def test_delay_model_validation():
     for bad in ("log2", "none", None):
         with pytest.raises(InvalidParameter, match="^fan-in penalty must be a FaninPenalty, got "):
             DelayModel("bad", {kind: 1.0 for kind in GateKind}, bad)
+    # a base that is no mapping of kinds to delays
+    for bad in (5, None, [1.0, 1.0, 1.0, 1.0]):
+        with pytest.raises(InvalidParameter, match="^delay model 'x' needs a mapping of delays, got "):
+            DelayModel("x", bad)
 
 
 # -- critical path ------------------------------------------------------------------

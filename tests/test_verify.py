@@ -169,6 +169,19 @@ def test_random_includes_boundary_cases(cia_cla_8_4):
     assert boundary_cases(8) == ((0, 0, 0), (255, 255, 1), (255, 1, 0), (0, 0, 1))
 
 
+def test_boundary_cases_checks_and_converts_its_width():
+    # a numpy width would wrap in the shift: 1 << np.int64(64) is 1, so top would read -1
+    cases = boundary_cases(np.int64(64))
+    assert cases == ((0, 0, 0), (2**64 - 1, 2**64 - 1, 1), (2**64 - 1, 1, 0), (0, 0, 1))
+    assert {type(value) for case in cases for value in case} == {int}
+    for width in (0, -1):
+        with pytest.raises(ZeroWidth, match=f"^width must be >= 1, got {width}$"):
+            boundary_cases(width)
+    for width in ("x", 2.0, True):
+        with pytest.raises(InvalidParameter, match="^width must be an integer, got "):
+            boundary_cases(width)
+
+
 def test_random_wide_operands():
     nl = build_cia(64, 4, Architecture.CLA)
     report = check_random(nl, 64, 300, seed=42)
