@@ -18,6 +18,9 @@ then runs the logic that reads only them once per sweep, not once per
 chunk (``Netlist._runner``): outputs s_0..s_7 are compared with the
 oracle once, and each chunk's expected planes 8..width are picked from
 four fixed planes by the chunk's a_hi + b_hi (``_expected_planes``).
+The fixed ports are given to the kernel as the ints 0 and 1, so it
+folds every step they decide (x & 0, x | 1, and steps on two constants)
+without a numpy call.
 Failures found chunk by chunk are merged into (a, b, cin) order.
 
 One sweep serves a list of netlists of the same width: each chunk's
@@ -29,7 +32,9 @@ rca's low bits.  Each netlist's outputs are then compared with the
 expected planes on their own.  The compare is not folded into the
 program, which would run the oracle check through the simulator.  This
 is how ``analysis.compare`` verifies all rows of a width: at w12 its
-four architectures run 157 steps once and 149 per chunk.
+four architectures run 157 steps once and 149 per chunk, of which the
+folding leaves 28 per chunk on average (7,385 numpy calls per sweep
+against 38,301 unfolded).
 Exhaustive checks sweep the full (a, b, cin) space; random checks take
 their cases from one draw of a seeded PCG64 stream and always include
 the corner cases.  Reports cap the failure list at 32 entries but keep
@@ -162,8 +167,10 @@ def _exhaustive_inputs(width: int):
 
     With low = ``_low_bits(width)``, a chunk fixes a >> low to a_hi and
     b >> low to b_hi, so each of those ports is all 0 or all 1 for the
-    whole chunk; chunks run in (a_hi, b_hi) order.  Inside a chunk, case
-    j (``_exhaustive_case``) runs over the low parts in (a, b, cin) order.
+    whole chunk.  It is given as the int 0 or 1, not as a plane, so the
+    kernel folds the steps it decides (``Netlist._runner``).  Chunks run
+    in (a_hi, b_hi) order.  Inside a chunk, case j
+    (``_exhaustive_case``) runs over the low parts in (a, b, cin) order.
     Bits 0-5 of j vary across the lanes of a word, so their planes are
     fixed lane masks; higher bits are constant within a word and follow
     the word index.  So the low ports and cin get the same planes in every
@@ -179,12 +186,10 @@ def _exhaustive_inputs(width: int):
         name: np.full(len(word), _LANE_MASKS[bit]) if bit < 6 else -((word >> np.uint64(bit - 6)) & np.uint64(1))
         for bit, name in enumerate(names)
     }
-    zeros = np.zeros(len(word), dtype=np.uint64)
-    ones = ~zeros
     for a_hi in range(1 << (width - low)):
         for b_hi in range(1 << (width - low)):
             yield a_hi, b_hi, n, inner | {
-                f"{operand}_{i}": ones if high >> (i - low) & 1 else zeros
+                f"{operand}_{i}": high >> (i - low) & 1
                 for operand, high in (("a", a_hi), ("b", b_hi))
                 for i in range(low, width)
             }

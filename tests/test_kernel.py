@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from adderlab import netlist as netlist_module
 from adderlab import verify
 from adderlab import (
     AdderSpec,
@@ -133,6 +134,9 @@ def test_kernel_rejects_bad_planes():
         nl.simulate_planes({"a": ok, "b": np.zeros(3, dtype=np.uint64)}, 2)
     with pytest.raises(InvalidAssignment):
         nl.simulate_planes({"a": ok, "b": np.zeros(2, dtype=np.uint8)}, 2)
+    for bit in (0, 1):  # only the unchecked runner takes a port as a constant int
+        with pytest.raises(InvalidAssignment, match="^input 'b' must be a uint64 array of 2 words$"):
+            nl.simulate_planes({"a": ok, "b": bit}, 2)
     for planes in ([ok, ok], None):
         with pytest.raises(InvalidAssignment, match="^planes must map input port names to values, got "):
             nl.simulate_planes(planes, 2)
@@ -231,6 +235,35 @@ def test_runs_that_vary_some_inputs_match_full_runs(netlist, data):
             assert not fixed[i] or np.array_equal(plane, before), i
 
 
+@settings(max_examples=100, deadline=None)
+@given(netlists(), st.data())
+def test_ports_given_as_ints_fold_like_constant_planes(netlist, data):
+    # a port given as the int 0 or 1 makes the runner fold every step it decides; the
+    # taps must equal simulate_planes on real all-zero/all-one planes, over several runs
+    # of one runner so that its run-once rows are read back too
+    words = data.draw(st.integers(1, 2))
+    varying = frozenset(data.draw(st.sets(st.sampled_from(netlist.input_names))))
+    nets = data.draw(st.none() | st.lists(st.sampled_from(range(len(netlist.drivers))), max_size=8).map(tuple))
+    run, _ = netlist._runner(words, nets, varying)
+
+    def draw_ports(names):
+        planes = draw_planes(data, netlist, words)
+        return {name: data.draw(st.sampled_from([0, 1, planes[name]])) for name in names}
+
+    given = draw_ports(netlist.input_names)
+    for _ in range(data.draw(st.integers(2, 4))):
+        given |= draw_ports(varying)
+        got = [lanes(plane) for plane in run(given)]
+        full = {
+            name: np.full(words, value * (2**64 - 1), dtype=np.uint64) if isinstance(value, int) else value
+            for name, value in given.items()
+        }
+        want = [lanes(plane) for plane in netlist.simulate_planes(full, words, nets)]
+        assert len(got) == len(want)
+        for i, (plane, expected) in enumerate(zip(got, want)):
+            assert np.array_equal(plane, expected), i
+
+
 # -- verify's packer: a (rows, cases) 0/1 matrix into bit-planes ---------------------
 
 @settings(max_examples=100, deadline=None)
@@ -280,6 +313,62 @@ def test_merged_sweep_plan_runs_the_low_bits_once():
     # s_0..s_7 of each adder are run-once values; s_8..s_11 and cout are not
     assert fixed == (*[True] * 8, *[False] * 5) * 4
     assert rows > full_plan(merged, taps)[0]  # the run-once values that per-chunk steps read stay pinned
+
+
+# numpy calls of the w12 compare's sweep: 157 + 256 * 149 unfolded; with a_8.., b_8.. given
+# as 0/1 per chunk, each chunk after the first makes 28.3 on average
+FOLDED_SWEEP_CALLS = 7385
+
+
+def test_w12_compare_sweep_folds_constant_steps(monkeypatch, unit):
+    # the ops the plans store are counted by wrapping numpy's, so a change that silently
+    # stops folding (or folds a step it must run, which the reports then catch) fails here
+    calls = []
+
+    def counted(ufunc):
+        def op(x, y, out):
+            calls.append(ufunc)
+            return ufunc(x, y, out)
+
+        return op
+
+    ops = {ufunc: counted(ufunc) for ufunc in (np.bitwise_and, np.bitwise_or, np.bitwise_xor)}
+    monkeypatch.setattr(netlist_module, "_PLANE_OPS", {kind: ops[u] for kind, u in netlist_module._PLANE_OPS.items()})
+    monkeypatch.setattr(netlist_module, "_ABSORBING", {ops[u]: bit for u, bit in netlist_module._ABSORBING.items()})
+    table = compare([AdderSpec(arch, 12, 4) for arch in Architecture], unit)
+    assert [row.verified for row in table.rows] == [True] * 4
+    assert len(calls) == FOLDED_SWEEP_CALLS < sum(MERGED_SPLIT) + 255 * MERGED_SPLIT[1]
+
+
+def depends_on(netlist, ports):
+    """The indices of the gates that read any of ``ports``, directly or through other gates."""
+    reached = {net for name, net in netlist.inputs if name in ports}
+    found = []
+    for index, gate in enumerate(netlist.gates):
+        if reached.intersection(gate.inputs):
+            reached.add(gate.output)
+            found.append(index)
+    return found
+
+
+def test_kind_swap_mutants_of_folded_chunks_report_like_the_reference():
+    # at the default chunk size w9 fixes a_8 and b_8 in 4 chunks, so every port the
+    # runner folds is a real high bit; the mutants swap gates those ports reach
+    width, rng = 9, random.Random(9)
+    mutants = []
+    for arch in Architecture:
+        adder = build_adder(AdderSpec(arch, width, 4))
+        high = depends_on(adder, verify._high_ports(width))
+        for index in rng.sample(high, 2):
+            kinds = [kind for kind in GateKind if kind is not adder.gates[index].kind
+                     and kind.arity_ok(len(adder.gates[index].inputs))]
+            mutants.append(adder.with_gate_kind(index, rng.choice(kinds)))
+    assert len(verify._high_ports(width)) == 2
+    reports = verify._check_exhaustive_all(mutants, width, verify.DEFAULT_CASE_CAP)
+    for mutant, report in zip(mutants, reports):
+        want = reference_check_exhaustive(mutant, width)
+        assert report == want == check_exhaustive(mutant, width), mutant.name
+    assert sum(not report.ok for report in reports) > len(mutants) // 2
 
 
 # -- hash-consed steps: shared terms run once ----------------------------------------
