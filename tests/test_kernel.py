@@ -221,7 +221,7 @@ def test_runs_that_vary_some_inputs_match_full_runs(netlist, data):
     words = data.draw(st.integers(1, 2))
     varying = frozenset(data.draw(st.sets(st.sampled_from(netlist.input_names))))
     nets = data.draw(st.none() | st.lists(st.sampled_from(range(len(netlist.drivers))), max_size=8).map(tuple))
-    run, fixed = netlist._runner(words, nets, varying)
+    run, fixed, _ = netlist._runner(words, nets, varying)
     planes, first = draw_planes(data, netlist, words), None
     for _ in range(data.draw(st.integers(2, 4))):
         planes |= {name: plane for name, plane in draw_planes(data, netlist, words).items() if name in varying}
@@ -244,7 +244,7 @@ def test_ports_given_as_ints_fold_like_constant_planes(netlist, data):
     words = data.draw(st.integers(1, 2))
     varying = frozenset(data.draw(st.sets(st.sampled_from(netlist.input_names))))
     nets = data.draw(st.none() | st.lists(st.sampled_from(range(len(netlist.drivers))), max_size=8).map(tuple))
-    run, _ = netlist._runner(words, nets, varying)
+    run = netlist._runner(words, nets, varying)[0]
 
     def draw_ports(names):
         planes = draw_planes(data, netlist, words)
@@ -369,6 +369,70 @@ def test_kind_swap_mutants_of_folded_chunks_report_like_the_reference():
         want = reference_check_exhaustive(mutant, width)
         assert report == want == check_exhaustive(mutant, width), mutant.name
     assert sum(not report.ok for report in reports) > len(mutants) // 2
+
+
+def cone(netlist, names):
+    """The indices of the gates that output ports ``names`` read, directly or through other gates."""
+    reached = {net for name, net in netlist.outputs if name in names}
+    found = []
+    for index in reversed(range(len(netlist.gates))):
+        if netlist.gates[index].output in reached:
+            reached.update(netlist.gates[index].inputs)
+            found.append(index)
+    return found
+
+
+def test_mutants_wrong_only_below_the_fixed_bits_report_like_the_reference():
+    # w9 fixes a_8 and b_8: s_0..s_7 are run-once planes, compared with the oracle once per
+    # sweep, so these mutants' failures come only from that once-compared plane of each
+    width, rng = 9, random.Random(24)
+    mutants = []
+    for arch in Architecture:
+        adder = build_adder(AdderSpec(arch, width, 3))
+        upper = set(cone(adder, ["cout", *(f"s_{i}" for i in range(verify._low_bits(width), width))]))
+        for index in rng.sample([i for i in range(len(adder.gates)) if i not in upper], 2):
+            kinds = [kind for kind in GateKind if kind is not adder.gates[index].kind
+                     and kind.arity_ok(len(adder.gates[index].inputs))]
+            mutants.append(adder.with_gate_kind(index, rng.choice(kinds)))
+    reports = verify._check_exhaustive_all(mutants, width, verify.DEFAULT_CASE_CAP)
+    for mutant, report in zip(mutants, reports):
+        want = reference_check_exhaustive(mutant, width)
+        assert report == want == check_exhaustive(mutant, width), mutant.name
+        assert not report.ok and report.failure_count % 4 == 0, mutant.name  # the same in all 4 chunks
+
+
+def test_cout_wrong_in_a_whole_chunk_reports_like_the_reference():
+    # rca w9 with cout's OR made an AND: cout is 0 everywhere, so in the chunk a_8 = b_8 = 1
+    # the kernel folds it to the zeros row where the oracle's plane is the int 1
+    width = 9
+    adder = build_rca(width)
+    assert dict(adder.outputs)["cout"] == adder.gates[-1].output and adder.gates[-1].kind is GateKind.OR
+    mutant = adder.with_gate_kind(len(adder.gates) - 1, GateKind.AND)
+    cout_plane = verify._expected_planes(width)(1, 1)[width]
+    assert type(cout_plane) is int and cout_plane == 1
+    want = reference_check_exhaustive(mutant, width)
+    assert want.failure_count == 1 << 18
+    for reports in (verify._check_exhaustive_all([adder, mutant, adder], width, verify.DEFAULT_CASE_CAP),
+                    [check_exhaustive(adder, width), check_exhaustive(mutant, width)]):
+        assert reports[0].ok and reports[1] == want
+
+
+# output-vs-oracle XORs of the w12 compare's sweep: each adder's s_0..s_7 once, then 5 planes
+# in each of 256 chunks; the rest compare a folded zeros/ones row with an int 0/1 plane
+UNDECIDED_SWEEP_XORS = 2016
+
+
+def test_w12_compare_sweep_decides_constant_compares(monkeypatch, unit):
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return np.bitwise_xor(x, y)
+
+    monkeypatch.setattr(verify, "_XOR", counted)
+    table = compare([AdderSpec(arch, 12, 4) for arch in Architecture], unit)
+    assert [row.verified for row in table.rows] == [True] * 4
+    assert len(calls) == UNDECIDED_SWEEP_XORS < 4 * (8 + 256 * 5)
 
 
 # -- hash-consed steps: shared terms run once ----------------------------------------
@@ -589,14 +653,14 @@ def test_one_width_runs_the_kernel_once_per_chunk(monkeypatch, unit):
     runner = Netlist._runner
 
     def spy(self, words, nets, varying):
-        run, fixed = runner(self, words, nets, varying)
+        run, fixed, bits = runner(self, words, nets, varying)
         runners.append((words, len(nets), varying))
 
         def counted(planes):
             calls.append(len(nets))
             return run(planes)
 
-        return counted, fixed
+        return counted, fixed, bits
 
     monkeypatch.setattr(Netlist, "_runner", spy)
     table = compare([AdderSpec(arch, 6, 2) for arch in Architecture], unit)
@@ -623,12 +687,18 @@ def sweep_chunks(width):
 
 
 def assert_same_cases(got, want, where):
-    """Planes ``got`` equal ``want`` in every lane a case occupies; lanes past the cases may differ."""
+    """Planes ``got`` equal ``want`` in every lane a case occupies; lanes past the cases may differ.
+
+    A plane of ``got`` may be the int 0 or 1, read as all zeros or all
+    ones, which every occupied lane of the reference's plane must then be.
+    """
     a_hi, b_hi, n, planes = want
     assert got[:3] == (a_hi, b_hi, n), where
     assert len(got[3]) == len(planes), where
+    full = [np.full(len(planes[0]), plane * (2**64 - 1), dtype=np.uint64) if type(plane) is int else plane
+            for plane in got[3]]
     cases = [np.unpackbits(np.asarray(rows, dtype="<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]
-             for rows in (got[3], planes)]
+             for rows in (full, planes)]
     assert np.array_equal(*cases), where
 
 
