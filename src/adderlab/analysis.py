@@ -13,12 +13,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .builders import AdderSpec, _check_spec, build_adder
-from .errors import AdderLabError, EmptySpecList, InvalidParameter
+from .errors import AdderLabError, EmptySpecList, ExhaustiveTooLarge, InvalidParameter
 from .netlist import DelayModel, GateKind, Netlist, _iterable
-from .verify import _check_exhaustive_all
-
-# compare() verifies rows exhaustively up to this operand width
-VERIFY_WIDTH_LIMIT = 12
+from .verify import DEFAULT_CASE_CAP, _check_exhaustive_all
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class ComparisonRow:
     spec: AdderSpec
     area: AreaReport | None
     delay: DelayReport | None
-    verified: bool | None  # None: not checked (width over limit or row failed)
+    verified: bool | None  # None: not checked (sweep over the case cap or row failed)
     error: str | None = None
 
 
@@ -81,12 +78,13 @@ def compare(specs, model: DelayModel) -> ComparisonTable:
     """Build every spec and tabulate area/delay/verification, in request order.
 
     Rows whose build fails carry the error instead of numbers; the table
-    is still returned.  Verification runs exhaustively for widths up to
-    VERIFY_WIDTH_LIMIT and is skipped (verified=None) beyond that.  All
-    rows of one width are verified in one shared sweep, so the oracle's
-    planes for that width are built once.  An item that is not an
-    ``AdderSpec`` of an ``Architecture``, or a ``model`` that is not a
-    ``DelayModel``, raises InvalidParameter before anything is built.
+    is still returned.  Verification runs exhaustively while a width's
+    2**(2*width+1) cases fit ``verify.DEFAULT_CASE_CAP`` (up to width 14)
+    and is skipped (verified=None) beyond that.  All rows of one width
+    are verified in one shared sweep, so the oracle's planes for that
+    width are built once.  An item that is not an ``AdderSpec`` of an
+    ``Architecture``, or a ``model`` that is not a ``DelayModel``, raises
+    InvalidParameter before anything is built.
     """
     specs = list(_iterable(specs, "adder specs"))
     if not specs:
@@ -104,13 +102,13 @@ def compare(specs, model: DelayModel) -> ComparisonTable:
             errors[k] = f"{type(exc).__name__}: {exc}"
     by_width: dict[int, list[int]] = {}
     for k in netlists:
-        if specs[k].width <= VERIFY_WIDTH_LIMIT:
-            by_width.setdefault(specs[k].width, []).append(k)
+        by_width.setdefault(specs[k].width, []).append(k)
     verified: dict[int, bool] = {}
     for width, ks in by_width.items():
-        reports = _check_exhaustive_all(
-            [netlists[k] for k in ks], width, case_cap=1 << (2 * VERIFY_WIDTH_LIMIT + 1)
-        )
+        try:
+            reports = _check_exhaustive_all([netlists[k] for k in ks], width, DEFAULT_CASE_CAP)
+        except ExhaustiveTooLarge:
+            continue
         verified.update((k, report.ok) for k, report in zip(ks, reports))
     rows = [
         ComparisonRow(spec, None, None, None, error=errors[k])

@@ -22,8 +22,8 @@ The fixed ports are given to the kernel as the ints 0 and 1, so it
 folds every step they decide (x & 0, x | 1, and steps on two constants)
 without a numpy call.  The compare folds the same way: an expected plane
 that is all zeros or all ones is the int 0 or 1, and an output the
-kernel folded to its zeros or ones row is decided against it by
-identity, equal or failing in every lane (``_differ``).
+kernel folded to the same constant's row is decided equal by identity
+(``_differ``).
 Failures found chunk by chunk are merged into (a, b, cin) order.
 
 One sweep serves a list of netlists of the same width: each chunk's
@@ -64,7 +64,7 @@ from .errors import (
 from .netlist import Netlist, NetlistBuilder, _require_int, _to_planes
 
 FAILURE_CAP = 32
-DEFAULT_CASE_CAP = 1 << 21  # full sweep allowed up to width 10
+DEFAULT_CASE_CAP = 1 << 29  # full sweep allowed up to width 14
 _WORDS = 2048  # words per chunk (131,072 cases); see the module docstring
 _SUM_BLOCK = 1 << 13  # case indices per block when _expected_planes sums them
 _XOR = np.bitwise_xor  # the one numpy call of an output-vs-oracle compare (_differ)
@@ -268,14 +268,14 @@ def _differ(got, expected, first: int, outputs, bits) -> np.ndarray | None:
     ``outputs`` are positions in ``adder_port_names`` order of the
     netlist whose taps start at ``got[first]``, and ``bits`` is the
     runner's (zeros, ones) rows.  An expected plane may be the int 0 or 1
-    (``_expected_planes``).  Against such an int, a netlist plane that is
-    the runner's zeros or ones row is decided by identity: the same
-    constant adds nothing, the other one fails every lane and returns a
-    fresh all-ones plane at once.  Every other output is XORed with its
-    expected plane (the row ``bits`` holds for an int).  At w12 this
-    decides 3,136 of the 5,152 compares of a ``compare`` sweep, so it
-    XORs 2,016 planes.  Kernel rows, expected planes and ``bits`` are
-    shared across chunks and never written.
+    (``_expected_planes``).  A netlist plane that is the runner's row of
+    that same constant (``bits[want]``) is decided equal by identity and
+    adds nothing.  Every other output is XORed with its expected plane
+    (the row ``bits`` holds for an int), so the other constant's row
+    fails every lane.  At w12 this decides 3,136 of the 5,152 compares
+    of a ``compare`` sweep, so it XORs 2,016 planes.  Kernel rows,
+    expected planes and ``bits`` are shared across chunks and never
+    written.
     """
     bad = None
     for i in outputs:
@@ -283,8 +283,6 @@ def _differ(got, expected, first: int, outputs, bits) -> np.ndarray | None:
         if want.__class__ is int:
             if have is bits[want]:
                 continue
-            if have is bits[1 - want]:
-                return ~bits[0]
             want = bits[want]
         if bad is None:
             bad = _XOR(have, want)
@@ -435,6 +433,7 @@ def check_exhaustive(netlist: Netlist, width: int, case_cap: int = DEFAULT_CASE_
         Operand width in bits; the sweep covers 2**(2*width+1) cases.
     case_cap : int
         Refuse sweeps larger than this many cases (ExhaustiveTooLarge).
+        The default, DEFAULT_CASE_CAP = 2**29, admits widths up to 14.
     """
     return _check_exhaustive_all([netlist], width, case_cap)[0]
 

@@ -211,23 +211,29 @@ def test_compare_keeps_failed_rows(unit):
 
 
 def test_compare_skips_verification_above_width_limit(unit):
-    table = compare([AdderSpec(Architecture.RCA, 13)], unit)
+    table = compare([AdderSpec(Architecture.RCA, 15)], unit)
     assert table.rows[0].verified is None
-    assert table.rows[0].delay.delay == 27.0
+    assert table.rows[0].delay.delay == 31.0
+
+
+def test_compare_verifies_up_to_the_case_cap(unit):
+    # w14's 2**29 cases are exactly verify.DEFAULT_CASE_CAP
+    table = compare([AdderSpec(Architecture.RCA, 14)], unit)
+    assert table.rows[0].verified is True
 
 
 def test_compare_can_skip_verification_entirely(monkeypatch, unit):
-    # compare() has no switch to skip verification: rows over the width limit
+    # compare() has no switch to skip verification: rows over the case cap
     # are the only ones it skips, and a table of only those sweeps nothing
     monkeypatch.setattr(verify, "_expected_planes", None)
-    table = compare([AdderSpec(Architecture.RCA, 13), AdderSpec(Architecture.CIA_CLA, 16, 4)], unit)
+    table = compare([AdderSpec(Architecture.RCA, 15), AdderSpec(Architecture.CIA_CLA, 16, 4)], unit)
     assert [row.verified for row in table.rows] == [None, None]
 
 
 def test_compare_mixed_rows_keep_request_order_and_verdicts(monkeypatch, unit):
     specs = [
         AdderSpec(Architecture.CLA, 6),
-        AdderSpec(Architecture.RCA, 13),  # over the limit: not verified
+        AdderSpec(Architecture.RCA, 15),  # over the case cap: not verified
         AdderSpec(Architecture.CIA_RCA, 2, 4),  # build fails
         AdderSpec(Architecture.RCA, 4),
         AdderSpec(Architecture.CIA_CLA, 6, 2),
@@ -259,7 +265,7 @@ def test_compare_sweeps_each_verifiable_width_once(monkeypatch, unit):
         AdderSpec(Architecture.RCA, 6),
         AdderSpec(Architecture.CLA, 4),
         AdderSpec(Architecture.CIA_RCA, 6, 2),
-        AdderSpec(Architecture.RCA, 13),
+        AdderSpec(Architecture.RCA, 15),
         AdderSpec(Architecture.CIA_RCA, 2, 4),
         AdderSpec(Architecture.CIA_CLA, 4, 2),
         AdderSpec(Architecture.CIA_CLA, 6, 3),

@@ -13,6 +13,7 @@ from adderlab import (
     GateKind,
     analysis,
     build_cia,
+    build_cla_block,
     build_rca,
     export_json,
     import_json,
@@ -117,7 +118,7 @@ def test_verify_explicit_exhaustive(capsys):
 
 
 def test_verify_falls_back_to_random_when_space_is_large(capsys):
-    assert run(["verify", "--arch", "rca", "--width", "11"]) == 0
+    assert run(["verify", "--arch", "rca", "--width", "15"]) == 0
     assert capsys.readouterr().out == "10004 cases, 0 failures\n"
 
 
@@ -161,6 +162,14 @@ def test_verify_infile_mutant_exits_one(tmp_path, capsys):
     assert int(head[1].removesuffix(" failures")) > 0
     assert 1 <= len(lines) - 1 <= 8
     assert all(line.startswith("  a=") and "expected s=" in line for line in lines[1:])
+
+
+def test_verify_sweeps_w13_and_catches_a_fault_random_draws_miss(tmp_path, capsys):
+    # 32,768 of 2**27 cases fail: 10,000 random draws plus the corners found none
+    doc = tmp_path / "mutant.json"
+    doc.write_text(export_json(build_cla_block(13, 2).with_gate_kind(524, GateKind.XOR)))
+    assert run(["verify", "--in", str(doc), "--width", "13"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "134217728 cases, 32768 failures"
 
 
 def test_verify_negative_samples_exits_two(capsys):
@@ -320,10 +329,10 @@ def test_compare_csv_matches_golden(tmp_path, capsys):
 
 
 def test_compare_wide_rows_skip_verification(capsys):
-    assert run(["compare", "--archs", "rca", "--width", "13"]) == 0
+    assert run(["compare", "--archs", "rca", "--width", "15"]) == 0
     out = capsys.readouterr().out
     assert "n/a" in out  # verified column
-    assert "27.00" in out
+    assert "31.00" in out
 
 
 # -- round trip through the CLI ---------------------------------------------------------

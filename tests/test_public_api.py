@@ -130,7 +130,7 @@ SIGNATURES = {
     "build_half_adder": "()",
     "build_incrementer": "(width)",
     "build_rca": "(width)",
-    "check_exhaustive": "(netlist, width, case_cap=2097152)",
+    "check_exhaustive": "(netlist, width, case_cap=536870912)",
     "check_random": "(netlist, width, samples, seed)",
     "compare": "(specs, model)",
     "delay_report": "(netlist, model)",
@@ -142,7 +142,7 @@ SIGNATURES = {
     "format_comparison": "(table)",
     "import_json": "(text)",
     "oracle_add": "(a, b, cin, width)",
-    "probe_invariant_carry_exclusive": "(netlist, width, case_cap=2097152)",
+    "probe_invariant_carry_exclusive": "(netlist, width, case_cap=536870912)",
 }
 
 

@@ -92,9 +92,10 @@ def test_exhaustive_clean_adder(cia_rca_8_4):
 def test_exhaustive_cap():
     with pytest.raises(ExhaustiveTooLarge):
         check_exhaustive(build_rca(16), 16)
-    # a raised cap admits the same request
-    report = check_exhaustive(build_rca(11), 11, case_cap=1 << 23)
-    assert report.ok
+    # the default cap admits w11's 2**23 cases; a lowered cap refuses the same request
+    assert check_exhaustive(build_rca(11), 11).ok
+    with pytest.raises(ExhaustiveTooLarge, match="^width 11 needs 8388608 cases, over the cap of 8388607$"):
+        check_exhaustive(build_rca(11), 11, case_cap=(1 << 23) - 1)
 
 
 def test_port_contract_enforced(rca4):
