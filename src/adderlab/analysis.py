@@ -45,7 +45,7 @@ class ComparisonRow:
     spec: AdderSpec
     area: AreaReport | None
     delay: DelayReport | None
-    verified: bool | None  # None: not checked (sweep over the case cap or row failed)
+    verified: bool | None  # None: not checked (over the case cap, or the row failed)
     error: str | None = None
 
 
@@ -81,8 +81,8 @@ def compare(specs, model: DelayModel) -> ComparisonTable:
     is still returned.  Verification runs exhaustively while a width's
     2**(2*width+1) cases fit ``verify.DEFAULT_CASE_CAP`` (up to width 14)
     and is skipped (verified=None) beyond that.  All rows of one width
-    are verified in one shared sweep, so the oracle's planes for that
-    width are built once.  An item that is not an ``AdderSpec`` of an
+    are proven in one shared BDD manager, so the ripple spec for that
+    width is built once.  An item that is not an ``AdderSpec`` of an
     ``Architecture``, or a ``model`` that is not a ``DelayModel``, raises
     InvalidParameter before anything is built.
     """

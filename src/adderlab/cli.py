@@ -14,10 +14,10 @@ from pathlib import Path
 
 from .analysis import compare, delay_report, area_report, format_comparison
 from .builders import AdderSpec, Architecture, build_adder
-from .errors import AdderLabError, ParseError
+from .errors import AdderLabError, ExhaustiveTooLarge, ParseError
 from .io import export_csv, export_dot, export_json, export_verilog, import_json
 from .netlist import DelayModel
-from .verify import DEFAULT_CASE_CAP, check_exhaustive, check_random
+from .verify import check_exhaustive, check_random
 
 _MODELS = {"unit": DelayModel.unit, "log2": DelayModel.unit_log2}
 
@@ -65,10 +65,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         netlist = build_adder(_spec_from(args))
     if args.random is not None:
         report = check_random(netlist, args.width, args.random, args.seed)
-    elif args.exhaustive or 2 * args.width + 1 < DEFAULT_CASE_CAP.bit_length():  # 2 ** (2w + 1) cases <= cap
-        report = check_exhaustive(netlist, args.width)
     else:
-        report = check_random(netlist, args.width, 10000, args.seed)
+        try:
+            report = check_exhaustive(netlist, args.width)
+        except ExhaustiveTooLarge:
+            if args.exhaustive:
+                raise
+            report = check_random(netlist, args.width, 10000, args.seed)
     print(f"{report.cases_checked} cases, {report.failure_count} failures")
     for failure in report.failures[:8]:
         print(

@@ -18,36 +18,25 @@ and safe to share.
 
 One kernel simulates: a program of two-operand bitwise steps on uint64
 bit-planes, 64 cases per word (parallel-pattern simulation), run by the
-one loop of ``_runner``.  A netlist keeps one cache of such programs,
-one plan per tuple of nets a caller keeps (None: every net) and set of
-input ports whose planes change between runs, and lowers its gates anew
-on each miss.  The lowering is hash-consed (structural hashing): gates'
-operands are sorted, a step computed once is never emitted again, and
-nets whose values are the same step, or a constant, share one slot.  So
-the product terms that lookahead carries share run once, and a w12
-lookahead adder runs 192 steps, not the 478 of lowering each gate on
-its own.  A plan then skips steps none of the kept nets depends on, and
-moves the steps that read no changing port ahead of the rest: a series
-of runs computes those once, in the first run, and keeps their rows.
-The runs write into one slab of planes in which any other slot's row is
-reused once its last reader has run, so the slab holds far fewer planes
-than there are nets.  Every run goes through ``_runner``, unchecked;
-``simulate_planes`` is the checked public entry point, one run with
-every port changing.  The sweeps and the carry probe build the input
-planes themselves, fix the operands' high bits per run and keep only
-the nets they compare, so a w12 sweep runs the logic of bits 0-7 once.
-They give each fixed bit to the runner as the int 0 or 1, and the loop
-folds constants: a step that an all-zeros AND operand or an all-ones
-OR operand decides, or whose operands are both all zeros or all ones,
-makes no numpy call and takes the shared zeros or ones row as its
-value.  So of the 149 steps a w12 compare sweep runs per chunk, 28 run
-on average; steps never alias an operand, which the reuse of rows
-forbids.  ``simulate_planes`` takes arrays only;
-``evaluate`` packs 0/1 integers or numpy arrays of them into planes and
-keeps its output taps, so a whole input space runs in one pass.  Timing
-and the exporters never see the program: they walk the stored gates.
-Timing uses a ``DelayModel`` that assigns a base delay per gate kind,
-optionally scaled by ceil(log2(fan-in)) for wide gates.
+one loop of ``_run``.  A netlist keeps one cache of such programs,
+one plan per tuple of nets a caller keeps (None: every net), and lowers
+its gates anew on each miss.  The lowering folds constants (x & 0 is 0,
+x & 1, x | 0 and x ^ 0 are x, x | 1 is 1) and is hash-consed (structural
+hashing): gates' operands are sorted, a step computed once is never
+emitted again, and nets whose values are the same step, an input or a
+constant share one slot.  So the product terms that lookahead carries
+share run once, a w12 lookahead adder runs 192 steps, not the 478 of
+lowering each gate on its own, and a carry-increment adder skips the
+steps its constant carries decide.  A plan then skips steps none of the
+kept nets depends on.  A run writes into one slab of planes in which any
+other slot's row is reused once its last reader has run, so the slab
+holds far fewer planes than there are nets.  Every run goes through
+``_run``, unchecked; ``simulate_planes`` is the checked public entry
+point.  ``evaluate`` packs 0/1 integers or numpy arrays of them into
+planes and keeps its output taps, so a whole input space runs in one
+pass.  Timing and the exporters never see the program: they walk the
+stored gates.  Timing uses a ``DelayModel`` that assigns a base delay
+per gate kind, optionally scaled by ceil(log2(fan-in)) for wide gates.
 """
 
 from __future__ import annotations
@@ -211,7 +200,6 @@ _PLANE_OPS = {  # NOT x runs as x XOR ones
     GateKind.XOR: np.bitwise_xor,
     GateKind.NOT: np.bitwise_xor,
 }
-_ABSORBING = {np.bitwise_and: 0, np.bitwise_or: 1}  # the operand that alone decides: x & 0, x | 1
 
 
 class Netlist:
@@ -242,7 +230,7 @@ class Netlist:
         # The carry-increment builder's merge OR gates, by index, one per stage
         # after the first; None means "not an increment-style build", () one block.
         self.carry_merges = carry_merges
-        self._plans: dict = {}  # (kept nets or None, varying ports) -> plan, see _plan; the kernel's only state
+        self._plans: dict = {}  # kept nets or None -> plan, see _plan; the kernel's only state
         self.drivers = self._derive_drivers()
         self._input_set = frozenset(self.input_names)
 
@@ -409,8 +397,7 @@ class Netlist:
         cases = np.zeros((len(values), 64 * words), dtype=np.uint8)
         for row, value in zip(cases, values):
             row[:n].reshape(shape)[...] = value
-        run = self._runner(words, tuple(net for _, net in self.outputs), self._input_set)[0]
-        taps = run(dict(zip(names, _to_planes(cases))))
+        taps = self._run(dict(zip(names, _to_planes(cases))), words, tuple(net for _, net in self.outputs))
         planes = np.array(taps, dtype="<u8").reshape(len(taps), words).view(np.uint8)
         bits = np.unpackbits(planes, axis=1, count=n, bitorder="little")
         if not arrays:
@@ -423,10 +410,10 @@ class Netlist:
         ``planes`` maps each input port to a uint64 array of ``words``
         words; bit k of word j is that input's value in case 64*j + k, and
         every returned plane has that layout.  The steps of the plan for
-        ``nets`` with every input varying write into one fresh slab, in
-        which a row not kept is reused once its last reader has run (see
-        ``_runner``).  Input planes are the caller's arrays, so treat every
-        plane as read-only.  Lanes no case occupies may hold any value.
+        ``nets`` write into one fresh slab, in which a row not kept is
+        reused once its last reader has run (see ``_plan``).  Input planes
+        are the caller's arrays, so treat every plane as read-only.  Lanes
+        no case occupies may hold any value.
         """
         self._check_input_names(planes, "planes")
         if isinstance(words, bool) or not isinstance(words, numbers.Integral) or words < 0:
@@ -440,99 +427,50 @@ class Netlist:
                 hash(nets := tuple(nets))  # the plan cache's key
             except TypeError:
                 raise UnknownNet(f"nets must be None or a sequence of net ids, got {nets!r}") from None
-        return self._runner(words, nets, self._input_set)[0](planes)
+        return self._run(planes, words, nets)
 
-    def _runner(self, words: int, nets, varying: frozenset[str]):
-        """(run, fixed, bits): the kernel loop over ``_plan(nets, varying)`` for runs of ``words`` words.
+    def _run(self, planes: Mapping[str, np.ndarray], words: int, nets) -> list[np.ndarray]:
+        """The planes of ``nets``, in that order, from one kernel run of ``_plan(nets)`` on ``planes``.
 
-        ``run(planes)`` takes one set of input planes, laid out as in
-        ``simulate_planes``, and returns the planes of ``nets``.  A port's
-        plane may also be the int 0 or 1, for all zeros or all ones; the
-        run then uses the slab's zeros or ones row for it.  The first run
-        executes every step, later runs only the per-run steps: the
-        run-once values stay in their pinned rows of the one slab, so
-        ports outside ``varying`` must get the same planes in every run.
-        Each run overwrites the planes the last one returned.
-        ``fixed[i]`` is true iff the i-th kept net's plane is the same in
-        every run.  ``bits`` is the pair (zeros, ones) of the slab's
-        all-zeros and all-ones rows.  A returned plane that is one of them
-        by identity is that constant in every lane, so a caller may decide
-        its compares without a numpy call: ``verify._differ`` decides 3,136
-        of the 5,152 output compares of a w12 ``compare`` sweep so.  Like
-        every returned plane, they are read-only.  Nothing is checked here;
-        ``simulate_planes`` checks what outside callers pass.
-
-        Constants fold.  A step whose operand is the zeros row (AND) or
-        the ones row (OR), or whose operands are both those rows, makes no
-        numpy call: its value becomes the zeros or ones row itself.  Any
-        other step writes its own slab row, never the row its value last
-        pointed at, which may be the shared zeros or ones.  So a sweep
-        chunk whose high ports are 0/1 runs only the steps those ports do
-        not decide.  A step never aliases its other operand (x & 1 is not
-        made x): the plan reuses a row once its slot's last reader has
-        run, which the alias's readers would outlive.
+        ``planes`` is laid out as in ``simulate_planes``, ``words`` words
+        each.  Every step writes its row of one fresh slab.  Nothing is
+        checked here; ``simulate_planes`` checks what outside callers pass.
         """
-        rows, steps, once, taps, fixed = self._plan(nets, varying)
+        rows, steps, taps = self._plan(nets)
         slab = np.empty((rows, words), dtype=np.uint64)
         slab[0] = 0
         slab[1] = ~np.uint64(0)
-        k = len(self.inputs)
-        own = [None] * k + list(slab)  # value index -> the slab row a step there writes
-        bits = zeros, ones = own[k], own[k + 1]
-        names, values = self.input_names, own.copy()
-        steps = [
-            (op, left, right, out, own[out], bits[_ABSORBING[op]] if op in _ABSORBING else None)
-            for op, left, right, out in steps
-        ]
-        todo, later = steps, steps[once:]
+        values = [*map(planes.__getitem__, self.input_names), *slab]
+        for op, left, right, out in steps:
+            op(values[left], values[right], values[out])
+        return [values[tap] for tap in taps]
 
-        def run(planes: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-            nonlocal todo
-            values[:k] = [bits[plane] if plane.__class__ is int else plane for plane in map(planes.__getitem__, names)]
-            for op, left, right, out, row, absorbing in todo:
-                x, y = values[left], values[right]
-                if x is absorbing or y is absorbing:
-                    values[out] = absorbing
-                elif (x is zeros or x is ones) and (y is zeros or y is ones):
-                    # AND/OR of their identity is that identity; XOR of two constants is 0 iff they are equal
-                    values[out] = x if absorbing is not None else bits[x is not y]
-                else:
-                    values[out] = op(x, y, row)
-            todo = later
-            return [values[tap] for tap in taps]
+    def _plan(self, nets) -> tuple[int, tuple[Step, ...], tuple[int, ...]]:
+        """(slab rows, steps, taps) that compute ``nets`` (None: every net); cached.
 
-        return run, fixed, bits
-
-    def _plan(self, nets, varying: frozenset[str]) -> tuple[
-        int, tuple[Step, ...], int, tuple[int, ...], tuple[bool, ...]
-    ]:
-        """(slab rows, steps, run-once count, taps, fixed) that compute ``nets`` (None: every net); cached.
-
-        ``varying`` names the input ports whose planes change between runs
-        (see ``_runner``).  Each step (op, left, right, out) stores
-        op(value left, value right), op being numpy's bitwise AND, OR or
-        XOR, in value ``out`` of a list that holds the input ports' planes
-        in port order, then the slab's rows, the first two all zeros and
-        all ones.  The first ``once`` steps read no varying port, directly
-        or through other steps, and run once; the rest run on every run.
-        ``fixed[i]`` tells whether kept net i is such a run-once value.
-        Kept nets must be ints in 0..n-1 (else UnknownNet).
+        Each step (op, left, right, out) stores op(value left, value
+        right), op being numpy's bitwise AND, OR or XOR, in value ``out``
+        of a list that holds the input ports' planes in port order, then
+        the slab's rows, the first two all zeros and all ones.  Kept net i
+        is value ``taps[i]``.  Kept nets must be ints in 0..n-1 (else
+        UnknownNet).
 
         A miss lowers the gates over slots: 0..n-1 the nets, n and n+1 the
         zeros and ones, n+2 and up wide gates' intermediate results.  An
         input net holds its own slot, a constant net the zeros or ones
         slot.  In stored order, a gate's operands are its inputs' slots
         sorted ascending, NOT x running as x XOR ones, chained left to
-        right.  Steps are hash-consed: all three ops commute, so each is
-        keyed on (op, left, right) with left <= right and emitted once; a
-        gate's net maps to the slot of its last step.  Shared product terms
-        thus run once, and kept nets that share a slot share a row.  Steps
-        no kept net depends on are dropped, and the run-once steps move
-        ahead of the rest, each part in stored order.  A slot takes a free
-        row when first written and frees it after its last reader, unless
-        it is kept or a run-once value that a per-run step reads.
+        right.  A link with a constant operand that decides it emits no
+        step: its value is the constant's slot (x & 0, x | 1) or the other
+        operand's (x & 1, x | 0, x ^ 0).  The other links are hash-consed:
+        all three ops commute, so each is keyed on (op, left, right) with
+        left <= right and emitted once; a gate's net maps to the slot of
+        its last link.  Shared product terms thus run once, and kept nets
+        that share a slot share a row.  Steps no kept net depends on are
+        dropped.  A slot takes a free row when first written and frees it
+        after its last reader, unless it is kept.
         """
-        plan = self._plans.get((nets, varying))
+        plan = self._plans.get(nets)
         if plan is not None:
             return plan
         n, k = len(self.drivers), len(self.inputs)
@@ -543,24 +481,30 @@ class Netlist:
         slots = list(range(n))
         for value, net in self.constants:
             slots[net] = ones if value else zeros
+        folds = {  # op -> (identity, absorbing) slots
+            np.bitwise_and: (ones, zeros), np.bitwise_or: (zeros, ones), np.bitwise_xor: (zeros, None)
+        }
         seen: dict[tuple[np.ufunc, int, int], int] = {}
         fresh = itertools.count(n + 2)
         program = []
-        invariant = {zeros, ones} | {net for name, net in self.inputs if name not in varying}
         for gate in self.gates:
             op, operands = _PLANE_OPS[gate.kind], [slots[net] for net in gate.inputs]
             if gate.kind is GateKind.NOT:
                 operands.append(ones)
             operands.sort()
+            identity, absorbing = folds[op]
             value = operands[0]
             for j, operand in enumerate(operands[1:], 2):
-                key = (op, min(value, operand), max(value, operand))
-                if key not in seen:
-                    seen[key] = gate.output if j == len(operands) else next(fresh)
-                    program.append((*key, seen[key]))
-                    if key[1] in invariant and key[2] in invariant:
-                        invariant.add(seen[key])
-                value = seen[key]
+                if absorbing in (value, operand):
+                    value = absorbing
+                elif value == identity:
+                    value = operand
+                elif operand != identity:
+                    key = (op, min(value, operand), max(value, operand))
+                    if key not in seen:
+                        seen[key] = gate.output if j == len(operands) else next(fresh)
+                        program.append((*key, seen[key]))
+                    value = seen[key]
             slots[gate.output] = value
         kept = tuple(map(slots.__getitem__, range(n) if nets is None else nets))
         live, needed = set(kept), []
@@ -570,12 +514,9 @@ class Netlist:
                 live.update(step[1:3])
                 needed.append(step)
         needed.reverse()
-        first = [step for step in needed if step[3] in invariant]
-        once = len(first)
-        needed = first + [step for step in needed if step[3] not in invariant]
         last_read = {slot: s for s, step in enumerate(needed) for slot in step[1:3]}
         where = {net: j for j, (_, net) in enumerate(self.inputs)} | {zeros: k, ones: k + 1}
-        pinned = set(where) | set(kept) | {slot for step in needed[once:] for slot in step[1:3] if slot in invariant}
+        pinned = set(where) | set(kept)
         free, rows, steps = [], 2, []
         for s, (op, left, right, out) in enumerate(needed):
             for slot in {left, right}:
@@ -586,8 +527,7 @@ class Netlist:
             else:
                 where[out], rows = k + rows, rows + 1
             steps.append((op, where[left], where[right], where[out]))
-        fixed = tuple(slot in invariant for slot in kept)
-        plan = self._plans[(nets, varying)] = (rows, tuple(steps), once, tuple(map(where.__getitem__, kept)), fixed)
+        plan = self._plans[nets] = (rows, tuple(steps), tuple(map(where.__getitem__, kept)))
         return plan
 
     # -- timing ----------------------------------------------------------------

@@ -1,58 +1,44 @@
 """Functional verification of adder netlists against integer addition.
 
-The reference is integer addition, ``a + b + cin`` per case (over Python
-ints for random draws, over numpy case indices for exhaustive sweeps;
-``oracle_add`` is the one-case form), which shares no code with the
-netlist simulator.  Both checkers run netlists through the kernel in
-chunks of up to 131,072 cases, 64 per uint64 word, keeping only the
-output nets; the oracle's sums are packed into expected bit-planes by
-``np.packbits`` so one XOR/OR pass compares a whole chunk.  Each chunk
-also carries its cases as integers, so a reported failure takes its
-(a, b, cin) and its expected sum and carry from the case and
-``a + b + cin``; only the netlist's own output planes are read back.
+The reference is integer addition, ``a + b + cin`` per case
+(``oracle_add`` is the one-case form), which shares no code with the
+netlist simulator.  Reports cap the failure list at 32 entries, in
+(a, b, cin) order, but keep the exact count; each failure takes its
+expected sum and carry from ``a + b + cin``.
 
-An exhaustive chunk fixes the operands' bits from 8 up (a_8.., b_8..)
-and varies a_0..a_7, b_0..b_7 and cin inside it, so the planes of those
-ports are the same in every chunk (``_exhaustive_inputs``).  The kernel
-then runs the logic that reads only them once per sweep, not once per
-chunk (``Netlist._runner``): outputs s_0..s_7 are compared with the
-oracle once, and each chunk's expected planes 8..width are picked from
-four fixed planes by the chunk's a_hi + b_hi (``_expected_planes``).
-The fixed ports are given to the kernel as the ints 0 and 1, so it
-folds every step they decide (x & 0, x | 1, and steps on two constants)
-without a numpy call.  The compare folds the same way: an expected plane
-that is all zeros or all ones is the int 0 or 1, and an output the
-kernel folded to the same constant's row is decided equal by identity
-(``_differ``).
-Failures found chunk by chunk are merged into (a, b, cin) order.
+An exhaustive check is a proof over reduced ordered BDDs (``_bdd``) whose
+variables are the ports in the order cin, a_0, b_0, a_1, b_1, ...
+(``_spec``).  The netlist's outputs are built gate by gate, and so are
+those of a ripple-carry adder from its definition: s_i = a_i ^ b_i ^ c_i,
+c_0 = cin and c_{i+1} the majority of a_i, b_i and c_i.  Under this order
+every adder output has a graph linear in its bit.  A netlist then fails
+exactly the cases under which the OR over all outputs of (netlist XOR
+spec) is 1.  Their number is that function's satisfying count; the first
+ones come from a walk over a's bits from the top, then b's, then cin, each
+tried at 0 before 1, and the netlist's own sum and carry are read off its
+output graphs.  The carry probe asks of the same graphs whether some merge
+pair's AND is not the constant 0.  All netlists of one call share one
+manager and one spec, which is how ``analysis.compare`` verifies all rows
+of a width.
 
-One sweep serves a list of netlists of the same width: each chunk's
-input and expected planes are built once, and the netlists are replayed
-into one netlist over shared input ports (``_merged``), so each chunk is
-one kernel run whose hash-consing computes the logic they share once:
-every ``a_i ^ b_i`` and ``a_i & b_i``, and cia_rca's block 0, which is
-rca's low bits.  Each netlist's outputs are then compared with the
-expected planes on their own.  The compare is not folded into the
-program, which would run the oracle check through the simulator.  This
-is how ``analysis.compare`` verifies all rows of a width: at w12 its
-four architectures run 157 steps once and 149 per chunk, of which the
-folding leaves 28 per chunk on average (7,385 numpy calls per sweep
-against 38,301 unfolded), and of the 5,152 output-vs-oracle compares
-(each adder's s_0..s_7 once, then 5 outputs in each of 256 chunks)
-3,136 are decided without a numpy call, so 2,016 planes are XORed.
-Exhaustive checks sweep the full (a, b, cin) space; random checks take
-their cases from one draw of a seeded PCG64 stream and always include
-the corner cases.  Reports cap the failure list at 32 entries but keep
-the exact count.
+A proof stops once its manager would pass ``_NODE_BUDGET`` nodes.  The
+netlists it has not proven then run through the kernel, each in one plain
+sweep over every case (``_index_chunks``), as random checks run over their
+cases: chunks of up to 131,072 cases, 64 per uint64 word, that keep only
+the output nets, compared with the oracle's sums packed into expected
+bit-planes in one XOR/OR pass (``_sweep``).  Random checks take their
+cases from one draw of a seeded PCG64 stream and always include the
+corner cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
+from ._bdd import AND, OR, XOR, Manager, OverBudget
 from .builders import _check_width, adder_port_names
 from .errors import (
     ExhaustiveTooLarge,
@@ -61,19 +47,20 @@ from .errors import (
     OperandOutOfRange,
     PortContractViolation,
 )
-from .netlist import Netlist, NetlistBuilder, _require_int, _to_planes
+from .netlist import GateKind, Netlist, _require_int, _to_planes
 
 FAILURE_CAP = 32
-DEFAULT_CASE_CAP = 1 << 29  # full sweep allowed up to width 14
-_WORDS = 2048  # words per chunk (131,072 cases); see the module docstring
-_SUM_BLOCK = 1 << 13  # case indices per block when _expected_planes sums them
-_XOR = np.bitwise_xor  # the one numpy call of an output-vs-oracle compare (_differ)
-
-# Plane of case-index bit k (k < 6) across the 64 lanes of a word:
-# lane L is set iff bit k of L is, e.g. 0xAAAA... for k = 0.
-_LANE_MASKS = tuple(
-    np.uint64(sum(1 << lane for lane in range(64) if lane >> k & 1)) for k in range(6)
-)
+DEFAULT_CASE_CAP = 1 << 29  # exhaustive checks allowed up to width 14
+_WORDS = 2048  # words per chunk of a sweep (131,072 cases)
+# Nodes a proof's manager may hold (about 60 MiB) before the netlists it
+# has not proven are swept instead.  The budget, not Python's recursion
+# limit of 1,000 frames, also ends a wide proof: the recursions of ``_bdd``
+# go up to 2w + 2 calls deep at width w, and every proof first builds the
+# ripple spec, bit 0 up, which alone takes about 4.5 w**2 nodes (18,787 at
+# w64, 74,435 at w128, 296,323 at w256).  So past about w240 the spec
+# stops at the budget before any call nests deeper than about 480 frames.
+_NODE_BUDGET = 1 << 18
+_OPS = {GateKind.AND: AND, GateKind.OR: OR, GateKind.XOR: XOR, GateKind.NOT: XOR}  # NOT x is x XOR 1
 
 
 def boundary_cases(width: int) -> tuple[tuple[int, int, int], ...]:
@@ -140,7 +127,7 @@ def _check_contract(netlist: Netlist, width: int) -> int:
 
 
 def _exhaustive_width(netlist: Netlist, width: int, case_cap: int) -> int:
-    """``width`` as an int, once ``netlist``'s ports and the cap allow a full sweep of it."""
+    """``width`` as an int, once ``netlist``'s ports and the cap allow an exhaustive check of it."""
     width = _check_contract(netlist, width)
     _require_int(case_cap, "case_cap")
     cases = 1 << (2 * width + 1)
@@ -149,93 +136,99 @@ def _exhaustive_width(netlist: Netlist, width: int, case_cap: int) -> int:
     return width
 
 
-def _low_bits(width: int) -> int:
-    """Bits of each operand that vary inside one exhaustive chunk: as many as ``_WORDS`` words hold."""
-    return min(width, ((_WORDS * 64).bit_length() - 2) // 2)
+def _split(index, width: int):
+    """(a, b, cin) of the case numbered ``index`` = a << (width+1) | b << 1 | cin: an int or a uint64 array.
 
-
-def _high_ports(width: int) -> frozenset[str]:
-    """The input ports an exhaustive chunk fixes: a's and b's bits from ``_low_bits(width)`` up."""
-    return frozenset(f"{operand}_{i}" for operand in "ab" for i in range(_low_bits(width), width))
-
-
-def _exhaustive_case(low: int, a_hi: int, b_hi: int, j):
-    """Case j, as (a, b, cin), of the exhaustive chunk that fixes a >> low to a_hi and b >> low to b_hi.
-
-    j = a_lo << (low+1) | b_lo << 1 | cin, where a_lo and b_lo are a's and
-    b's low ``low`` bits.  ``j`` may be an int or a numpy array of them.
+    Case numbers run in (a, b, cin) order.
     """
-    return a_hi << low | j >> (low + 1), b_hi << low | (j >> 1) & ((1 << low) - 1), j & 1
+    return index >> (width + 1), (index >> 1) & ((1 << width) - 1), index & 1
 
 
-def _exhaustive_inputs(width: int):
-    """Yield (a_hi, b_hi, cases, input planes) of each chunk that together cover every (a, b, cin).
+def _spec(width: int) -> tuple[Manager, dict[str, int], list[int]]:
+    """A manager over the width-``width`` adder ports, their variables by name, and a ripple-carry adder's outputs.
 
-    With low = ``_low_bits(width)``, a chunk fixes a >> low to a_hi and
-    b >> low to b_hi, so each of those ports is all 0 or all 1 for the
-    whole chunk.  It is given as the int 0 or 1, not as a plane, so the
-    kernel folds the steps it decides (``Netlist._runner``).  Chunks run
-    in (a_hi, b_hi) order.  Inside a chunk, case j
-    (``_exhaustive_case``) runs over the low parts in (a, b, cin) order.
-    Bits 0-5 of j vary across the lanes of a word, so their planes are
-    fixed lane masks; higher bits are constant within a word and follow
-    the word index.  So the low ports and cin get the same planes in every
-    chunk, and operands are never unpacked.  At width <= low there is one
-    chunk, with a_hi = b_hi = 0.  Below 64 cases the unused lanes repeat
-    the used ones.
+    The outputs, s_0..s_{w-1} then cout, are built in the manager from the
+    definition, bit 0 up (see the module docstring).
     """
-    low = _low_bits(width)
-    names = ["cin", *(f"b_{i}" for i in range(low)), *(f"a_{i}" for i in range(low))]
-    n = 1 << len(names)
-    word = np.arange((n + 63) >> 6, dtype=np.uint64)
-    inner = {
-        name: np.full(len(word), _LANE_MASKS[bit]) if bit < 6 else -((word >> np.uint64(bit - 6)) & np.uint64(1))
-        for bit, name in enumerate(names)
-    }
-    for a_hi in range(1 << (width - low)):
-        for b_hi in range(1 << (width - low)):
-            yield a_hi, b_hi, n, inner | {
-                f"{operand}_{i}": high >> (i - low) & 1
-                for operand, high in (("a", a_hi), ("b", b_hi))
-                for i in range(low, width)
-            }
+    bdd = Manager(2 * width + 1, _NODE_BUDGET)
+    ports = {"cin": bdd.var(0)}
+    carry, outputs = ports["cin"], []
+    for i in range(width):
+        a = ports[f"a_{i}"] = bdd.var(2 * i + 1)
+        b = ports[f"b_{i}"] = bdd.var(2 * i + 2)
+        half = bdd.apply(XOR, a, b)
+        outputs.append(bdd.apply(XOR, half, carry))
+        carry = bdd.apply(OR, bdd.apply(AND, a, b), bdd.apply(AND, half, carry))
+    return bdd, ports, [*outputs, carry]
 
 
-def _expected_planes(width: int):
-    """The oracle for exhaustive chunks: a map from a chunk's (a_hi, b_hi) to its expected planes.
+def _graphs(bdd: Manager, ports: dict[str, int], netlist: Netlist, nets) -> list[int]:
+    """The functions of ``netlist``'s nets ``nets`` in ``bdd``, over the port variables ``ports``."""
+    node = [0] * len(netlist.drivers)
+    for name, net in netlist.inputs:
+        node[net] = ports[name]
+    for value, net in netlist.constants:
+        node[net] = value
+    for gate in netlist.gates:
+        operands = [node[net] for net in gate.inputs]
+        if gate.kind is GateKind.NOT:
+            operands.append(1)
+        node[gate.output] = reduce(partial(bdd.apply, _OPS[gate.kind]), operands)
+    return [node[net] for net in nets]
 
-    The sums ``a_lo + b_lo + cin`` of one chunk's cases (see
-    ``_exhaustive_inputs``) are computed and packed once, in blocks of
-    ``_SUM_BLOCK`` cases so their temporaries stay small.  They take
-    low + 1 bits: planes 0..low-1 are every chunk's, and plane low is
-    their carry.  A chunk's sums are those plus the integer
-    (a_hi + b_hi) << low, so its planes low..width are the bits of
-    carry + a_hi + b_hi: those of a_hi + b_hi where the carry is 0, those
-    of a_hi + b_hi + 1 where it is 1.  Each is all zeros, all ones, the
-    carry or its complement, so no chunk computes a plane.  An all-zeros
-    or all-ones plane is given as the int 0 or 1, as ``_exhaustive_inputs``
-    gives the fixed ports, so ``_differ`` can decide its compare with a
-    netlist plane that the kernel folded to a constant without a numpy
-    call; planes 0..low-1 and the carry planes stay arrays.  Lanes past the
-    chunk's cases may hold any value.
+
+def _prove(netlists: list[Netlist], width: int) -> list[tuple[int, tuple[Failure, ...]] | None]:
+    """Per netlist, its exact mismatch count and first FAILURE_CAP failures; None if the node budget left it unproven.
+
+    The netlists must expose the width-``width`` adder ports.  They are
+    proven in list order in one manager, so once the budget stops a proof,
+    it and every later netlist are left unproven.
     """
-    low = _low_bits(width)
-    n = 1 << (2 * low + 1)
-    fixed = np.empty((low + 1, (n + 63) // 64), dtype=np.uint64)
-    for first in range(0, n, _SUM_BLOCK):
-        index = np.arange(first, min(n, first + _SUM_BLOCK), dtype=np.uint32)  # a sum never exceeds its index
-        sums = sum(_exhaustive_case(low, 0, 0, index))
-        bits = ((sums >> np.arange(low + 1, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
-        fixed[:, first // 64 : (first + len(index) + 63) // 64] = _to_planes(bits)
-    carry = fixed[low]
-    # the plane for (bit i of a_hi + b_hi, bit i of a_hi + b_hi + 1)
-    plane = {(0, 0): 0, (1, 1): 1, (0, 1): carry, (1, 0): ~carry}
+    results: list = [None] * len(netlists)
+    outputs, mask = adder_port_names(width)[1], (1 << width) - 1
+    order = [*range(2 * width - 1, 0, -2), *range(2 * width, 0, -2), 0]  # a_{w-1}..a_0, b_{w-1}..b_0, cin
+    try:
+        bdd, ports, spec = _spec(width)
+        for k, netlist in enumerate(netlists):
+            got = _graphs(bdd, ports, netlist, map(dict(netlist.outputs).__getitem__, outputs))
+            miss = reduce(partial(bdd.apply, OR), map(partial(bdd.apply, XOR), got, spec))
+            failures = []
+            for index in bdd.solutions(miss, order, FAILURE_CAP):
+                a, b, cin = _split(index, width)
+                bits = [cin, *(operand >> i & 1 for i in range(width) for operand in (a, b))]
+                want, have = a + b + cin, sum(bdd.value(f, bits) << i for i, f in enumerate(got))
+                failures.append(Failure(a, b, cin, want & mask, want >> width, have & mask, have >> width))
+            results[k] = bdd.count(miss), tuple(failures)
+    except OverBudget:
+        pass
+    return results
 
-    def at(a_hi: int, b_hi: int) -> list[np.ndarray | int]:
-        high = a_hi + b_hi
-        return [*fixed[:low], *(plane[high >> i & 1, high + 1 >> i & 1] for i in range(width - low + 1))]
 
-    return at
+def _index_chunks(width: int):
+    """Yield (input planes, expected planes, case count, case(j)) of every case, in case-number order.
+
+    Each chunk holds up to ``_WORDS`` words of consecutive case numbers
+    (``_split``), so every port varies within it.  A case number's bits
+    are the input ports cin, b_0..b_{w-1}, a_0..a_{w-1}, so its planes are
+    theirs; the expected planes are those of ``a + b + cin``.
+    """
+    names = ["cin", *(f"{operand}_{i}" for operand in "ba" for i in range(width))]
+    total = 1 << (2 * width + 1)
+    for start in range(0, total, _WORDS * 64):
+        index = np.arange(start, min(total, start + _WORDS * 64), dtype=np.uint64)
+        a, b, cin = _split(index, width)
+        ports = dict(zip(names, _bit_planes(index, 2 * width + 1)))
+        yield ports, _bit_planes(a + b + cin, width + 1), len(index), partial(_case, width, start)
+
+
+def _bit_planes(values: np.ndarray, count: int) -> np.ndarray:
+    """The planes of bits 0..count-1 of the uint64 ``values``, one value per lane."""
+    return _to_planes(np.stack([(values >> np.uint64(i)).astype(np.uint8) & 1 for i in range(count)]))
+
+
+def _case(width: int, start: int, j: int) -> tuple[int, int, int]:
+    """Case j of the ``_index_chunks`` chunk that starts at case number ``start``."""
+    return _split(start + j, width)
 
 
 def _random_chunks(cases: list[tuple[int, int, int]], width: int):
@@ -262,45 +255,16 @@ def _lane_value(rows, word: int, lane: int) -> int:
     return sum(((int(row[word]) >> lane) & 1) << i for i, row in enumerate(rows))
 
 
-def _differ(got, expected, first: int, outputs, bits) -> np.ndarray | None:
-    """A fresh plane of the lanes in which any of ``outputs`` misses the oracle; None if none was XORed.
-
-    ``outputs`` are positions in ``adder_port_names`` order of the
-    netlist whose taps start at ``got[first]``, and ``bits`` is the
-    runner's (zeros, ones) rows.  An expected plane may be the int 0 or 1
-    (``_expected_planes``).  A netlist plane that is the runner's row of
-    that same constant (``bits[want]``) is decided equal by identity and
-    adds nothing.  Every other output is XORed with its expected plane
-    (the row ``bits`` holds for an int), so the other constant's row
-    fails every lane.  At w12 this decides 3,136 of the 5,152 compares
-    of a ``compare`` sweep, so it XORs 2,016 planes.  Kernel rows,
-    expected planes and ``bits`` are shared across chunks and never
-    written.
-    """
-    bad = None
-    for i in outputs:
-        have, want = got[first + i], expected[i]
-        if want.__class__ is int:
-            if have is bits[want]:
-                continue
-            want = bits[want]
-        if bad is None:
-            bad = _XOR(have, want)
-        else:
-            bad |= _XOR(have, want)
-    return bad
-
-
-def _failures(bad, case, got, width: int) -> list[Failure]:
-    """The first FAILURE_CAP cases that ``bad`` marks, in chunk order.
+def _failures(bad, case, got, width: int, limit: int) -> list[Failure]:
+    """The first ``limit`` cases that ``bad`` marks, in chunk order.
 
     ``case(j)`` is the chunk's j-th (a, b, cin), and ``got`` holds one
     netlist's output planes in ``adder_port_names`` order.
     """
     mask, failures = (1 << width) - 1, []
-    for word in np.flatnonzero(bad)[:FAILURE_CAP]:
+    for word in np.flatnonzero(bad)[:limit]:
         lanes = int(bad[word])
-        while lanes and len(failures) < FAILURE_CAP:
+        while lanes and len(failures) < limit:
             lane = (lanes & -lanes).bit_length() - 1
             lanes &= lanes - 1
             a, b, cin = case(int(word) * 64 + lane)
@@ -309,117 +273,44 @@ def _failures(bad, case, got, width: int) -> list[Failure]:
     return failures
 
 
-def _order(failure: Failure) -> tuple[int, int, int]:
-    return failure.a, failure.b, failure.cin
+def _sweep(netlist: Netlist, width: int, chunks) -> tuple[int, tuple[Failure, ...]]:
+    """The exact mismatch count of ``netlist`` over ``chunks`` and its first FAILURE_CAP failing cases.
 
-
-def _merged(netlists: list[Netlist], width: int) -> tuple[Netlist, tuple[int, ...]]:
-    """One netlist computing every netlist's outputs over shared input ports, and those outputs' nets.
-
-    The netlists are replayed through ``NetlistBuilder`` as ``import_json``
-    replays a document: one input per adder port name, each netlist's
-    constants through ``constant()`` and its gates in stored order.  The
-    kernel's hash-consing then runs the logic they share once per chunk.
-    The nets come width + 1 per netlist, its outputs in
-    ``adder_port_names`` order.  A lone netlist is its own merged
-    netlist, so its plan cache serves repeated checks.
+    ``chunks`` yields (input planes, expected planes, case count, case(j))
+    in (a, b, cin) order, and ``netlist`` must expose the width-``width``
+    adder ports.  Each chunk is one kernel run that keeps only the
+    outputs, compared with the expected planes in one XOR/OR pass.
     """
-    inputs, outputs = adder_port_names(width)
-    if len(netlists) == 1:
-        [netlist] = netlists
-        return netlist, tuple(map(dict(netlist.outputs).__getitem__, outputs))
-    builder = NetlistBuilder(f"sweep_w{width}")
-    ports = {name: builder.add_input(name).index for name in inputs}
-    taps: list[int] = []
-    for netlist in netlists:
-        nets = [0] * len(netlist.drivers)  # the netlist's net -> merged net
-        for name, net in netlist.inputs:
-            nets[net] = ports[name]
-        for value, net in netlist.constants:
-            nets[net] = builder.constant(value).index
-        for gate in netlist.gates:
-            nets[gate.output] = builder._gate(gate.kind, tuple(map(nets.__getitem__, gate.inputs)))
-        out = dict(netlist.outputs)
-        taps.extend(nets[out[name]] for name in outputs)
-    return builder.finish(), tuple(taps)
-
-
-def _sweep(
-    netlists: list[Netlist], width: int, chunks, varying: frozenset[str], low: int
-) -> list[tuple[int, tuple[Failure, ...]]]:
-    """Run every netlist on each chunk and compare it with the chunk's expected planes.
-
-    The chunks, (input planes, expected planes, case count, case(j)), are
-    made once and shared by all netlists, which must expose the
-    width-``width`` adder ports.  Each chunk is one run of the ``_merged``
-    netlist's kernel program (``Netlist._runner``).  Input ports outside
-    ``varying`` and expected planes 0..low-1 must be the same in every
-    chunk, so the steps that read only those ports run once, and so does
-    the compare of each output below bit ``low`` that only such steps
-    compute; a netlist whose once-compared outputs match in every lane
-    keeps no plane of them.  The other outputs are compared chunk by
-    chunk, and a chunk whose compares ``_differ`` all decides equal is
-    neither scanned nor counted.  Returns, per netlist, the exact
-    mismatch count and its first FAILURE_CAP failing cases in (a, b, cin)
-    order: each chunk's first FAILURE_CAP failures, merged.  Once the cap
-    is filled, a chunk whose first case sorts after the last failure kept
-    is counted but not decoded.
-    """
-    program, taps = _merged(netlists, width)
-    counts = [0] * len(netlists)
-    found: list[list[Failure]] = [[] for _ in netlists]
-    words = None
+    taps = tuple(map(dict(netlist.outputs).__getitem__, adder_port_names(width)[1]))
+    count, failures = 0, []
     for planes, expected, n, case in chunks:
-        if len(expected[0]) != words:  # a new runner runs every step on its first chunk
-            words = len(expected[0])
-            run, fixed, bits = program._runner(words, taps, varying)
-            got = run(planes)
-            split = []  # per netlist: its first tap, the outputs compared per chunk, the lanes the rest miss
-            for first in range(0, len(taps), width + 1):
-                once = [i for i in range(low) if fixed[first + i]]
-                each = [i for i in range(width + 1) if i not in once]
-                base = _differ(got, expected, first, once, bits)
-                split.append((first, each, base if base is not None and base.any() else None))
-        else:
-            got = run(planes)
-        for k, (first, each, base) in enumerate(split):
-            bad = _differ(got, expected, first, each, bits)
-            if base is not None:
-                bad = base.copy() if bad is None else bad | base
-            if bad is None:
-                continue
-            if n % 64:
-                bad[-1] &= np.uint64((1 << n % 64) - 1)
-            if not bad.any():
-                continue
-            counts[k] += int(np.count_nonzero(np.unpackbits(bad.view(np.uint8))))
-            if len(found[k]) < FAILURE_CAP or case(0) < _order(found[k][-1]):
-                mine = got[first : first + width + 1]
-                found[k] = sorted(found[k] + _failures(bad, case, mine, width), key=_order)[:FAILURE_CAP]
-    return [(count, tuple(failures)) for count, failures in zip(counts, found)]
+        got = netlist._run(planes, len(expected[0]), taps)
+        bad = got[0] ^ expected[0]
+        for have, want in zip(got[1:], expected[1:]):
+            bad |= have ^ want
+        if n % 64:
+            bad[-1] &= np.uint64((1 << n % 64) - 1)
+        count += int(np.count_nonzero(np.unpackbits(bad.view(np.uint8))))
+        failures += _failures(bad, case, got, width, FAILURE_CAP - len(failures))
+    return count, tuple(failures)
 
 
 def _check_exhaustive_all(netlists: list[Netlist], width: int, case_cap: int) -> list[EquivalenceReport]:
-    """check_exhaustive for several netlists of one width, in one shared sweep."""
+    """check_exhaustive for several netlists of one width, proven in one shared manager."""
     for netlist in netlists:
         width = _exhaustive_width(netlist, width, case_cap)
-    expected, low = _expected_planes(width), _low_bits(width)
-    chunks = (
-        (planes, expected(a_hi, b_hi), n, partial(_exhaustive_case, low, a_hi, b_hi))
-        for a_hi, b_hi, n, planes in _exhaustive_inputs(width)
-    )
-    results = _sweep(netlists, width, chunks, _high_ports(width), low)
-    return [
-        EquivalenceReport(
+    reports = []
+    for netlist, result in zip(netlists, _prove(netlists, width)):
+        failure_count, failures = result or _sweep(netlist, width, _index_chunks(width))
+        reports.append(EquivalenceReport(
             netlist=netlist.name,
             width=width,
             mode="exhaustive",
             cases_checked=1 << (2 * width + 1),
             failure_count=failure_count,
             failures=failures,
-        )
-        for netlist, (failure_count, failures) in zip(netlists, results)
-    ]
+        ))
+    return reports
 
 
 def check_exhaustive(netlist: Netlist, width: int, case_cap: int = DEFAULT_CASE_CAP) -> EquivalenceReport:
@@ -430,9 +321,9 @@ def check_exhaustive(netlist: Netlist, width: int, case_cap: int = DEFAULT_CASE_
     netlist : Netlist
         Anything exposing the adder port contract for ``width``.
     width : int
-        Operand width in bits; the sweep covers 2**(2*width+1) cases.
+        Operand width in bits; the check covers 2**(2*width+1) cases.
     case_cap : int
-        Refuse sweeps larger than this many cases (ExhaustiveTooLarge).
+        Refuse checks of more than this many cases (ExhaustiveTooLarge).
         The default, DEFAULT_CASE_CAP = 2**29, admits widths up to 14.
     """
     return _check_exhaustive_all([netlist], width, case_cap)[0]
@@ -466,11 +357,9 @@ def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> Equiv
     data = draws[:, :-1].astype("<u4").tobytes()
     operands = [int.from_bytes(data[i : i + 4 * k], "little") & mask for i in range(0, len(data), 4 * k)]
     cases = [*boundary_cases(width), *zip(operands[::2], operands[1::2], (draws[:, -1] >> 31).tolist())]
-    # Sweeping in (a, b, cin) order makes the first failures found the
-    # first failures in report order.
-    cases.sort()
+    cases.sort()  # _sweep takes its cases in (a, b, cin) order
     chunks = _random_chunks(cases, width)
-    [(failure_count, failures)] = _sweep([netlist], width, chunks, frozenset(netlist.input_names), 0)
+    failure_count, failures = _sweep(netlist, width, chunks)
     return EquivalenceReport(
         netlist=netlist.name,
         width=width,
@@ -491,8 +380,10 @@ def probe_invariant_carry_exclusive(
 
     The two carries are the inputs of each merge OR gate that the
     carry-increment builder records in ``carry_merges``; netlists without
-    that metadata raise MissingStageMetadata.  The sweep is
-    exhaustive, so the same case cap as check_exhaustive applies.
+    that metadata raise MissingStageMetadata.  The check is
+    exhaustive, so the same case cap as check_exhaustive applies.  It is
+    a proof: each merge pair's AND must be the constant 0 (see the module
+    docstring).
     """
     if netlist.carry_merges is None:
         raise MissingStageMetadata(f"netlist '{netlist.name}' has no carry-stage metadata")
@@ -500,15 +391,14 @@ def probe_invariant_carry_exclusive(
     if not netlist.carry_merges:
         return True
     pairs = tuple(net for gi in netlist.carry_merges for net in netlist.gates[gi].inputs)
-    run = None
-    for _, _, _, planes in _exhaustive_inputs(width):
-        if run is None:
-            run, _, (zeros, _) = netlist._runner(len(planes["cin"]), pairs, _high_ports(width))
-        carries = run(planes)
-        # a pair with a carry the kernel folded to the zeros row holds in every lane
-        if any(
-            carries[j] is not zeros and carries[j + 1] is not zeros and (carries[j] & carries[j + 1]).any()
-            for j in range(0, len(pairs), 2)
-        ):
+    try:
+        bdd, ports, _ = _spec(width)
+        carries = _graphs(bdd, ports, netlist, pairs)
+        return all(bdd.apply(AND, carries[j], carries[j + 1]) == 0 for j in range(0, len(pairs), 2))
+    except OverBudget:
+        pass
+    for planes, expected, _, _ in _index_chunks(width):
+        carries = netlist._run(planes, len(expected[0]), pairs)
+        if any((carries[j] & carries[j + 1]).any() for j in range(0, len(pairs), 2)):
             return False
     return True

@@ -17,11 +17,11 @@ into one uint8 array per input port, simulated with
 ``reference_evaluate_nets``, and packed back into integers for
 comparison.
 
-``reference_exhaustive_chunks`` gives the expected planes of an
-exhaustive sweep's chunks from the integer sums ``a + b + cin`` of each
-chunk's own cases, packed with ``np.packbits``; ``verify`` packs the sums
-of one chunk's low operand bits once per width, and derives every
-chunk's planes from that fixed set instead.
+``reference_exhaustive_chunks`` gives the input and expected planes of
+the chunks that an exhaustive check sweeps when its proof runs out of
+nodes: each case's operands and integer sum ``a + b + cin``, taken apart
+by division and remainder and packed with ``np.packbits``, one case per
+lane.
 
 ``reference_doc_order`` is the quadratic form of the lowest-index-first
 topological sort that gives ``import_json``'s build order.
@@ -362,28 +362,25 @@ def reference_check_random(netlist, width, samples, seed):
     )
 
 
-def reference_exhaustive_chunks(width, words, start=0):
-    """Yield (a_hi, b_hi, cases, expected planes) of each exhaustive chunk from the ``start``-th on.
+def reference_exhaustive_chunks(width, words):
+    """Yield (first case, cases, input planes, expected planes) of each chunk of an exhaustive sweep.
 
-    With low the largest bit count <= width whose 2**(2*low+1) cases fit
-    in 64*words, a chunk holds those cases: it fixes a >> low to a_hi and
-    b >> low to b_hi, and chunks run in (a_hi, b_hi) order.  Case j of a
-    chunk is a = a_hi << low | j >> (low+1), b = b_hi << low | (j >> 1) %
-    2**low, cin = j % 2.  Plane i holds bit i of a + b + cin for each
-    case, one case per lane, padded to a whole word with zero cases.
+    Chunk c holds the 64*words consecutive case numbers from 64*words*c
+    on (fewer if the 2**(2*width+1) cases end first), case number
+    (a * 2**width + b) * 2 + cin.  The input planes are a_0..a_{w-1},
+    b_0..b_{w-1} and cin, the expected planes bits 0..width of
+    a + b + cin, one case per lane, padded to a whole word with zeros.
     """
-    low = width
-    while 2 << 2 * low > 64 * words:
-        low -= 1
-    n, chunks = 2 << 2 * low, 1 << (width - low)
-    j = np.arange(n, dtype=np.uint64)
-    for chunk in range(start, chunks * chunks):
-        a_hi, b_hi = divmod(chunk, chunks)
-        a = np.uint64(a_hi << low) | (j >> np.uint64(low + 1))
-        b = np.uint64(b_hi << low) | ((j >> np.uint64(1)) & np.uint64((1 << low) - 1))
-        sums = np.pad(a + b + (j & np.uint64(1)), (0, -n % 64))
-        bits = np.stack([((sums >> np.uint64(i)) & np.uint64(1)).astype(np.uint8) for i in range(width + 1)])
-        yield a_hi, b_hi, n, np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    cases = 2 << 2 * width
+    for first in range(0, cases, 64 * words):
+        j = np.arange(first, min(cases, first + 64 * words), dtype=np.uint64)
+        cin, rest = j % 2, j // 2
+        a, b = rest // (1 << width), rest % (1 << width)
+        bit = [(a >> np.uint64(i)) % 2 for i in range(width)] + [(b >> np.uint64(i)) % 2 for i in range(width)]
+        sums = a + b + cin
+        rows = [np.pad(np.stack(block).astype(np.uint8), ((0, 0), (0, -len(j) % 64)))
+                for block in ([*bit, cin], [(sums >> np.uint64(i)) % 2 for i in range(width + 1)])]
+        yield first, len(j), *(np.packbits(block, axis=1, bitorder="little").view("<u8") for block in rows)
 
 
 # -- DOT -------------------------------------------------------------------------------

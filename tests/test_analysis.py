@@ -224,8 +224,8 @@ def test_compare_verifies_up_to_the_case_cap(unit):
 
 def test_compare_can_skip_verification_entirely(monkeypatch, unit):
     # compare() has no switch to skip verification: rows over the case cap
-    # are the only ones it skips, and a table of only those sweeps nothing
-    monkeypatch.setattr(verify, "_expected_planes", None)
+    # are the only ones it skips, and a table of only those proves nothing
+    monkeypatch.setattr(verify, "_spec", None)
     table = compare([AdderSpec(Architecture.RCA, 15), AdderSpec(Architecture.CIA_CLA, 16, 4)], unit)
     assert [row.verified for row in table.rows] == [None, None]
 
@@ -254,13 +254,13 @@ def test_compare_mixed_rows_keep_request_order_and_verdicts(monkeypatch, unit):
 
 def test_compare_sweeps_each_verifiable_width_once(monkeypatch, unit):
     calls = []
-    expected_planes = verify._expected_planes
+    spec = verify._spec
 
     def spy(width):
         calls.append(width)
-        return expected_planes(width)
+        return spec(width)
 
-    monkeypatch.setattr(verify, "_expected_planes", spy)
+    monkeypatch.setattr(verify, "_spec", spy)
     specs = [
         AdderSpec(Architecture.RCA, 6),
         AdderSpec(Architecture.CLA, 4),

@@ -5,7 +5,9 @@ checkers in ``oracle.py``, which run on it, are the references: every
 result of ``simulate_planes``, ``evaluate``, ``check_exhaustive`` and
 ``check_random`` must equal theirs exactly.  The references never run
 the kernel.  ``reference_exhaustive_chunks`` is the reference for the
-expected planes an exhaustive sweep derives from one fixed set.
+planes of the sweep that an exhaustive check falls back on when its
+proof passes the node budget (``verify._NODE_BUDGET``); ``swept`` forces
+that fallback.
 """
 
 import itertools
@@ -18,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adderlab import netlist as netlist_module
 from adderlab import verify
 from adderlab import (
     AdderSpec,
@@ -134,7 +135,7 @@ def test_kernel_rejects_bad_planes():
         nl.simulate_planes({"a": ok, "b": np.zeros(3, dtype=np.uint64)}, 2)
     with pytest.raises(InvalidAssignment):
         nl.simulate_planes({"a": ok, "b": np.zeros(2, dtype=np.uint8)}, 2)
-    for bit in (0, 1):  # only the unchecked runner takes a port as a constant int
+    for bit in (0, 1):  # a constant is no plane
         with pytest.raises(InvalidAssignment, match="^input 'b' must be a uint64 array of 2 words$"):
             nl.simulate_planes({"a": ok, "b": bit}, 2)
     for planes in ([ok, ok], None):
@@ -213,57 +214,6 @@ def test_kept_nets_as_tuple_list_or_none_give_equal_planes(netlist, data):
             assert np.array_equal(plane, every[net]), f"net {net}"
 
 
-@settings(max_examples=150, deadline=None)
-@given(netlists(), st.data())
-def test_runs_that_vary_some_inputs_match_full_runs(netlist, data):
-    # a step run once must read no varying input, directly or through other steps, and a
-    # run-once value that later runs read must keep its row
-    words = data.draw(st.integers(1, 2))
-    varying = frozenset(data.draw(st.sets(st.sampled_from(netlist.input_names))))
-    nets = data.draw(st.none() | st.lists(st.sampled_from(range(len(netlist.drivers))), max_size=8).map(tuple))
-    run, fixed, _ = netlist._runner(words, nets, varying)
-    planes, first = draw_planes(data, netlist, words), None
-    for _ in range(data.draw(st.integers(2, 4))):
-        planes |= {name: plane for name, plane in draw_planes(data, netlist, words).items() if name in varying}
-        got = [plane.copy() for plane in run(planes)]
-        want = netlist.simulate_planes(planes, words, nets)
-        assert len(got) == len(want) == len(fixed)
-        for i, (plane, expected) in enumerate(zip(got, want)):
-            assert np.array_equal(plane, expected), i
-        first = first or got
-        for i, (plane, before) in enumerate(zip(got, first)):
-            assert not fixed[i] or np.array_equal(plane, before), i
-
-
-@settings(max_examples=100, deadline=None)
-@given(netlists(), st.data())
-def test_ports_given_as_ints_fold_like_constant_planes(netlist, data):
-    # a port given as the int 0 or 1 makes the runner fold every step it decides; the
-    # taps must equal simulate_planes on real all-zero/all-one planes, over several runs
-    # of one runner so that its run-once rows are read back too
-    words = data.draw(st.integers(1, 2))
-    varying = frozenset(data.draw(st.sets(st.sampled_from(netlist.input_names))))
-    nets = data.draw(st.none() | st.lists(st.sampled_from(range(len(netlist.drivers))), max_size=8).map(tuple))
-    run = netlist._runner(words, nets, varying)[0]
-
-    def draw_ports(names):
-        planes = draw_planes(data, netlist, words)
-        return {name: data.draw(st.sampled_from([0, 1, planes[name]])) for name in names}
-
-    given = draw_ports(netlist.input_names)
-    for _ in range(data.draw(st.integers(2, 4))):
-        given |= draw_ports(varying)
-        got = [lanes(plane) for plane in run(given)]
-        full = {
-            name: np.full(words, value * (2**64 - 1), dtype=np.uint64) if isinstance(value, int) else value
-            for name, value in given.items()
-        }
-        want = [lanes(plane) for plane in netlist.simulate_planes(full, words, nets)]
-        assert len(got) == len(want)
-        for i, (plane, expected) in enumerate(zip(got, want)):
-            assert np.array_equal(plane, expected), i
-
-
 # -- verify's packer: a (rows, cases) 0/1 matrix into bit-planes ---------------------
 
 @settings(max_examples=100, deadline=None)
@@ -282,62 +232,31 @@ def test_to_planes_puts_each_case_in_its_lane(bits):
 
 
 def full_plan(netlist, nets=None):
-    """The plan ``simulate_planes`` runs: every input varies."""
-    return netlist._plan(nets, netlist._input_set)
+    """The (slab rows, steps, taps) ``simulate_planes`` runs for ``nets``."""
+    return netlist._plan(nets)
 
 
-# per w12 adder: steps of its hashed program, and slab rows when every net is kept
-HASHED = {"rca": (60, 62), "cla": (192, 128), "cia_rca": (78, 80), "cia_cla": (120, 98)}
-# the w12 compare's merged program over the four adders, its sweep fixing a_8.., b_8.. per
-# chunk: steps run once (bits 0-7's logic) and per chunk; every input varying, all 306 per run
-MERGED_SPLIT = (157, 149)
+# per w12 adder: steps of its hashed program, and slab rows when every net is kept; the
+# cia adders' constant block carries fold away 6 (cia_rca) and 24 (cia_cla) steps
+HASHED = {"rca": (60, 62), "cla": (192, 128), "cia_rca": (72, 74), "cia_cla": (96, 86)}
 
 
 @pytest.mark.parametrize("arch", ["rca", "cla", "cia_rca", "cia_cla"])
 def test_output_only_plans_reuse_rows(arch):
     nl = build_adder(AdderSpec(Architecture(arch), 12, 4))
-    rows, steps, once, taps, fixed = full_plan(nl, tuple(net for _, net in nl.outputs))
-    assert len(taps) == 13 and once == 0 and not any(fixed)
+    rows, steps, taps = full_plan(nl, tuple(net for _, net in nl.outputs))
+    assert len(taps) == 13
     assert rows < len(nl.gates) < len(nl.drivers)
     assert len(steps) == len(full_plan(nl)[1])  # every gate of an adder feeds an output
     # keeping every net: a row per slot some net maps to, plus the zeros and ones rows
     assert full_plan(nl)[0] == HASHED[arch][1]
 
 
-def test_merged_sweep_plan_runs_the_low_bits_once():
-    adders = [build_adder(AdderSpec(arch, 12, 4)) for arch in Architecture]
-    merged, taps = verify._merged(adders, 12)
-    rows, steps, once, _, fixed = merged._plan(taps, verify._high_ports(12))
-    assert (once, len(steps) - once) == MERGED_SPLIT
-    assert sum(MERGED_SPLIT) == len(full_plan(merged, taps)[1]) == 306 and full_plan(merged, taps)[2] == 0
-    # s_0..s_7 of each adder are run-once values; s_8..s_11 and cout are not
-    assert fixed == (*[True] * 8, *[False] * 5) * 4
-    assert rows > full_plan(merged, taps)[0]  # the run-once values that per-chunk steps read stay pinned
-
-
-# numpy calls of the w12 compare's sweep: 157 + 256 * 149 unfolded; with a_8.., b_8.. given
-# as 0/1 per chunk, each chunk after the first makes 28.3 on average
-FOLDED_SWEEP_CALLS = 7385
-
-
-def test_w12_compare_sweep_folds_constant_steps(monkeypatch, unit):
-    # the ops the plans store are counted by wrapping numpy's, so a change that silently
-    # stops folding (or folds a step it must run, which the reports then catch) fails here
-    calls = []
-
-    def counted(ufunc):
-        def op(x, y, out):
-            calls.append(ufunc)
-            return ufunc(x, y, out)
-
-        return op
-
-    ops = {ufunc: counted(ufunc) for ufunc in (np.bitwise_and, np.bitwise_or, np.bitwise_xor)}
-    monkeypatch.setattr(netlist_module, "_PLANE_OPS", {kind: ops[u] for kind, u in netlist_module._PLANE_OPS.items()})
-    monkeypatch.setattr(netlist_module, "_ABSORBING", {ops[u]: bit for u, bit in netlist_module._ABSORBING.items()})
-    table = compare([AdderSpec(arch, 12, 4) for arch in Architecture], unit)
-    assert [row.verified for row in table.rows] == [True] * 4
-    assert len(calls) == FOLDED_SWEEP_CALLS < sum(MERGED_SPLIT) + 255 * MERGED_SPLIT[1]
+def swept(monkeypatch, check, *args):
+    """``check(*args)`` with the proof's node budget at 0, so every exhaustive check runs the fallback sweep."""
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_NODE_BUDGET", 0)
+        return check(*args)
 
 
 def depends_on(netlist, ports):
@@ -351,24 +270,23 @@ def depends_on(netlist, ports):
     return found
 
 
-def test_kind_swap_mutants_of_folded_chunks_report_like_the_reference():
-    # at the default chunk size w9 fixes a_8 and b_8 in 4 chunks, so every port the
-    # runner folds is a real high bit; the mutants swap gates those ports reach
+def test_kind_swap_mutants_of_folded_chunks_report_like_the_reference(monkeypatch):
+    # the mutants swap gates that a_8 and b_8 reach; the fallback sweeps w9's 2**19 cases in
+    # 4 chunks at the default chunk size, so its failures come from several chunks
     width, rng = 9, random.Random(9)
     mutants = []
     for arch in Architecture:
         adder = build_adder(AdderSpec(arch, width, 4))
-        high = depends_on(adder, verify._high_ports(width))
-        for index in rng.sample(high, 2):
+        for index in rng.sample(depends_on(adder, {"a_8", "b_8"}), 2):
             kinds = [kind for kind in GateKind if kind is not adder.gates[index].kind
                      and kind.arity_ok(len(adder.gates[index].inputs))]
             mutants.append(adder.with_gate_kind(index, rng.choice(kinds)))
-    assert len(verify._high_ports(width)) == 2
-    reports = verify._check_exhaustive_all(mutants, width, verify.DEFAULT_CASE_CAP)
-    for mutant, report in zip(mutants, reports):
+    args = (mutants, width, verify.DEFAULT_CASE_CAP)
+    proven, fallback = verify._check_exhaustive_all(*args), swept(monkeypatch, verify._check_exhaustive_all, *args)
+    for mutant, report, other in zip(mutants, proven, fallback):
         want = reference_check_exhaustive(mutant, width)
-        assert report == want == check_exhaustive(mutant, width), mutant.name
-    assert sum(not report.ok for report in reports) > len(mutants) // 2
+        assert report == other == want == check_exhaustive(mutant, width), mutant.name
+    assert sum(not report.ok for report in proven) > len(mutants) // 2
 
 
 def cone(netlist, names):
@@ -382,57 +300,39 @@ def cone(netlist, names):
     return found
 
 
-def test_mutants_wrong_only_below_the_fixed_bits_report_like_the_reference():
-    # w9 fixes a_8 and b_8: s_0..s_7 are run-once planes, compared with the oracle once per
-    # sweep, so these mutants' failures come only from that once-compared plane of each
+def test_mutants_wrong_only_below_the_fixed_bits_report_like_the_reference(monkeypatch):
+    # these mutants change only s_0..s_7, which a_8 and b_8 do not reach, so they fail in
+    # the same cases for each of the four values of (a_8, b_8)
     width, rng = 9, random.Random(24)
     mutants = []
     for arch in Architecture:
         adder = build_adder(AdderSpec(arch, width, 3))
-        upper = set(cone(adder, ["cout", *(f"s_{i}" for i in range(verify._low_bits(width), width))]))
+        upper = set(cone(adder, ["cout", "s_8"]))
         for index in rng.sample([i for i in range(len(adder.gates)) if i not in upper], 2):
             kinds = [kind for kind in GateKind if kind is not adder.gates[index].kind
                      and kind.arity_ok(len(adder.gates[index].inputs))]
             mutants.append(adder.with_gate_kind(index, rng.choice(kinds)))
-    reports = verify._check_exhaustive_all(mutants, width, verify.DEFAULT_CASE_CAP)
-    for mutant, report in zip(mutants, reports):
+    args = (mutants, width, verify.DEFAULT_CASE_CAP)
+    proven, fallback = verify._check_exhaustive_all(*args), swept(monkeypatch, verify._check_exhaustive_all, *args)
+    for mutant, report, other in zip(mutants, proven, fallback):
         want = reference_check_exhaustive(mutant, width)
-        assert report == want == check_exhaustive(mutant, width), mutant.name
-        assert not report.ok and report.failure_count % 4 == 0, mutant.name  # the same in all 4 chunks
+        assert report == other == want == check_exhaustive(mutant, width), mutant.name
+        assert not report.ok and report.failure_count % 4 == 0, mutant.name
 
 
-def test_cout_wrong_in_a_whole_chunk_reports_like_the_reference():
-    # rca w9 with cout's OR made an AND: cout is 0 everywhere, so in the chunk a_8 = b_8 = 1
-    # the kernel folds it to the zeros row where the oracle's plane is the int 1
+def test_cout_wrong_in_a_whole_chunk_reports_like_the_reference(monkeypatch):
+    # rca w9 with cout's OR made an AND: cout is 0 everywhere, so it is wrong in every case
+    # with a_8 = b_8 = 1, a whole chunk of the fallback sweep
     width = 9
     adder = build_rca(width)
     assert dict(adder.outputs)["cout"] == adder.gates[-1].output and adder.gates[-1].kind is GateKind.OR
     mutant = adder.with_gate_kind(len(adder.gates) - 1, GateKind.AND)
-    cout_plane = verify._expected_planes(width)(1, 1)[width]
-    assert type(cout_plane) is int and cout_plane == 1
     want = reference_check_exhaustive(mutant, width)
     assert want.failure_count == 1 << 18
-    for reports in (verify._check_exhaustive_all([adder, mutant, adder], width, verify.DEFAULT_CASE_CAP),
+    args = ([adder, mutant, adder], width, verify.DEFAULT_CASE_CAP)
+    for reports in (verify._check_exhaustive_all(*args), swept(monkeypatch, verify._check_exhaustive_all, *args),
                     [check_exhaustive(adder, width), check_exhaustive(mutant, width)]):
         assert reports[0].ok and reports[1] == want
-
-
-# output-vs-oracle XORs of the w12 compare's sweep: each adder's s_0..s_7 once, then 5 planes
-# in each of 256 chunks; the rest compare a folded zeros/ones row with an int 0/1 plane
-UNDECIDED_SWEEP_XORS = 2016
-
-
-def test_w12_compare_sweep_decides_constant_compares(monkeypatch, unit):
-    calls = []
-
-    def counted(x, y):
-        calls.append(1)
-        return np.bitwise_xor(x, y)
-
-    monkeypatch.setattr(verify, "_XOR", counted)
-    table = compare([AdderSpec(arch, 12, 4) for arch in Architecture], unit)
-    assert [row.verified for row in table.rows] == [True] * 4
-    assert len(calls) == UNDECIDED_SWEEP_XORS < 4 * (8 + 256 * 5)
 
 
 # -- hash-consed steps: shared terms run once ----------------------------------------
@@ -454,8 +354,19 @@ def assert_ops_commute(netlist):
 ])
 def test_hashed_programs_run_shared_terms_once(arch, width, steps):
     nl = build_adder(AdderSpec(Architecture(arch), width, 4))
-    assert len(full_plan(nl)[1]) == steps and full_plan(nl)[2] == 0
+    assert len(full_plan(nl)[1]) == steps
     assert_ops_commute(nl)
+
+
+def test_lowering_folds_constant_operands():
+    # every block of cia_cla w64 b8 after the first adds a constant 0 carry-in; lowering folds
+    # each link a constant decides (936 steps unfolded, 63 of them reading a constant), so
+    # no step reads the zeros row and only NOT's XOR reads the ones row
+    nl = build_cia(64, 8, Architecture.CLA)
+    _, steps, _ = full_plan(nl, tuple(net for _, net in nl.outputs))
+    zeros, ones = len(nl.inputs), len(nl.inputs) + 1
+    assert len(steps) == 768
+    assert all(zeros not in step[1:3] and (ones not in step[1:3] or step[0] is np.bitwise_xor) for step in steps)
 
 
 @st.composite
@@ -599,23 +510,23 @@ def test_random_draws_the_reference_loops_cases(monkeypatch, width):
 
 
 def test_failures_merge_across_chunks_in_case_order(monkeypatch):
-    # one-word chunks fix a >> 2 and b >> 2 at w5: the cases of one a span eight chunks, so
-    # the first failures in (a, b, cin) order come from several chunks, interleaved
+    # one-word chunks of the fallback sweep at w5: 32 chunks of 64 cases, so the first
+    # failures in (a, b, cin) order come from several chunks
     monkeypatch.setattr(verify, "_WORDS", 1)
     adders = [build_adder(AdderSpec(arch, 5, 2)) for arch in Architecture]
     mutants = [mutant for adder in adders for mutant in kind_swap_mutants(adder)]
     spread = 0
-    for mutant, report in zip(mutants, verify._check_exhaustive_all(mutants, 5, verify.DEFAULT_CASE_CAP)):
+    for mutant, report in zip(mutants, swept(monkeypatch, verify._check_exhaustive_all, mutants, 5, 1 << 11)):
         want = reference_check_exhaustive(mutant, 5)
         assert report == want == check_exhaustive(mutant, 5), mutant.name
-        chunks = [(failure.a >> 2, failure.b >> 2) for failure in want.failures]
-        spread += chunks != sorted(chunks)  # chunk order would list these failures otherwise
+        spread += len({(failure.a << 6 | failure.b << 1 | failure.cin) >> 6 for failure in want.failures}) > 1
     assert spread > 0
 
 
 def test_chunk_boundaries_do_not_change_reports(monkeypatch):
-    # one-word chunks: w4's 512 cases in 16 chunks of 32, and 304 random cases in 5 chunks;
+    # one-word chunks: w4's 512 cases in 8 chunks of 64, and 304 random cases in 5 chunks;
     # two-word chunks: 4 of 128 cases, and random chunks of 2, 2 and 1 words
+    monkeypatch.setattr(verify, "_NODE_BUDGET", 0)
     clean = build_cia(4, 2, Architecture.RCA)
     for words in (1, 2):
         monkeypatch.setattr(verify, "_WORDS", words)
@@ -625,16 +536,26 @@ def test_chunk_boundaries_do_not_change_reports(monkeypatch):
             assert check_random(netlist, 4, 300, seed=2) == reference_check_random(netlist, 4, 300, seed=2)
 
 
-@pytest.mark.parametrize("width,words", [(4, 1024), (4, 1), (6, 1024)], ids=["one_chunk", "one_word_chunks", "w6"])
-def test_shared_sweep_reports_each_netlist_like_its_own_check(monkeypatch, width, words):
-    # one merged program per chunk for every kind-swap mutant of the four adders, the
-    # adders themselves and one netlist listed twice: hashing must lend no value across them
+@pytest.mark.parametrize("width,words,budget", [(4, 2048, None), (4, 1, 1000), (6, 2048, None)],
+                         ids=["one_chunk", "one_word_chunks", "w6"])
+def test_shared_sweep_reports_each_netlist_like_its_own_check(monkeypatch, width, words, budget):
+    # one manager for every kind-swap mutant of the four adders, the adders themselves and one
+    # netlist listed twice: the nodes they share must lend no value across them.  At w4 they
+    # take 1,842 nodes, so under a budget of 1,000 the later ones are swept, in one-word chunks.
     monkeypatch.setattr(verify, "_WORDS", words)
+    if budget is not None:
+        monkeypatch.setattr(verify, "_NODE_BUDGET", budget)
     adders = [build_adder(AdderSpec(arch, width, 2)) for arch in Architecture]
     netlists = [*adders, *(mutant for adder in adders for mutant in kind_swap_mutants(adder)), adders[2]]
     assert len(netlists) == {4: 188, 6: 295}[width]
+    sweeps, sweep = [], verify._sweep
+    monkeypatch.setattr(verify, "_sweep", lambda netlist, *args: sweeps.append(netlist) or sweep(netlist, *args))
     reports = verify._check_exhaustive_all(netlists, width, verify.DEFAULT_CASE_CAP)
     assert len(reports) == len(netlists)
+    if budget is None:
+        assert not sweeps
+    else:
+        assert 0 < len(sweeps) < len(netlists) and sweeps == netlists[len(netlists) - len(sweeps):]
     capped = 0
     for k, (netlist, report) in enumerate(zip(netlists, reports)):
         assert report == check_exhaustive(netlist, width), netlist.name
@@ -646,98 +567,60 @@ def test_shared_sweep_reports_each_netlist_like_its_own_check(monkeypatch, width
 
 
 def test_one_width_runs_the_kernel_once_per_chunk(monkeypatch, unit):
-    # 16-word chunks fix a_4, a_5, b_4 and b_5 at w6: 16 chunks of 512 cases, each one
-    # run of the merged program, all from the one runner of the sweep
+    # with no node budget, compare sweeps each of its four w6 adders in 16-word chunks:
+    # 8 chunks of 1,024 cases each, one kernel run per chunk keeping the 7 outputs
     monkeypatch.setattr(verify, "_WORDS", 16)
-    runners, calls = [], []
-    runner = Netlist._runner
+    monkeypatch.setattr(verify, "_NODE_BUDGET", 0)
+    calls, run = [], Netlist._run
 
-    def spy(self, words, nets, varying):
-        run, fixed, bits = runner(self, words, nets, varying)
-        runners.append((words, len(nets), varying))
+    def spy(self, planes, words, nets):
+        calls.append((self.name, words, len(nets)))
+        return run(self, planes, words, nets)
 
-        def counted(planes):
-            calls.append(len(nets))
-            return run(planes)
-
-        return counted, fixed, bits
-
-    monkeypatch.setattr(Netlist, "_runner", spy)
+    monkeypatch.setattr(Netlist, "_run", spy)
     table = compare([AdderSpec(arch, 6, 2) for arch in Architecture], unit)
     assert [row.verified for row in table.rows] == [True] * 4
-    assert runners == [(8, 4 * 7, frozenset({"a_4", "a_5", "b_4", "b_5"}))]
-    assert calls == [4 * 7] * 16
+    assert calls == [(row_name, 16, 7) for row_name in ("rca_w6", "cla_w6", "cia_rca_w6_b2", "cia_cla_w6_b2") for _ in range(8)]
 
 
-def test_merged_plan_runs_fewer_steps_than_its_netlists():
-    # the adders share every a_i ^ b_i and a_i & b_i, and cia_rca's block 0 is rca's low bits
-    adders = [build_adder(AdderSpec(arch, 12, 4)) for arch in Architecture]
-    merged, taps = verify._merged(adders, 12)
-    outputs = adder_port_names(12)[1]
-    own = [full_plan(adder, tuple(map(dict(adder.outputs).__getitem__, outputs)))[1] for adder in adders]
-    assert len(full_plan(merged, taps)[1]) < sum(map(len, own))
+# -- planes of the fallback sweep against per-case integer sums ---------------------
 
-
-# -- expected planes of the exhaustive sweep against per-chunk integer sums ---------
-
-def sweep_chunks(width):
-    """(a_hi, b_hi, cases, expected planes) of each exhaustive chunk, in sweep order."""
-    expected = verify._expected_planes(width)
-    return ((a_hi, b_hi, n, expected(a_hi, b_hi)) for a_hi, b_hi, n, _ in verify._exhaustive_inputs(width))
-
-
-def assert_same_cases(got, want, where):
-    """Planes ``got`` equal ``want`` in every lane a case occupies; lanes past the cases may differ.
-
-    A plane of ``got`` may be the int 0 or 1, read as all zeros or all
-    ones, which every occupied lane of the reference's plane must then be.
-    """
-    a_hi, b_hi, n, planes = want
-    assert got[:3] == (a_hi, b_hi, n), where
-    assert len(got[3]) == len(planes), where
-    full = [np.full(len(planes[0]), plane * (2**64 - 1), dtype=np.uint64) if type(plane) is int else plane
-            for plane in got[3]]
-    cases = [np.unpackbits(np.asarray(rows, dtype="<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]
-             for rows in (full, planes)]
-    assert np.array_equal(*cases), where
-
-
-def assert_chunks_match(width, words, numbers):
-    """The expected planes of the chunks with these sweep positions equal the reference chunks'."""
-    expected = verify._expected_planes(width)
-    for number in numbers:
-        a_hi, b_hi, n, want = next(reference_exhaustive_chunks(width, words, number))
-        assert_same_cases((a_hi, b_hi, n, expected(a_hi, b_hi)), (a_hi, b_hi, n, want), (width, number))
+def assert_same_cases(got, want, width):
+    """An ``_index_chunks`` chunk equals the reference's in every lane a case occupies; lanes past the cases may differ."""
+    planes, expected, n, case = got
+    first, cases, inputs, sums = want
+    assert n == cases, (width, first)
+    for j in (0, n // 3, n - 1):
+        rest, cin = divmod(first + j, 2)
+        assert case(j) == (*divmod(rest, 1 << width), cin), (width, first, j)
+    names, _ = adder_port_names(width)
+    for rows, reference in (([planes[name] for name in names], inputs), (expected, sums)):
+        bits = [np.unpackbits(np.asarray(block, dtype="<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]
+                for block in (rows, reference)]
+        assert np.array_equal(*bits), (width, first)
 
 
 @pytest.mark.parametrize("words", [verify._WORDS, 1], ids=["default_words", "one_word_chunks"])
 def test_expected_planes_match_per_chunk_integer_sums(monkeypatch, words):
+    # every chunk up to w9 (default) and w5 (one word); the first ones above
     monkeypatch.setattr(verify, "_WORDS", words)
-    rng = random.Random(12)
+    limit = 4 if words == verify._WORDS else 32
     for width in range(1, 13):
-        chunks = sweep_chunks(width)
-        reference = reference_exhaustive_chunks(width, words)
-        low = min(width, {2048: 8, 1: 2}[words])  # each operand's bits that vary inside a chunk
-        count = 4 ** (width - low)
-        if count <= 4096:
-            # every chunk, in sweep order
-            pairs = list(itertools.zip_longest(chunks, reference))
-            assert len(pairs) == count
-            for got, want in pairs:
-                assert want[2] == 2 << 2 * low
-                assert_same_cases(got, want, (width, *want[:2]))
-        else:
-            # one-word chunks at w9-w12: the first 512, the last, and random ones
-            for got, want in itertools.islice(zip(chunks, reference), 512):
-                assert_same_cases(got, want, (width, *want[:2]))
-            assert_chunks_match(width, words, [count - 1] + [rng.randrange(count) for _ in range(256)])
+        chunks = itertools.zip_longest(
+            itertools.islice(verify._index_chunks(width), limit),
+            itertools.islice(reference_exhaustive_chunks(width, words), limit),
+        )
+        count = 0
+        for got, want in chunks:
+            assert_same_cases(got, want, width)
+            count += 1
+        assert count == min(limit, -(-(2 << 2 * width) // (64 * words)))
 
 
 @pytest.mark.parametrize("width", range(16, 25))
 def test_expected_planes_match_where_b_crosses_chunks(width):
-    # a 2,048-word chunk holds a_0..a_7, b_0..b_7 and cin: both operands' high bits feed the chunk constant
-    count = 4 ** (width - 8)
-    for got, want in zip(itertools.islice(sweep_chunks(width), 3), reference_exhaustive_chunks(width, verify._WORDS)):
-        assert_same_cases(got, want, (width, *want[:2]))
-    rng = random.Random(width)
-    assert_chunks_match(width, verify._WORDS, [count - 1] + [rng.randrange(count) for _ in range(6)])
+    # a 2,048-word chunk holds 2**17 consecutive cases: cin and b_0..b_15 vary in it, so from
+    # w17 on b's high bits are fixed in each chunk and change from one chunk to the next
+    chunks = zip(itertools.islice(verify._index_chunks(width), 3), reference_exhaustive_chunks(width, verify._WORDS))
+    for got, want in chunks:
+        assert_same_cases(got, want, width)

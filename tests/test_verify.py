@@ -30,6 +30,7 @@ from adderlab import (
     probe_invariant_carry_exclusive,
 )
 from adderlab import verify
+from adderlab._bdd import XOR
 from adderlab.builders import _full_adder, _increment_slice, _ripple_slice
 
 
@@ -134,15 +135,15 @@ def test_failures_are_ordered_and_faithful(rca4):
 
 
 def test_failures_take_expected_values_from_integer_addition(monkeypatch, rca4):
-    # with oracle plane 0 flipped every case mismatches, but each failure must still
-    # report its case's integer sum, not what the corrupted plane holds
-    expected_planes = verify._expected_planes
+    # with the spec's s_0 flipped every case mismatches, but each failure must still
+    # report its case's integer sum, not what the corrupted spec holds
+    spec = verify._spec
 
     def flipped(width):
-        at = expected_planes(width)
-        return lambda a_hi, b_hi: [~plane if i == 0 else plane for i, plane in enumerate(at(a_hi, b_hi))]
+        bdd, ports, outputs = spec(width)
+        return bdd, ports, [bdd.apply(XOR, outputs[0], 1), *outputs[1:]]
 
-    monkeypatch.setattr(verify, "_expected_planes", flipped)
+    monkeypatch.setattr(verify, "_spec", flipped)
     report = check_exhaustive(rca4, 4)
     assert report.failure_count == 512 and len(report.failures) == verify.FAILURE_CAP
     for f in report.failures:
@@ -307,11 +308,14 @@ def test_probe_flags_a_sabotaged_stage():
 
 
 def test_probe_flags_a_stage_that_only_later_chunks_break(monkeypatch):
-    # one-word chunks fix a_2, a_3, b_2 and b_3 at w4: the sabotaged block's carry needs
-    # (a >> 1) + (b >> 1) + 1 >= 8, which no case of the first chunk reaches
-    monkeypatch.setattr(verify, "_WORDS", 1)
+    # the sabotaged stage's two carries first fire together in case 479 of 512, in the last of
+    # the fallback sweep's eight one-word chunks at w4; the proof and the sweep must both see it
     b, merge = sabotaged_cia(4)
-    assert probe_invariant_carry_exclusive(b.finish(carry_merges=[merge]), 4) is False
+    nl = b.finish(carry_merges=[merge])
+    assert probe_invariant_carry_exclusive(nl, 4) is False
+    monkeypatch.setattr(verify, "_WORDS", 1)
+    monkeypatch.setattr(verify, "_NODE_BUDGET", 0)
+    assert probe_invariant_carry_exclusive(nl, 4) is False
 
 
 @pytest.mark.parametrize("spoil", [
