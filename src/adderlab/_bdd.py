@@ -9,21 +9,24 @@ are equal iff their functions are.  ``apply`` combines two functions by
 AND, OR or XOR and memoizes every pair it meets; ``count``, ``restrict``,
 ``solutions`` and ``value`` read one.  A manager refuses to hold more
 than ``budget`` nodes, the two constants included: the node past it
-raises OverBudget.  The recursions follow the variables, so none goes
-more than n + 1 calls deep.
+raises OverBudget, as does any manager of over ``MAX_VARS`` variables.
+The recursions follow the variables, so none nests past n + 1 <= 482 calls.
 """
 
 from __future__ import annotations
 
 AND, OR, XOR = range(3)
+MAX_VARS = 481  # the deepest recursion, 482 calls, stays well within Python's limit of 1,000 frames
 
 
 class OverBudget(Exception):
-    """A manager was asked for a node past its budget."""
+    """A manager was asked for a node past its budget, or for over MAX_VARS variables."""
 
 
 class Manager:
     def __init__(self, nvars: int, budget: int):
+        if nvars > MAX_VARS:
+            raise OverBudget(f"more than {MAX_VARS} variables")
         self.budget = budget
         self.nodes = [(nvars, 0, 0), (nvars, 1, 1)]  # the constants, below every variable
         self._unique: dict[tuple[int, int, int], int] = {}

@@ -21,14 +21,14 @@ pair's AND is not the constant 0.  All netlists of one call share one
 manager and one spec, which is how ``analysis.compare`` verifies all rows
 of a width.
 
-A proof stops once its manager would pass ``_NODE_BUDGET`` nodes.  The
-netlists it has not proven then run through the kernel, each in one plain
-sweep over every case (``_index_chunks``), as random checks run over their
-cases: chunks of up to 131,072 cases, 64 per uint64 word, that keep only
-the output nets, compared with the oracle's sums packed into expected
-bit-planes in one XOR/OR pass (``_sweep``).  Random checks take their
-cases from one draw of a seeded PCG64 stream and always include the
-corner cases.
+A proof stops once its manager would pass ``_NODE_BUDGET`` nodes, or past
+w240 (``_bdd.MAX_VARS``).  The netlists it has not proven then run through
+the kernel in one plain sweep over every case (``_index_chunks``), as
+random checks run over theirs: one numpy packer (``_chunks``) packs the
+operands' 32-bit words and cin into chunks of up to 131,072 cases, 64 per
+uint64 word, and sums a + b + cin word by word into expected planes, which
+the output nets are compared with in one XOR/OR pass (``_sweep``).  Random
+checks draw from a seeded PCG64 stream and always include the corner cases.
 """
 
 from __future__ import annotations
@@ -53,12 +53,9 @@ FAILURE_CAP = 32
 DEFAULT_CASE_CAP = 1 << 29  # exhaustive checks allowed up to width 14
 _WORDS = 2048  # words per chunk of a sweep (131,072 cases)
 # Nodes a proof's manager may hold (about 60 MiB) before the netlists it
-# has not proven are swept instead.  The budget, not Python's recursion
-# limit of 1,000 frames, also ends a wide proof: the recursions of ``_bdd``
-# go up to 2w + 2 calls deep at width w, and every proof first builds the
-# ripple spec, bit 0 up, which alone takes about 4.5 w**2 nodes (18,787 at
-# w64, 74,435 at w128, 296,323 at w256).  So past about w240 the spec
-# stops at the budget before any call nests deeper than about 480 frames.
+# has not proven are swept instead.  The ripple spec alone takes about
+# 4.5 w**2 nodes (18,787 at w64, 260,523 at w240), so from w241 on, where
+# ``_bdd.MAX_VARS`` refuses the manager, it would not fit anyway.
 _NODE_BUDGET = 1 << 18
 _OPS = {GateKind.AND: AND, GateKind.OR: OR, GateKind.XOR: XOR, GateKind.NOT: XOR}  # NOT x is x XOR 1
 
@@ -144,18 +141,23 @@ def _split(index, width: int):
     return index >> (width + 1), (index >> 1) & ((1 << width) - 1), index & 1
 
 
-def _spec(width: int) -> tuple[Manager, dict[str, int], list[int]]:
-    """A manager over the width-``width`` adder ports, their variables by name, and a ripple-carry adder's outputs.
-
-    The outputs, s_0..s_{w-1} then cout, are built in the manager from the
-    definition, bit 0 up (see the module docstring).
-    """
+def _ports(width: int) -> tuple[Manager, dict[str, int]]:
+    """A manager over the width-``width`` adder ports and their variables by name, in the order cin, a_0, b_0, a_1, ..."""
     bdd = Manager(2 * width + 1, _NODE_BUDGET)
-    ports = {"cin": bdd.var(0)}
+    names = ["cin", *(f"{operand}_{i}" for i in range(width) for operand in "ab")]
+    return bdd, {name: bdd.var(level) for level, name in enumerate(names)}
+
+
+def _spec(width: int) -> tuple[Manager, dict[str, int], list[int]]:
+    """``_ports(width)`` and a ripple-carry adder's outputs in its manager.
+
+    The outputs, s_0..s_{w-1} then cout, are built from the definition,
+    bit 0 up (see the module docstring).
+    """
+    bdd, ports = _ports(width)
     carry, outputs = ports["cin"], []
     for i in range(width):
-        a = ports[f"a_{i}"] = bdd.var(2 * i + 1)
-        b = ports[f"b_{i}"] = bdd.var(2 * i + 2)
+        a, b = ports[f"a_{i}"], ports[f"b_{i}"]
         half = bdd.apply(XOR, a, b)
         outputs.append(bdd.apply(XOR, half, carry))
         carry = bdd.apply(OR, bdd.apply(AND, a, b), bdd.apply(AND, half, carry))
@@ -205,49 +207,40 @@ def _prove(netlists: list[Netlist], width: int) -> list[tuple[int, tuple[Failure
 
 
 def _index_chunks(width: int):
-    """Yield (input planes, expected planes, case count, case(j)) of every case, in case-number order.
-
-    Each chunk holds up to ``_WORDS`` words of consecutive case numbers
-    (``_split``), so every port varies within it.  A case number's bits
-    are the input ports cin, b_0..b_{w-1}, a_0..a_{w-1}, so its planes are
-    theirs; the expected planes are those of ``a + b + cin``.
-    """
-    names = ["cin", *(f"{operand}_{i}" for operand in "ba" for i in range(width))]
+    """Yield the ``_chunks`` of every case, ``_WORDS`` words of consecutive case numbers (``_split``) each."""
     total = 1 << (2 * width + 1)
     for start in range(0, total, _WORDS * 64):
-        index = np.arange(start, min(total, start + _WORDS * 64), dtype=np.uint64)
+        # the narrowest dtype that holds every case number: the packer shifts it fastest
+        index = np.arange(start, min(total, start + _WORDS * 64), dtype=np.min_scalar_type(total - 1))
         a, b, cin = _split(index, width)
-        ports = dict(zip(names, _bit_planes(index, 2 * width + 1)))
-        yield ports, _bit_planes(a + b + cin, width + 1), len(index), partial(_case, width, start)
+        yield from _chunks([a], [b], cin, width)
 
 
-def _bit_planes(values: np.ndarray, count: int) -> np.ndarray:
-    """The planes of bits 0..count-1 of the uint64 ``values``, one value per lane."""
-    return _to_planes(np.stack([(values >> np.uint64(i)).astype(np.uint8) & 1 for i in range(count)]))
+def _chunks(a, b, cin, width: int):
+    """Yield (input planes, expected planes, case count) of up to ``_WORDS`` words of cases each, in order.
 
-
-def _case(width: int, start: int, j: int) -> tuple[int, int, int]:
-    """Case j of the ``_index_chunks`` chunk that starts at case number ``start``."""
-    return _split(start + j, width)
-
-
-def _random_chunks(cases: list[tuple[int, int, int]], width: int):
-    """Yield (input planes, expected planes, case count, case(j)) for ``cases`` in list order.
-
-    Each case becomes the integer a | b << w | cin << 2w | (a + b + cin) << 2w+1,
-    whose bits, unpacked from its little-endian bytes, are those of the
-    input ports in ``adder_port_names`` order, then the expected outputs.
+    ``a`` and ``b`` are each operand's 32-bit words, least significant
+    first, as unsigned arrays with one case per entry, and ``cin`` is a 0/1
+    array.  The expected planes are bits 0..width of a + b + cin, summed
+    word by word with the carry.  Each plane is a row of one 0/1 matrix,
+    filled by shifts and packed by ``_to_planes``; zero cases pad the last word.
     """
-    names, _ = adder_port_names(width)
-    nbytes = (3 * width + 9) // 8
-    for start in range(0, len(cases), _WORDS * 64):
-        chunk = cases[start : start + _WORDS * 64]
-        ints = [a | b << width | cin << 2 * width | (a + b + cin) << 2 * width + 1 for a, b, cin in chunk]
-        ints += [0] * (-len(chunk) % 64)  # zero cases up to a whole word, so _to_planes need not copy
-        data = np.frombuffer(b"".join(value.to_bytes(nbytes, "little") for value in ints), np.uint8)
-        bits = np.unpackbits(np.ascontiguousarray(data.reshape(-1, nbytes).T), axis=0, bitorder="little")
-        planes = _to_planes(bits)
-        yield dict(zip(names, planes)), planes[2 * width + 1 : 3 * width + 2], len(chunk), chunk.__getitem__
+    names = adder_port_names(width)[0]
+    for start in range(0, len(cin), _WORDS * 64):
+        cut = slice(start, start + _WORDS * 64)
+        ports = [[x[cut] for x in a], [y[cut] for y in b], [cin[cut]]]
+        carry, sums = ports[2][0].astype(np.uint64), []
+        for x, y in zip(*ports[:2]):
+            sums.append(x.astype(np.uint64) + y + carry)  # bit 32 is the carry out
+            carry = sums[-1] >> np.uint64(32)
+        n = len(carry)
+        bits = np.zeros((3 * width + 2, -(-n // 64) * 64), np.uint8)
+        rows = iter(bits[:, :n])
+        for words, count in zip([*ports, [*sums, carry]], (width, width, 1, width + 1)):
+            for i in range(count):
+                np.right_shift(words[i // 32], i % 32, out=next(rows), casting="unsafe")
+        planes = _to_planes(np.bitwise_and(bits, 1, out=bits))
+        yield dict(zip(names, planes)), planes[2 * width + 1 :], n
 
 
 def _lane_value(rows, word: int, lane: int) -> int:
@@ -255,19 +248,21 @@ def _lane_value(rows, word: int, lane: int) -> int:
     return sum(((int(row[word]) >> lane) & 1) << i for i, row in enumerate(rows))
 
 
-def _failures(bad, case, got, width: int, limit: int) -> list[Failure]:
+def _failures(bad, planes, got, width: int, limit: int) -> list[Failure]:
     """The first ``limit`` cases that ``bad`` marks, in chunk order.
 
-    ``case(j)`` is the chunk's j-th (a, b, cin), and ``got`` holds one
-    netlist's output planes in ``adder_port_names`` order.
+    Each case's a, b and cin are read back from the chunk's input
+    ``planes``, as its sum and carry from ``got``, one netlist's output
+    planes in ``adder_port_names`` order.
     """
     mask, failures = (1 << width) - 1, []
+    rows = [planes[name] for name in adder_port_names(width)[0]]
     for word in np.flatnonzero(bad)[:limit]:
         lanes = int(bad[word])
         while lanes and len(failures) < limit:
             lane = (lanes & -lanes).bit_length() - 1
             lanes &= lanes - 1
-            a, b, cin = case(int(word) * 64 + lane)
+            a, b, cin = (_lane_value(part, word, lane) for part in (rows[:width], rows[width:-1], rows[-1:]))
             want, have = a + b + cin, _lane_value(got, word, lane)
             failures.append(Failure(a, b, cin, want & mask, want >> width, have & mask, have >> width))
     return failures
@@ -276,14 +271,14 @@ def _failures(bad, case, got, width: int, limit: int) -> list[Failure]:
 def _sweep(netlist: Netlist, width: int, chunks) -> tuple[int, tuple[Failure, ...]]:
     """The exact mismatch count of ``netlist`` over ``chunks`` and its first FAILURE_CAP failing cases.
 
-    ``chunks`` yields (input planes, expected planes, case count, case(j))
-    in (a, b, cin) order, and ``netlist`` must expose the width-``width``
-    adder ports.  Each chunk is one kernel run that keeps only the
-    outputs, compared with the expected planes in one XOR/OR pass.
+    ``chunks`` yields ``_chunks``' (input planes, expected planes, case
+    count) in (a, b, cin) order, and ``netlist`` must expose the
+    width-``width`` adder ports.  Each chunk is one kernel run that keeps
+    only the outputs, compared with the expected planes in one XOR/OR pass.
     """
     taps = tuple(map(dict(netlist.outputs).__getitem__, adder_port_names(width)[1]))
     count, failures = 0, []
-    for planes, expected, n, case in chunks:
+    for planes, expected, n in chunks:
         got = netlist._run(planes, len(expected[0]), taps)
         bad = got[0] ^ expected[0]
         for have, want in zip(got[1:], expected[1:]):
@@ -291,7 +286,7 @@ def _sweep(netlist: Netlist, width: int, chunks) -> tuple[int, tuple[Failure, ..
         if n % 64:
             bad[-1] &= np.uint64((1 << n % 64) - 1)
         count += int(np.count_nonzero(np.unpackbits(bad.view(np.uint8))))
-        failures += _failures(bad, case, got, width, FAILURE_CAP - len(failures))
+        failures += _failures(bad, planes, got, width, FAILURE_CAP - len(failures))
     return count, tuple(failures)
 
 
@@ -334,15 +329,16 @@ def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> Equiv
 
     The generator is PCG64 (recorded in the report).  All samples come
     from one draw of 2k + 1 uint32 words each, k = ceil(width/32): a is
-    the little-endian bytes of the first k words masked to ``width`` bits,
-    b those of the next k, and cin the top bit of the last word.  These
+    the first k words, least significant first, masked to ``width`` bits,
+    b the next k, and cin the top bit of the last word.  These
     are the cases that drawing a, then b, as ceil(width/8)-byte strings
     (``Generator.bytes``) and then cin as ``integers(0, 2)`` gives, sample
     by sample.  A seed therefore replays the same cases at the same width,
     and widths with the same word count draw the same words, masked
     differently; across word counts the cases are unrelated.  The four
     corner cases (0,0,0), (max,max,1), (max,1,0), (0,0,1) are always
-    prepended.  ``samples`` and ``seed`` must be integers >= 0.
+    prepended, one ``np.lexsort`` puts all in (a, b, cin) order, and
+    ``_chunks`` packs them.  ``samples`` and ``seed`` must be integers >= 0.
     """
     width = _check_contract(netlist, width)
     values = []
@@ -352,19 +348,19 @@ def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> Equiv
             raise InvalidParameter(f"{what} must be >= 0, got {value}")
     samples, seed = values
     rng = np.random.Generator(np.random.PCG64(seed))
-    mask, k = (1 << width) - 1, -(-width // 32)  # k uint32 words per operand
+    k = -(-width // 32)  # uint32 words per operand
     draws = rng.integers(0, 1 << 32, size=(samples, 2 * k + 1), dtype=np.uint32)
-    data = draws[:, :-1].astype("<u4").tobytes()
-    operands = [int.from_bytes(data[i : i + 4 * k], "little") & mask for i in range(0, len(data), 4 * k)]
-    cases = [*boundary_cases(width), *zip(operands[::2], operands[1::2], (draws[:, -1] >> 31).tolist())]
-    cases.sort()  # _sweep takes its cases in (a, b, cin) order
-    chunks = _random_chunks(cases, width)
-    failure_count, failures = _sweep(netlist, width, chunks)
+    draws[:, [k - 1, 2 * k - 1]] &= np.uint32((1 << (width - 32 * k + 32)) - 1)
+    draws[:, -1] >>= np.uint32(31)
+    corners = [[x >> 32 * j & 0xFFFFFFFF for x in (a, b) for j in range(k)] + [c] for a, b, c in boundary_cases(width)]
+    rows = np.concatenate([np.array(corners, dtype=np.uint32), draws]).T
+    columns = rows[:, np.lexsort(rows[[2 * k, *range(k, 2 * k), *range(k)]])]  # _sweep takes (a, b, cin) order
+    failure_count, failures = _sweep(netlist, width, _chunks(columns[:k], columns[k : 2 * k], columns[2 * k], width))
     return EquivalenceReport(
         netlist=netlist.name,
         width=width,
         mode="random",
-        cases_checked=len(cases),
+        cases_checked=len(rows[0]),
         failure_count=failure_count,
         failures=failures,
         seed=seed,
@@ -392,12 +388,12 @@ def probe_invariant_carry_exclusive(
         return True
     pairs = tuple(net for gi in netlist.carry_merges for net in netlist.gates[gi].inputs)
     try:
-        bdd, ports, _ = _spec(width)
+        bdd, ports = _ports(width)
         carries = _graphs(bdd, ports, netlist, pairs)
         return all(bdd.apply(AND, carries[j], carries[j + 1]) == 0 for j in range(0, len(pairs), 2))
     except OverBudget:
         pass
-    for planes, expected, _, _ in _index_chunks(width):
+    for planes, expected, _ in _index_chunks(width):
         carries = netlist._run(planes, len(expected[0]), pairs)
         if any((carries[j] & carries[j + 1]).any() for j in range(0, len(pairs), 2)):
             return False

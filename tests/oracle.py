@@ -21,7 +21,9 @@ comparison.
 the chunks that an exhaustive check sweeps when its proof runs out of
 nodes: each case's operands and integer sum ``a + b + cin``, taken apart
 by division and remainder and packed with ``np.packbits``, one case per
-lane.
+lane.  ``reference_case_planes`` gives those planes for any list of
+cases, one Python int per case and word, with no numpy until the end;
+``reference_random_cases`` draws a random check's cases sample by sample.
 
 ``reference_doc_order`` is the quadratic form of the lowest-index-first
 topological sort that gives ``import_json``'s build order.
@@ -326,8 +328,8 @@ def reference_check_exhaustive(netlist, width):
     )
 
 
-def reference_check_random(netlist, width, samples, seed):
-    """check_random's report: the same PCG64 draws, checked case by case."""
+def reference_random_cases(width, samples, seed):
+    """check_random's cases in draw order: the corner cases, then a, b and cin of each sample in turn."""
     rng = np.random.Generator(np.random.PCG64(seed))
     mask = (1 << width) - 1
     nbytes = (width + 7) // 8
@@ -336,6 +338,12 @@ def reference_check_random(netlist, width, samples, seed):
         a = int.from_bytes(rng.bytes(nbytes), "little") & mask
         b = int.from_bytes(rng.bytes(nbytes), "little") & mask
         cases.append((a, b, int(rng.integers(0, 2))))
+    return cases
+
+
+def reference_check_random(netlist, width, samples, seed):
+    """check_random's report: the same PCG64 draws, checked case by case."""
+    cases = reference_random_cases(width, samples, seed)
     n = len(cases)
     idx = np.arange(n)
     asg = {
@@ -381,6 +389,25 @@ def reference_exhaustive_chunks(width, words):
         rows = [np.pad(np.stack(block).astype(np.uint8), ((0, 0), (0, -len(j) % 64)))
                 for block in ([*bit, cin], [(sums >> np.uint64(i)) % 2 for i in range(width + 1)])]
         yield first, len(j), *(np.packbits(block, axis=1, bitorder="little").view("<u8") for block in rows)
+
+
+def reference_case_planes(cases, width):
+    """The (input planes, expected planes) of ``cases``, a list of (a, b, cin), one case per lane in list order.
+
+    The input planes are a_0..a_{w-1}, b_0..b_{w-1} and cin, the expected
+    planes bits 0..width of the integer a + b + cin.  Each plane's words are
+    Python ints, one bit set per case, turned into uint64 arrays at the end;
+    the last word's lanes past the cases are 0.
+    """
+    words = -(-len(cases) // 64)
+    inputs = [[0] * words for _ in range(2 * width + 1)]
+    sums = [[0] * words for _ in range(width + 1)]
+    for j, (a, b, cin) in enumerate(cases):
+        word, lane = divmod(j, 64)
+        for rows, value in ((inputs, a | b << width | cin << 2 * width), (sums, a + b + cin)):
+            for i, row in enumerate(rows):
+                row[word] |= (value >> i & 1) << lane
+    return [np.array(row, dtype=np.uint64) for row in inputs], [np.array(row, dtype=np.uint64) for row in sums]
 
 
 # -- DOT -------------------------------------------------------------------------------

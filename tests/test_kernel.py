@@ -7,7 +7,8 @@ result of ``simulate_planes``, ``evaluate``, ``check_exhaustive`` and
 the kernel.  ``reference_exhaustive_chunks`` is the reference for the
 planes of the sweep that an exhaustive check falls back on when its
 proof passes the node budget (``verify._NODE_BUDGET``); ``swept`` forces
-that fallback.
+that fallback.  ``reference_case_planes`` is the reference for the
+planes that ``verify._chunks`` packs for both kinds of check.
 """
 
 import itertools
@@ -32,6 +33,7 @@ from adderlab import (
     UnknownInput,
     UnknownNet,
     adder_port_names,
+    boundary_cases,
     build_adder,
     build_cia,
     build_half_adder,
@@ -41,13 +43,14 @@ from adderlab import (
     compare,
     probe_invariant_carry_exclusive,
 )
-import oracle
 from oracle import (
+    reference_case_planes,
     reference_check_exhaustive,
     reference_check_random,
     reference_evaluate,
     reference_evaluate_nets,
     reference_exhaustive_chunks,
+    reference_random_cases,
 )
 from strategies import netlists
 
@@ -480,33 +483,42 @@ def test_random_matches_reference_on_wide_operands():
         assert check_random(netlist, 64, 300, seed=5) == reference_check_random(netlist, 64, 300, seed=5)
 
 
+def spy_chunks(monkeypatch) -> list:
+    """A list that collects every chunk ``verify._chunks`` yields from now on."""
+    seen, chunks = [], verify._chunks
+
+    def spy(*args):
+        for chunk in chunks(*args):
+            seen.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(verify, "_chunks", spy)
+    return seen
+
+
+def chunk_cases(chunk, width) -> list[tuple[int, int, int]]:
+    """The (a, b, cin) of each case of a ``verify._chunks`` chunk, read back from its input planes."""
+    planes, _, n = chunk
+    rows = [lanes(planes[name])[:n] for name in adder_port_names(width)[0]]
+
+    def value(bits):
+        return sum(int(bit) << i for i, bit in enumerate(bits))
+
+    return [(value(case[:width]), value(case[width:-1]), int(case[-1])) for case in zip(*rows)]
+
+
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 31, 32, 33, 64, 65, 100])
 def test_random_draws_the_reference_loops_cases(monkeypatch, width):
     # check_random draws every sample's words at once; the reference draws a and b
-    # with Generator.bytes and cin with integers(0, 2), sample by sample
-    drawn = []
-    random_chunks, evaluate = verify._random_chunks, oracle.reference_evaluate
-
-    def chunks_spy(cases, width):
-        drawn.append(sorted(cases))
-        return random_chunks(cases, width)
-
-    def evaluate_spy(netlist, assignment):
-        def operand(op, j):
-            return sum(int(assignment[f"{op}_{i}"][j]) << i for i in range(width))
-
-        cases = range(len(assignment["cin"]))
-        drawn.append(sorted((operand("a", j), operand("b", j), int(assignment["cin"][j])) for j in cases))
-        return evaluate(netlist, assignment)
-
-    monkeypatch.setattr(verify, "_random_chunks", chunks_spy)
-    monkeypatch.setattr(oracle, "reference_evaluate", evaluate_spy)
+    # with Generator.bytes and cin with integers(0, 2), sample by sample.  The chunks
+    # hold those cases in (a, b, cin) order.
+    seen = spy_chunks(monkeypatch)
     netlist = build_rca(width)
     for samples, seed in itertools.product([0, 1, 70], [0, 5]):
-        drawn.clear()
+        seen.clear()
         assert check_random(netlist, width, samples, seed) == reference_check_random(netlist, width, samples, seed)
-        mine, reference = drawn
-        assert len(mine) == samples + 4 and mine == reference, (samples, seed)
+        mine = [case for chunk in seen for case in chunk_cases(chunk, width)]
+        assert mine == sorted(reference_random_cases(width, samples, seed)), (samples, seed)
 
 
 def test_failures_merge_across_chunks_in_case_order(monkeypatch):
@@ -583,16 +595,50 @@ def test_one_width_runs_the_kernel_once_per_chunk(monkeypatch, unit):
     assert calls == [(row_name, 16, 7) for row_name in ("rca_w6", "cla_w6", "cia_rca_w6_b2", "cia_cla_w6_b2") for _ in range(8)]
 
 
-# -- planes of the fallback sweep against per-case integer sums ---------------------
+# -- planes of the chunk packer against per-case integer sums -----------------------
+
+def operand_words(values, width) -> list[np.ndarray]:
+    """The 32-bit words of the width-``width`` ints ``values``, least significant first, as uint32 arrays."""
+    return [np.array([value >> 32 * j & 0xFFFFFFFF for value in values], np.uint32) for j in range(-(-width // 32))]
+
+
+def assert_planes_match(chunks, cases, width, words):
+    """``chunks`` hold ``cases`` in order, ``64 * words`` per chunk, with the reference's planes, padding included."""
+    assert len(chunks) == -(-len(cases) // (64 * words)), width
+    for c, (planes, expected, n) in enumerate(chunks):
+        part = cases[64 * words * c : 64 * words * (c + 1)]
+        inputs, sums = reference_case_planes(part, width)
+        assert n == len(part) and list(planes) == adder_port_names(width)[0], (width, c)
+        assert np.array_equal([planes[name] for name in planes], inputs), (width, c)
+        assert np.array_equal(expected, sums), (width, c)
+
+
+@pytest.mark.parametrize("words", [1, 2])
+@pytest.mark.parametrize("width", [1, 31, 32, 33, 63, 64, 65, 100])
+def test_chunks_match_per_case_integer_planes(monkeypatch, width, words):
+    # two whole chunks and a partial word: the corner cases, a low part of all ones plus a
+    # carry in (b or cin) at every 32-bit word boundary up to the width, and random cases
+    monkeypatch.setattr(verify, "_WORDS", words)
+    top, rng = (1 << width) - 1, random.Random(width)
+    cases = list(boundary_cases(width))
+    for cut in range(32, width + 32, 32):
+        low = (1 << cut) - 1 & top
+        cases += [(low, 1, 0), (low, 0, 1), (low, low, 1), (top ^ low, low, 1)]
+    cases += [(rng.getrandbits(width), rng.getrandbits(width), rng.getrandbits(1)) for _ in range(128 * words + 37 - len(cases))]
+    a, b = (operand_words([case[k] for case in cases], width) for k in (0, 1))
+    chunks = list(verify._chunks(a, b, np.array([case[2] for case in cases], np.uint8), width))
+    assert_planes_match(chunks, cases, width, words)
+    # check_random feeds the packer its drawn cases in (a, b, cin) order
+    seen = spy_chunks(monkeypatch)
+    check_random(build_rca(width), width, 128 * words + 33, seed=width)
+    assert_planes_match(seen, sorted(reference_random_cases(width, 128 * words + 33, width)), width, words)
+
 
 def assert_same_cases(got, want, width):
     """An ``_index_chunks`` chunk equals the reference's in every lane a case occupies; lanes past the cases may differ."""
-    planes, expected, n, case = got
+    planes, expected, n = got
     first, cases, inputs, sums = want
     assert n == cases, (width, first)
-    for j in (0, n // 3, n - 1):
-        rest, cin = divmod(first + j, 2)
-        assert case(j) == (*divmod(rest, 1 << width), cin), (width, first, j)
     names, _ = adder_port_names(width)
     for rows, reference in (([planes[name] for name in names], inputs), (expected, sums)):
         bits = [np.unpackbits(np.asarray(block, dtype="<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]

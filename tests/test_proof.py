@@ -25,7 +25,7 @@ from adderlab import (
     oracle_add,
     probe_invariant_carry_exclusive,
 )
-from adderlab import verify
+from adderlab import _bdd, verify
 from oracle import reference_check_exhaustive, reference_evaluate_nets
 from test_kernel import kind_swap_mutants
 
@@ -132,8 +132,11 @@ def test_netlists_past_the_budget_are_swept(monkeypatch):
     assert [report.ok for report in reports] == [True, False, True]
 
 
-def deep(width):
-    """Adder ports whose cout is the AND of every input, a graph 2w+1 nodes deep, built top variable first."""
+def deep(width, merge=False):
+    """Adder ports whose cout is the AND of every input, a graph 2w+1 nodes deep, built top variable first.
+
+    With ``merge``, cout is instead that AND merged with its NOT by an OR gate, recorded as a carry merge.
+    """
     b = NetlistBuilder(f"deep_w{width}")
     a = [b.add_input(f"a_{i}") for i in range(width)]
     y = [b.add_input(f"b_{i}") for i in range(width)]
@@ -142,18 +145,37 @@ def deep(width):
         b.add_output(f"s_{i}", b.add_gate(GateKind.XOR, [a[i], y[i]]))
     for net in [net for pair in zip(a, y) for net in pair][::-1]:
         chain = b.add_gate(GateKind.AND, [net, chain])
+    if merge:
+        chain = b.add_gate(GateKind.OR, [chain, b.add_gate(GateKind.NOT, [chain])])
     b.add_output("cout", chain)
-    return b.finish()
+    return b.finish((3 * width + 1,) if merge else None)
 
 
-def test_the_budget_not_the_recursion_limit_ends_a_wide_proof(monkeypatch):
+def test_managers_past_max_vars_are_refused():
+    # 481 variables are the ports of w240, the widest adder whose ripple spec fits the budget
+    assert _bdd.MAX_VARS == 481 and len(verify._ports(240)[0].nodes) == 483
+    with pytest.raises(_bdd.OverBudget):
+        verify._ports(241)
+
+
+def test_max_vars_not_the_recursion_limit_ends_a_wide_proof(monkeypatch):
     # at w600 the miter of deep()'s cout with the spec's would recurse 1,202 calls deep, past
-    # Python's limit of 1,000 frames; the ripple spec, built first, passes 2**18 nodes near
-    # w240, so the budget stops the proof before any netlist is built and the check falls back
-    # to its sweep (stubbed here: 2**1201 cases never end)
-    width, cap, swept = 600, 2 << 2 * 600, []
+    # Python's limit of 1,000 frames; the manager of 1,201 variables is refused before any
+    # graph is built, and the check falls back to its sweep (stubbed here: 2**1201 cases
+    # never end)
+    width, swept = 600, []
     monkeypatch.setattr(verify, "_index_chunks", lambda width: swept.append(width) or iter(()))
     monkeypatch.setattr(verify, "_sweep", lambda netlist, width, chunks: (0, ()))
-    assert check_exhaustive(deep(width), width, case_cap=cap).ok
-    assert probe_invariant_carry_exclusive(build_cia(width, 8, Architecture.RCA), width, case_cap=cap)
+    assert check_exhaustive(deep(width), width, case_cap=1 << 1201).ok
+    assert swept == [width]
+
+
+def test_a_wide_probe_falls_back_without_recursing(monkeypatch):
+    # the probe builds no ripple spec.  A w600 cia_rca's carries pass the node budget near
+    # w240, but deep()'s merged AND chain and its NOT take a few thousand nodes, and their graphs
+    # would recurse 1,202 calls deep: only the refused manager keeps them from the limit
+    width, swept = 600, []
+    monkeypatch.setattr(verify, "_index_chunks", lambda width: swept.append(width) or iter(()))
+    for netlist in (build_cia(width, 8, Architecture.RCA), deep(width, merge=True)):
+        assert probe_invariant_carry_exclusive(netlist, width, case_cap=1 << 1201)
     assert swept == [width, width]
