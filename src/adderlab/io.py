@@ -54,7 +54,8 @@ def export_json(netlist: Netlist) -> str:
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``,
     written from fixed line templates; only the names go through
-    ``json.dumps``.
+    ``json.dumps``.  Every piece of the document, three per gate, goes to
+    one list that is joined once, so the text is copied once.
     """
     # Canonical net numbering: input ports, then constants, then gate outputs.
     # Renumbered here, not in finish(): build_cia mints its constant after block 0's
@@ -84,24 +85,30 @@ def export_json(netlist: Netlist) -> str:
         "    }"
         for value, net in netlist.constants
     ]
-    gates = [  # a gate has at least one input, so its array is never "[]"
-        "{\n"
-        '      "inputs": [\n        ' + ",\n        ".join(map(ids.__getitem__, gate.inputs)) + "\n      ],\n"
-        f'      "kind": "{gate.kind.value}",\n'
-        f'      "output": {ids[gate.output]}\n'
-        "    }"
-        for gate in netlist.gates
-    ]
-    return (
+    parts = [
         "{\n"
         f'  "constants": {_json_list(constants, 1)},\n'
         f'  "format_version": {FORMAT_VERSION},\n'
-        f'  "gates": {_json_list(gates, 1)},\n'
+        '  "gates": '
+    ]
+    # a gate has at least one input, so its array is never "[]".  The exporters read a kind's
+    # name as ``_value_``, the plain attribute behind ``.value``, whose property costs ten times more
+    head = '[\n    {\n      "inputs": [\n        '
+    for gate in netlist.gates:
+        parts += (
+            head,
+            ",\n        ".join(map(ids.__getitem__, gate.inputs)),
+            f'\n      ],\n      "kind": "{gate.kind._value_}",\n      "output": {ids[gate.output]}\n    }}',
+        )
+        head = ',\n    {\n      "inputs": [\n        '
+    parts.append(
+        ("\n  ]" if netlist.gates else "[]") + ",\n"
         f'  "inputs": {ports(netlist.inputs)},\n'
         f'  "name": {json.dumps(netlist.name)},\n'
         f'  "outputs": {ports(netlist.outputs)}\n'
         "}\n"
     )
+    return "".join(parts)
 
 
 def _field(doc: dict, key: str, kind: type):
@@ -329,7 +336,7 @@ def export_dot(netlist: Netlist) -> str:
         else:
             stages.setdefault(gate.stage, []).append(gi)
     def gate_line(gi: int, pad: str) -> str:
-        return f'{pad}g{gi} [shape=box, label="{netlist.gates[gi].kind.value}#{gi}"];'
+        return f'{pad}g{gi} [shape=box, label="{netlist.gates[gi].kind._value_}#{gi}"];'
     for gi in flat:
         lines.append(gate_line(gi, "  "))
     for stage, members in stages.items():
@@ -348,8 +355,8 @@ def export_dot(netlist: Netlist) -> str:
         lines.append("  " + (edge + "\n  ").join(map(source.__getitem__, gate.inputs)) + edge)
     for name, net in netlist.outputs:
         lines.append(f"  {source[net]} -> {_dot_str('out:' + name)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ("}", "")  # the empty last line ends the text with a newline
+    return "\n".join(lines)
 
 
 # -- structural Verilog ------------------------------------------------------------
@@ -433,11 +440,11 @@ def export_verilog(netlist: Netlist) -> str:
         lines.append(f"  wire {wire};")
     for gi, gate in enumerate(netlist.gates):
         ins = ", ".join(map(names.__getitem__, gate.inputs))
-        lines.append(f"  {gate.kind.value.lower()} g{gi} ({names[gate.output]}, {ins});")
+        lines.append(f"  {gate.kind._value_.lower()} g{gi} ({names[gate.output]}, {ins});")
     for k, (ident, net) in enumerate(aliases):
         lines.append(f"  buf g{len(netlist.gates) + k} ({ident}, {names[net]});")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
+    lines += ("endmodule", "")  # the empty last line ends the text with a newline
+    return "\n".join(lines)
 
 
 # -- CSV ------------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Mapping, Sequence
@@ -71,6 +72,10 @@ class GateKind(Enum):
     OR = "OR"
     XOR = "XOR"
     NOT = "NOT"
+
+    # Members are singletons, so they hash by identity, in C; Enum's own __hash__ hashes
+    # the name in Python, and the delay model, the census and the kernel look kinds up per gate.
+    __hash__ = object.__hash__
 
     def arity_ok(self, n: int) -> bool:
         # _NOT and _XOR, not GateKind.NOT: a member looked up on the enum class
@@ -255,16 +260,23 @@ class Netlist:
         Checks on the way that each gate is a ``Gate``, that each net
         0..n-1 has exactly one source, that every net read or tapped is one
         of these ints, and that each gate reads only inputs, constants and
-        earlier gates.  Then, for the kernel and the exporters, that each
-        gate's kind is a ``GateKind`` whose fan-in rule it meets (else
-        FanInViolation) and its stage a str or None, that each carry merge
-        is a gate's index (else UnknownNet) and that gate a two-input OR,
-        that constants are 0 or 1, that all names are strs, and that no
-        input or output port name repeats (else DuplicatePortName).  Last,
-        that the tables and each gate's inputs are tuples, and the ports
-        and constants pairs, so that a netlist is immutable and hashable;
-        one that cannot even be read fails first.  The rest raise
-        InvalidParameter.
+        earlier gates.  Once the sources pass, one test in C asks whether
+        the gate outputs strictly ascend in stored order, as they do in
+        every netlist that the builder, ``with_gate_kind`` and
+        ``import_json`` make.  If so, an int net from 0 up to a gate's
+        output has an earlier source, so such a fan-in entry costs one
+        type-and-range test; any other entry, and every entry of a table
+        whose outputs do not ascend, is looked up by its source's rank, so
+        the first error is the same either way.  Then, for the kernel and
+        the exporters, that each gate's kind is a ``GateKind`` whose fan-in
+        rule it meets (else FanInViolation) and its stage a str or None,
+        that each carry merge is a gate's index (else UnknownNet) and that
+        gate a two-input OR, that constants are 0 or 1, that all names are
+        strs, and that no input or output port name repeats (else
+        DuplicatePortName).  Last, that the tables and each gate's inputs
+        are tuples, and the ports and constants pairs, so that a netlist is
+        immutable and hashable; one that cannot even be read fails first.
+        The rest raise InvalidParameter.
         """
         ports = [net for _, net in (*self.inputs, *self.constants)]
         for gi, gate in enumerate(self.gates):
@@ -286,11 +298,16 @@ class Netlist:
         for _, net in self.outputs:
             if type(net) is not int or not 0 <= net < n:
                 raise unknown(net)
+        # if the gate outputs ascend, each int net below a gate's output has an earlier source
+        ascending = all(map(operator.lt, sources[first:], sources[first + 1 :]))
         odd = None  # the first gate of a kind, fan-in or stage the kernel or an exporter cannot take
         for gi, gate in enumerate(self.gates):
             if type(gate.inputs) is not tuple and not isinstance(gate.inputs, Collection):
                 raise InvalidParameter(self._loose_table())
+            below = gate.output if ascending else 0
             for net in gate.inputs:
+                if type(net) is int and 0 <= net < below:
+                    continue
                 if type(net) is not int or not 0 <= net < n:
                     raise unknown(net)
                 if rank[net] >= gi:

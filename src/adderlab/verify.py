@@ -23,7 +23,8 @@ of a width.
 
 A proof stops once its manager would pass ``_NODE_BUDGET`` nodes, or past
 w240 (``_bdd.MAX_VARS``).  The netlists it has not proven then run through
-the kernel in one plain sweep over every case (``_index_chunks``), as
+the kernel in one plain sweep over every case (``_index_chunks``, up to
+w31, past which it raises ExhaustiveTooLarge), as
 random checks run over theirs: one numpy packer (``_chunks``) packs the
 operands' 32-bit words and cin into chunks of up to 131,072 cases, 64 per
 uint64 word, and sums a + b + cin word by word into expected planes, which
@@ -207,7 +208,15 @@ def _prove(netlists: list[Netlist], width: int) -> list[tuple[int, tuple[Failure
 
 
 def _index_chunks(width: int):
-    """Yield the ``_chunks`` of every case, ``_WORDS`` words of consecutive case numbers (``_split``) each."""
+    """Yield the ``_chunks`` of every case, ``_WORDS`` words of consecutive case numbers (``_split``) each.
+
+    A case number must fit one uint64, and so each operand one 32-bit
+    word: past w31 this raises ExhaustiveTooLarge on the first chunk.
+    """
+    if 2 * width + 1 > 64:
+        raise ExhaustiveTooLarge(
+            f"width {width} needs {2 * width + 1}-bit case numbers; a sweep takes at most 64 bits (width 31)"
+        )
     total = 1 << (2 * width + 1)
     for start in range(0, total, _WORDS * 64):
         # the narrowest dtype that holds every case number: the packer shifts it fastest
@@ -324,6 +333,16 @@ def check_exhaustive(netlist: Netlist, width: int, case_cap: int = DEFAULT_CASE_
     return _check_exhaustive_all([netlist], width, case_cap)[0]
 
 
+def _sort_keys(words) -> list:
+    """``np.lexsort`` keys of one operand's 32-bit word rows, least significant first.
+
+    Words are joined in pairs, low word first, into uint64 keys, so that
+    the sort makes half as many passes; an odd top word is its own key.
+    """
+    wide = words[: len(words) // 2 * 2].astype(np.uint64)
+    return [*(wide[0::2] | wide[1::2] << np.uint64(32)), *words[len(words) // 2 * 2 :]]
+
+
 def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> EquivalenceReport:
     """Compare against oracle_add on seeded random draws plus the corner cases.
 
@@ -337,8 +356,9 @@ def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> Equiv
     and widths with the same word count draw the same words, masked
     differently; across word counts the cases are unrelated.  The four
     corner cases (0,0,0), (max,max,1), (max,1,0), (0,0,1) are always
-    prepended, one ``np.lexsort`` puts all in (a, b, cin) order, and
-    ``_chunks`` packs them.  ``samples`` and ``seed`` must be integers >= 0.
+    prepended, one ``np.lexsort`` puts all in (a, b, cin) order, its keys
+    each operand's words joined in pairs (``_sort_keys``), and ``_chunks``
+    packs them.  ``samples`` and ``seed`` must be integers >= 0.
     """
     width = _check_contract(netlist, width)
     values = []
@@ -354,7 +374,8 @@ def check_random(netlist: Netlist, width: int, samples: int, seed: int) -> Equiv
     draws[:, -1] >>= np.uint32(31)
     corners = [[x >> 32 * j & 0xFFFFFFFF for x in (a, b) for j in range(k)] + [c] for a, b, c in boundary_cases(width)]
     rows = np.concatenate([np.array(corners, dtype=np.uint32), draws]).T
-    columns = rows[:, np.lexsort(rows[[2 * k, *range(k, 2 * k), *range(k)]])]  # _sweep takes (a, b, cin) order
+    order = np.lexsort([rows[2 * k], *_sort_keys(rows[k : 2 * k]), *_sort_keys(rows[:k])])
+    columns = rows[:, order]  # _sweep takes (a, b, cin) order
     failure_count, failures = _sweep(netlist, width, _chunks(columns[:k], columns[k : 2 * k], columns[2 * k], width))
     return EquivalenceReport(
         netlist=netlist.name,

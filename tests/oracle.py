@@ -25,6 +25,12 @@ lane.  ``reference_case_planes`` gives those planes for any list of
 cases, one Python int per case and word, with no numpy until the end;
 ``reference_random_cases`` draws a random check's cases sample by sample.
 
+``reference_drivers`` is the net check that ``Netlist()`` runs on its
+tables, with no shortcut for gate outputs that ascend: every fan-in
+entry is looked up by its source's rank.  It raises the same exception
+with the same message as ``Netlist()``'s net checks, or returns the
+``drivers`` table, and runs no code of ``adderlab.netlist``.
+
 ``reference_doc_order`` is the quadratic form of the lowest-index-first
 topological sort that gives ``import_json``'s build order.
 
@@ -52,11 +58,13 @@ import numpy as np
 
 from adderlab import (
     AdderLabError,
+    CombinationalLoop,
     GateKind,
     InvariantViolation,
     NetlistBuilder,
     ParseError,
     UnknownGateKind,
+    UnknownNet,
     UnsupportedVersion,
 )
 from adderlab.verify import (
@@ -121,6 +129,46 @@ def reference_evaluate(netlist, assignment):
     """Output-port values of ``reference_evaluate_nets``, keyed by port name."""
     values = reference_evaluate_nets(netlist, assignment)
     return {name: values[net] for name, net in netlist.outputs}
+
+
+# -- net checks -----------------------------------------------------------------
+
+def reference_drivers(name, gates, inputs, outputs, constants):
+    """The ``drivers`` of tables whose net ints pass ``Netlist()``'s net checks, else its exception.
+
+    Each net 0..n-1 must have one source (an input, a constant or a gate
+    output, n being their count), every tapped net must be one of these
+    ints, and a gate may read a net only if its source is a port or an
+    earlier gate: its rank, the gate's index or a negative number for a
+    port, is looked up for every fan-in entry.
+    """
+    ports = [net for _, net in (*inputs, *constants)]
+    sources = ports + [gate.output for gate in gates]
+    n, first = len(sources), len(ports)
+    rank = [None] * n
+
+    def unknown(net):
+        return UnknownNet(f"no net {net!r} in netlist '{name}'")
+
+    for k, net in enumerate(sources):
+        if type(net) is not int or not 0 <= net < n:
+            raise unknown(net)
+        if rank[net] is not None:
+            raise InvariantViolation(f"net {net} has more than one source")
+        rank[net] = k - first
+    for _, net in outputs:
+        if type(net) is not int or not 0 <= net < n:
+            raise unknown(net)
+    for gi, gate in enumerate(gates):
+        for net in gate.inputs:
+            if type(net) is not int or not 0 <= net < n:
+                raise unknown(net)
+            if rank[net] >= gi:
+                raise CombinationalLoop(
+                    f"gate {gi} of netlist '{name}' reads gate {rank[net]}, which is not earlier",
+                    gates=(gi, rank[net]),
+                )
+    return tuple(None if r < 0 else r for r in rank)
 
 
 # -- document gate order ---------------------------------------------------------

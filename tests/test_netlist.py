@@ -39,7 +39,7 @@ from adderlab import (
     import_json,
     Architecture,
 )
-from oracle import brute_force_delay
+from oracle import brute_force_delay, reference_drivers
 from strategies import netlists
 
 
@@ -433,6 +433,90 @@ def test_gate_reading_no_earlier_gate_is_rejected(gates, pair):
     with pytest.raises(CombinationalLoop, match="which is not earlier") as exc:
         hand_built(gates)
     assert exc.value.gates == pair
+
+
+def checked_nets(check, name, gates, inputs, outputs, constants):
+    """("ok", ``check``'s drivers table of the tables), or the type, message and gates of what it raises."""
+    try:
+        return "ok", check(name, gates, inputs, outputs, constants)
+    except AdderLabError as exc:
+        return type(exc), str(exc), getattr(exc, "gates", None)
+
+
+def netlist_drivers(*tables):
+    return Netlist(*tables).drivers
+
+
+# Fan-in entries that are no net whatever the net count
+ODD_ENTRIES = [3.0, True, -1, np.int64(2), "1"]
+
+
+@st.composite
+def relabelled_tables(draw):
+    """A builder netlist's tables with its nets relabelled, and maybe one fan-in entry replaced
+    by one that is no net, or by the output of the reading gate or of a later one.
+
+    The relabelling is the identity, a random permutation (gate outputs
+    then mostly do not ascend), or one port's net moved to the top, so
+    that outputs still ascend and gates read a net above their output.
+    """
+    nl = draw(netlists())
+    n = len(nl.drivers)
+    ports = [net for _, net in (*nl.inputs, *nl.constants)]
+    how = draw(st.sampled_from(["identity", "permutation", "port on top"]))
+    if how == "permutation":
+        label = draw(st.permutations(range(n)))
+    else:
+        top = draw(st.sampled_from(ports)) if how == "port on top" else n - 1
+        label = [net - (net > top) for net in range(n)]
+        label[top] = n - 1
+    gates = [[gate.kind, [label[net] for net in gate.inputs], label[gate.output]] for gate in nl.gates]
+    if gates and draw(st.booleans()):
+        gi = draw(st.integers(0, len(gates) - 1))
+        slot = draw(st.integers(0, len(gates[gi][1]) - 1))
+        how = draw(st.sampled_from(["odd", "n", "own output", "later output"]))
+        if how == "odd":
+            entry = draw(st.sampled_from(ODD_ENTRIES))
+        elif how == "n":
+            entry = n
+        elif how == "own output":
+            entry = gates[gi][2]
+        else:  # a later gate's output, one numbered below the reader's output if there is one
+            later = [gate[2] for gate in gates[gi + 1 :]] or [gates[gi][2]]
+            entry = draw(st.sampled_from([out for out in later if out < gates[gi][2]] or later))
+        gates[gi][1][slot] = entry
+
+    def relabel(table):
+        return tuple((key, label[net]) for key, net in table)
+
+    return (nl.name, tuple(Gate(kind, tuple(ins), out) for kind, ins, out in gates),
+            relabel(nl.inputs), relabel(nl.outputs), relabel(nl.constants))
+
+
+@settings(max_examples=400, deadline=None)
+@given(relabelled_tables())
+def test_netlist_checks_nets_like_the_reference_rank_loop(tables):
+    # accepts the same tables with the same drivers, or raises the same error with the same message
+    assert checked_nets(netlist_drivers, *tables) == checked_nets(reference_drivers, *tables)
+
+
+@pytest.mark.parametrize("gates,inputs,constants,accepted", [
+    # outputs ascend, and gate 0 reads input y, numbered above its output
+    ([(GateKind.AND, (0, 3), 1), (GateKind.NOT, (1,), 2)], (("x", 0), ("y", 3)), (), True),
+    # outputs ascend, and gate 1 reads the constant, numbered above its output
+    ([(GateKind.NOT, (0,), 1), (GateKind.OR, (1, 4), 2), (GateKind.AND, (2, 4), 3)], (("x", 0),), ((1, 4),), True),
+    # outputs descend, and each gate reads the one before it, numbered above its output
+    ([(GateKind.NOT, (0,), 3), (GateKind.NOT, (3,), 2), (GateKind.XOR, (2, 0), 1)], (("x", 0),), (), True),
+    # outputs descend, and gate 0 reads gate 1, numbered below its output
+    ([(GateKind.AND, (0, 1), 2), (GateKind.NOT, (0,), 1)], (("x", 0),), (), False),
+    # outputs ascend, and gate 0 reads its own output
+    ([(GateKind.AND, (0, 1), 1)], (("x", 0),), (), False),
+])
+def test_hand_built_tables_check_nets_like_the_reference(gates, inputs, constants, accepted):
+    tables = ("hand", tuple(Gate(kind, ins, out) for kind, ins, out in gates), inputs, (), constants)
+    got = checked_nets(netlist_drivers, *tables)
+    assert got == checked_nets(reference_drivers, *tables)
+    assert (got[0] == "ok") is accepted
 
 
 # Inputs x and y sit on nets 0 and 1 unless a row says otherwise; the

@@ -15,6 +15,7 @@ from adderlab import (
     AdderSpec,
     AdderLabError,
     Architecture,
+    ExhaustiveTooLarge,
     GateKind,
     Netlist,
     NetlistBuilder,
@@ -179,3 +180,15 @@ def test_a_wide_probe_falls_back_without_recursing(monkeypatch):
     for netlist in (build_cia(width, 8, Architecture.RCA), deep(width, merge=True)):
         assert probe_invariant_carry_exclusive(netlist, width, case_cap=1 << 1201)
     assert swept == [width, width]
+
+
+def test_the_sweep_past_w31_raises_exhaustive_too_large(monkeypatch):
+    # w31's 2**63 case numbers are the last to fit one uint64 (and each operand one 32-bit word);
+    # past that a check whose cap admits the cases, and whose proof overruns, is refused by name
+    assert next(verify._index_chunks(31))[2] == 64 * verify._WORDS
+    monkeypatch.setattr(verify, "_NODE_BUDGET", 0)
+    for width in (32, 33):
+        for check, netlist in ((check_exhaustive, build_rca(width)),
+                               (probe_invariant_carry_exclusive, build_cia(width, 4, Architecture.CLA))):
+            with pytest.raises(ExhaustiveTooLarge, match=f"width {width} needs {2 * width + 1}-bit case numbers"):
+                check(netlist, width, case_cap=1 << 67)
