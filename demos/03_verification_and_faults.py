@@ -44,7 +44,8 @@ for failure in report.failures[:3]:
 
 # Carry-increment blocks rely on a structural fact: the block carry and
 # the incrementer carry of a stage can never fire together, which is
-# what lets a single OR merge them. The probe sweeps every input and
-# watches both nets directly.
+# what lets a single OR merge them. The probe proves it: each merge pair's
+# AND is the constant 0. Only past its node budget does it sweep every
+# input instead.
 ok = probe_invariant_carry_exclusive(cia, 8)
 print(f"{cia.name}: block/increment carries mutually exclusive: {ok}")

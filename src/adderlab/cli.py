@@ -3,7 +3,7 @@
 Subcommands: build (emit JSON), verify (equivalence check), analyze
 (area/delay, optional DOT and Verilog), compare (multi-arch table,
 optional CSV).  Exit codes: 0 success, 1 verification mismatch, 2 usage
-or input error.
+or input error, or out of memory.
 """
 
 from __future__ import annotations
@@ -185,6 +185,9 @@ def run(argv=None) -> int:
         return 2
     except AdderLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too: a check too large to hold is no mismatch
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
 
 

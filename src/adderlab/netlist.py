@@ -18,25 +18,27 @@ and safe to share.
 
 One kernel simulates: a program of two-operand bitwise steps on uint64
 bit-planes, 64 cases per word (parallel-pattern simulation), run by the
-one loop of ``_run``.  A netlist keeps one cache of such programs,
-one plan per tuple of nets a caller keeps (None: every net), and lowers
-its gates anew on each miss.  The lowering folds constants (x & 0 is 0,
-x & 1, x | 0 and x ^ 0 are x, x | 1 is 1) and is hash-consed (structural
-hashing): gates' operands are sorted, a step computed once is never
-emitted again, and nets whose values are the same step, an input or a
-constant share one slot.  So the product terms that lookahead carries
-share run once, a w12 lookahead adder runs 192 steps, not the 478 of
-lowering each gate on its own, and a carry-increment adder skips the
-steps its constant carries decide.  A plan then skips steps none of the
-kept nets depends on.  A run writes into one slab of planes in which any
+one loop of ``_run``.  ``_plan`` lowers the gates into one such program
+for the nets a caller keeps (None: every net), anew on each call: a
+netlist keeps no state, so each caller lowers once per call or sweep
+and hands that plan to ``_run`` for every chunk.  The lowering folds
+constants (x & 0 is 0, x & 1, x | 0 and x ^ 0 are x, x | 1 is 1) and
+is hash-consed (structural hashing): gates' operands are sorted, a step
+computed once is never emitted again, and nets whose values are the same
+step, an input or a constant share one slot.  So the product terms that
+lookahead carries share run once, a w12 lookahead adder runs 192 steps,
+not the 478 of lowering each gate on its own, and a carry-increment
+adder skips the steps its constant carries decide.  A plan then skips
+steps none of the kept nets depends on.  A run writes into one slab of planes in which any
 other slot's row is reused once its last reader has run, so the slab
 holds far fewer planes than there are nets.  Every run goes through
 ``_run``, unchecked; ``simulate_planes`` is the checked public entry
 point.  ``evaluate`` packs 0/1 integers or numpy arrays of them into
 planes and keeps its output taps, so a whole input space runs in one
-pass.  Timing and the exporters never see the program: they walk the
-stored gates.  Timing uses a ``DelayModel`` that assigns a base delay
-per gate kind, optionally scaled by ceil(log2(fan-in)) for wide gates.
+pass, with one lowering.  Timing and the exporters never see the
+program: they walk the stored gates.  Timing uses a ``DelayModel`` that
+assigns a base delay per gate kind, optionally scaled by
+ceil(log2(fan-in)) for wide gates.
 """
 
 from __future__ import annotations
@@ -199,6 +201,7 @@ def _to_planes(bits: np.ndarray) -> np.ndarray:
 
 
 Step = tuple[np.ufunc, int, int, int]
+Plan = tuple[int, tuple[Step, ...], tuple[int, ...]]  # (slab rows, steps, taps), see Netlist._plan
 _PLANE_OPS = {  # NOT x runs as x XOR ones
     GateKind.AND: np.bitwise_and,
     GateKind.OR: np.bitwise_or,
@@ -235,7 +238,6 @@ class Netlist:
         # The carry-increment builder's merge OR gates, by index, one per stage
         # after the first; None means "not an increment-style build", () one block.
         self.carry_merges = carry_merges
-        self._plans: dict = {}  # kept nets or None -> plan, see _plan; the kernel's only state
         self.drivers = self._derive_drivers()
         self._input_set = frozenset(self.input_names)
 
@@ -395,6 +397,8 @@ class Netlist:
         a fresh array of the inputs' broadcast shape and of the dtype numpy
         promotes the input arrays to, bool counting as uint8.  All cases
         run in one pass of the kernel, which keeps only the output taps.
+        Each call lowers the gates anew (``_plan``), so a batch of cases
+        belongs in one call, with arrays.
         """
         self._check_input_names(assignment, "assignment")
         names = self.input_names
@@ -414,7 +418,8 @@ class Netlist:
         cases = np.zeros((len(values), 64 * words), dtype=np.uint8)
         for row, value in zip(cases, values):
             row[:n].reshape(shape)[...] = value
-        taps = self._run(dict(zip(names, _to_planes(cases))), words, tuple(net for _, net in self.outputs))
+        plan = self._plan([net for _, net in self.outputs])
+        taps = self._run(plan, dict(zip(names, _to_planes(cases))), words)
         planes = np.array(taps, dtype="<u8").reshape(len(taps), words).view(np.uint8)
         bits = np.unpackbits(planes, axis=1, count=n, bitorder="little")
         if not arrays:
@@ -426,11 +431,11 @@ class Netlist:
 
         ``planes`` maps each input port to a uint64 array of ``words``
         words; bit k of word j is that input's value in case 64*j + k, and
-        every returned plane has that layout.  The steps of the plan for
-        ``nets`` write into one fresh slab, in which a row not kept is
-        reused once its last reader has run (see ``_plan``).  Input planes
-        are the caller's arrays, so treat every plane as read-only.  Lanes
-        no case occupies may hold any value.
+        every returned plane has that layout.  Each call lowers a plan for
+        ``nets`` (``_plan``), whose steps write into one fresh slab, in
+        which a row not kept is reused once its last reader has run.
+        Input planes are the caller's arrays, so treat every plane as
+        read-only.  Lanes no case occupies may hold any value.
         """
         self._check_input_names(planes, "planes")
         if isinstance(words, bool) or not isinstance(words, numbers.Integral) or words < 0:
@@ -441,19 +446,20 @@ class Netlist:
                 raise InvalidAssignment(f"input '{name}' must be a uint64 array of {words} words")
         if nets is not None:
             try:
-                hash(nets := tuple(nets))  # the plan cache's key
+                nets = tuple(nets)
             except TypeError:
                 raise UnknownNet(f"nets must be None or a sequence of net ids, got {nets!r}") from None
-        return self._run(planes, words, nets)
+        return self._run(self._plan(nets), planes, words)
 
-    def _run(self, planes: Mapping[str, np.ndarray], words: int, nets) -> list[np.ndarray]:
-        """The planes of ``nets``, in that order, from one kernel run of ``_plan(nets)`` on ``planes``.
+    def _run(self, plan: Plan, planes: Mapping[str, np.ndarray], words: int) -> list[np.ndarray]:
+        """The planes of the nets ``plan`` keeps, in its order, from one kernel run of ``plan`` on ``planes``.
 
-        ``planes`` is laid out as in ``simulate_planes``, ``words`` words
-        each.  Every step writes its row of one fresh slab.  Nothing is
-        checked here; ``simulate_planes`` checks what outside callers pass.
+        ``plan`` is what ``_plan`` returned for this netlist, and ``planes``
+        is laid out as in ``simulate_planes``, ``words`` words each.  Every
+        step writes its row of one fresh slab.  Nothing is checked here;
+        ``simulate_planes`` checks what outside callers pass.
         """
-        rows, steps, taps = self._plan(nets)
+        rows, steps, taps = plan
         slab = np.empty((rows, words), dtype=np.uint64)
         slab[0] = 0
         slab[1] = ~np.uint64(0)
@@ -462,8 +468,8 @@ class Netlist:
             op(values[left], values[right], values[out])
         return [values[tap] for tap in taps]
 
-    def _plan(self, nets) -> tuple[int, tuple[Step, ...], tuple[int, ...]]:
-        """(slab rows, steps, taps) that compute ``nets`` (None: every net); cached.
+    def _plan(self, nets) -> Plan:
+        """(slab rows, steps, taps) that compute ``nets`` (None: every net), lowered anew.
 
         Each step (op, left, right, out) stores op(value left, value
         right), op being numpy's bitwise AND, OR or XOR, in value ``out``
@@ -472,7 +478,7 @@ class Netlist:
         is value ``taps[i]``.  Kept nets must be ints in 0..n-1 (else
         UnknownNet).
 
-        A miss lowers the gates over slots: 0..n-1 the nets, n and n+1 the
+        The gates are lowered over slots: 0..n-1 the nets, n and n+1 the
         zeros and ones, n+2 and up wide gates' intermediate results.  An
         input net holds its own slot, a constant net the zeros or ones
         slot.  In stored order, a gate's operands are its inputs' slots
@@ -487,9 +493,6 @@ class Netlist:
         dropped.  A slot takes a free row when first written and frees it
         after its last reader, unless it is kept.
         """
-        plan = self._plans.get(nets)
-        if plan is not None:
-            return plan
         n, k = len(self.drivers), len(self.inputs)
         for net in nets or ():
             if type(net) is not int or not 0 <= net < n:
@@ -544,8 +547,7 @@ class Netlist:
             else:
                 where[out], rows = k + rows, rows + 1
             steps.append((op, where[left], where[right], where[out]))
-        plan = self._plans[nets] = (rows, tuple(steps), tuple(map(where.__getitem__, kept)))
-        return plan
+        return rows, tuple(steps), tuple(map(where.__getitem__, kept))
 
     # -- timing ----------------------------------------------------------------
 

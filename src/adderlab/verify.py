@@ -113,6 +113,16 @@ def oracle_add(a: int, b: int, cin: int, width: int) -> tuple[int, int]:
     return total & (limit - 1), int(total >= limit)
 
 
+def _failure(a: int, b: int, cin: int, got: int, width: int) -> Failure:
+    """The Failure of case (a, b, cin) whose outputs read ``got``, the sum bits below bit ``width`` and the carry at it.
+
+    The expected pair comes from ``a + b + cin`` inline: ``oracle_add``'s
+    argument checks cost far more than the sum.
+    """
+    mask, want = (1 << width) - 1, a + b + cin
+    return Failure(a, b, cin, want & mask, want >> width, got & mask, got >> width)
+
+
 def _check_contract(netlist: Netlist, width: int) -> int:
     """``width`` as an int, once ``netlist`` exposes the width-``width`` adder ports."""
     width = _check_width(width)
@@ -188,7 +198,7 @@ def _prove(netlists: list[Netlist], width: int) -> list[tuple[int, tuple[Failure
     it and every later netlist are left unproven.
     """
     results: list = [None] * len(netlists)
-    outputs, mask = adder_port_names(width)[1], (1 << width) - 1
+    outputs = adder_port_names(width)[1]
     order = [*range(2 * width - 1, 0, -2), *range(2 * width, 0, -2), 0]  # a_{w-1}..a_0, b_{w-1}..b_0, cin
     try:
         bdd, ports, spec = _spec(width)
@@ -199,8 +209,8 @@ def _prove(netlists: list[Netlist], width: int) -> list[tuple[int, tuple[Failure
             for index in bdd.solutions(miss, order, FAILURE_CAP):
                 a, b, cin = _split(index, width)
                 bits = [cin, *(operand >> i & 1 for i in range(width) for operand in (a, b))]
-                want, have = a + b + cin, sum(bdd.value(f, bits) << i for i, f in enumerate(got))
-                failures.append(Failure(a, b, cin, want & mask, want >> width, have & mask, have >> width))
+                have = sum(bdd.value(f, bits) << i for i, f in enumerate(got))
+                failures.append(_failure(a, b, cin, have, width))
             results[k] = bdd.count(miss), tuple(failures)
     except OverBudget:
         pass
@@ -264,7 +274,7 @@ def _failures(bad, planes, got, width: int, limit: int) -> list[Failure]:
     ``planes``, as its sum and carry from ``got``, one netlist's output
     planes in ``adder_port_names`` order.
     """
-    mask, failures = (1 << width) - 1, []
+    failures = []
     rows = [planes[name] for name in adder_port_names(width)[0]]
     for word in np.flatnonzero(bad)[:limit]:
         lanes = int(bad[word])
@@ -272,8 +282,7 @@ def _failures(bad, planes, got, width: int, limit: int) -> list[Failure]:
             lane = (lanes & -lanes).bit_length() - 1
             lanes &= lanes - 1
             a, b, cin = (_lane_value(part, word, lane) for part in (rows[:width], rows[width:-1], rows[-1:]))
-            want, have = a + b + cin, _lane_value(got, word, lane)
-            failures.append(Failure(a, b, cin, want & mask, want >> width, have & mask, have >> width))
+            failures.append(_failure(a, b, cin, _lane_value(got, word, lane), width))
     return failures
 
 
@@ -282,13 +291,14 @@ def _sweep(netlist: Netlist, width: int, chunks) -> tuple[int, tuple[Failure, ..
 
     ``chunks`` yields ``_chunks``' (input planes, expected planes, case
     count) in (a, b, cin) order, and ``netlist`` must expose the
-    width-``width`` adder ports.  Each chunk is one kernel run that keeps
-    only the outputs, compared with the expected planes in one XOR/OR pass.
+    width-``width`` adder ports.  The plan that keeps only the outputs is
+    lowered once; each chunk is one kernel run of it, compared with the
+    expected planes in one XOR/OR pass.
     """
-    taps = tuple(map(dict(netlist.outputs).__getitem__, adder_port_names(width)[1]))
+    plan = netlist._plan(list(map(dict(netlist.outputs).__getitem__, adder_port_names(width)[1])))
     count, failures = 0, []
     for planes, expected, n in chunks:
-        got = netlist._run(planes, len(expected[0]), taps)
+        got = netlist._run(plan, planes, len(expected[0]))
         bad = got[0] ^ expected[0]
         for have, want in zip(got[1:], expected[1:]):
             bad |= have ^ want
@@ -414,8 +424,9 @@ def probe_invariant_carry_exclusive(
         return all(bdd.apply(AND, carries[j], carries[j + 1]) == 0 for j in range(0, len(pairs), 2))
     except OverBudget:
         pass
+    plan = netlist._plan(pairs)
     for planes, expected, _ in _index_chunks(width):
-        carries = netlist._run(planes, len(expected[0]), pairs)
+        carries = netlist._run(plan, planes, len(expected[0]))
         if any((carries[j] & carries[j + 1]).any() for j in range(0, len(pairs), 2)):
             return False
     return True

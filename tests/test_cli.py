@@ -18,6 +18,7 @@ from adderlab import (
     export_json,
     import_json,
 )
+from adderlab import cli
 from adderlab.cli import main, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -186,6 +187,22 @@ def test_verify_negative_seed_exits_two(extra, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: InvalidParameter: seed must be >= 0, got -1\n"
+
+
+class ArrayMemoryError(MemoryError):
+    """A stand-in for numpy's _ArrayMemoryError, a MemoryError subclass."""
+
+
+def test_verify_out_of_memory_exits_two(monkeypatch, capsys):
+    # a draw too large to hold must not exit 1, which reads as a mismatch; nothing is allocated
+    def too_large(*args):
+        raise ArrayMemoryError("Unable to allocate 18.2 TiB for an array")
+
+    monkeypatch.setattr(cli, "check_random", too_large)
+    assert run(["verify", "--arch", "rca", "--width", "64", "--random", "1000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MemoryError: Unable to allocate 18.2 TiB for an array\n"
 
 
 @pytest.mark.parametrize("width", ["-3", "0"])

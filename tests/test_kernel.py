@@ -11,9 +11,11 @@ that fallback.  ``reference_case_planes`` is the reference for the
 planes that ``verify._chunks`` packs for both kinds of check.
 """
 
+import copy
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -154,12 +156,12 @@ def test_kernel_rejects_bad_word_counts(words):
         nl.simulate_planes({"a": ok, "b": ok}, words)
 
 
-@pytest.mark.parametrize("net", [-1, 4, 1.0, True, None])
+@pytest.mark.parametrize("net", [-1, 4, 1.0, True, None, [1]])
 def test_kept_nets_must_be_nets_of_the_netlist(net):
-    # a negative net must not wrap around to the last slot
+    # a negative net must not wrap around to the last slot; an unhashable one is no net either
     nl = build_half_adder()
     ok = np.zeros(1, dtype=np.uint64)
-    with pytest.raises(UnknownNet, match=f"^no net {net!r} in netlist 'half_adder'$"):
+    with pytest.raises(UnknownNet, match=f"^{re.escape(f'no net {net!r} in netlist {nl.name!r}')}$"):
         nl.simulate_planes({"a": ok, "b": ok}, 1, (0, net))
 
 
@@ -434,9 +436,8 @@ def test_mutant_does_not_reuse_parent_compiled_form():
     parent = build_rca(4)
     before = full_plan(parent)
     mutant = parent.with_gate_kind(0, GateKind.AND)
-    assert full_plan(mutant) is not before
     assert full_plan(mutant)[1][0][0] is np.bitwise_and
-    assert full_plan(parent) is before
+    assert full_plan(parent) == before
     assert before[1][0][0] is np.bitwise_xor
     assert check_exhaustive(parent, 4).ok
     assert not check_exhaustive(mutant, 4).ok
@@ -578,21 +579,70 @@ def test_shared_sweep_reports_each_netlist_like_its_own_check(monkeypatch, width
     assert capped > 0 and not all(report.ok for report in reports[4:-1])
 
 
+def spy_kernel(monkeypatch) -> tuple[list, list]:
+    """Lists that collect each later ``Netlist._plan`` call's (name, kept nets) and ``_run`` call's (name, words, kept nets)."""
+    plans, runs = [], []
+    lower, run = Netlist._plan, Netlist._run
+
+    def plan_spy(self, nets):
+        plans.append((self.name, len(nets)))
+        return lower(self, nets)
+
+    def run_spy(self, plan, planes, words):
+        runs.append((self.name, words, len(plan[2])))
+        return run(self, plan, planes, words)
+
+    monkeypatch.setattr(Netlist, "_plan", plan_spy)
+    monkeypatch.setattr(Netlist, "_run", run_spy)
+    return plans, runs
+
+
 def test_one_width_runs_the_kernel_once_per_chunk(monkeypatch, unit):
-    # with no node budget, compare sweeps each of its four w6 adders in 16-word chunks:
-    # 8 chunks of 1,024 cases each, one kernel run per chunk keeping the 7 outputs
+    # with no node budget, compare sweeps each of its four w6 adders in 16-word chunks: one
+    # lowering per adder, then 8 chunks of 1,024 cases each, one kernel run per chunk keeping the 7 outputs
     monkeypatch.setattr(verify, "_WORDS", 16)
     monkeypatch.setattr(verify, "_NODE_BUDGET", 0)
-    calls, run = [], Netlist._run
-
-    def spy(self, planes, words, nets):
-        calls.append((self.name, words, len(nets)))
-        return run(self, planes, words, nets)
-
-    monkeypatch.setattr(Netlist, "_run", spy)
+    plans, runs = spy_kernel(monkeypatch)
     table = compare([AdderSpec(arch, 6, 2) for arch in Architecture], unit)
     assert [row.verified for row in table.rows] == [True] * 4
-    assert calls == [(row_name, 16, 7) for row_name in ("rca_w6", "cla_w6", "cia_rca_w6_b2", "cia_cla_w6_b2") for _ in range(8)]
+    names = ("rca_w6", "cla_w6", "cia_rca_w6_b2", "cia_cla_w6_b2")
+    assert plans == [(row_name, 7) for row_name in names]
+    assert runs == [(row_name, 16, 7) for row_name in names for _ in range(8)]
+
+
+def test_probe_fallback_lowers_once(monkeypatch):
+    # w6 b2 has three stages, so two merge pairs: one lowering keeping their 4 carries, then
+    # one kernel run per 16-word chunk of the 8,192 cases
+    monkeypatch.setattr(verify, "_WORDS", 16)
+    monkeypatch.setattr(verify, "_NODE_BUDGET", 0)
+    netlist = build_cia(6, 2, Architecture.CLA)
+    plans, runs = spy_kernel(monkeypatch)
+    assert probe_invariant_carry_exclusive(netlist, 6)
+    assert plans == [(netlist.name, 4)]
+    assert runs == [(netlist.name, 16, 4)] * 8
+
+
+def test_finished_netlist_keeps_no_state(monkeypatch):
+    # no call that simulates a netlist may set or change any of its attributes
+    netlist = build_cia(6, 2, Architecture.CLA)
+    width, outputs = 6, [net for _, net in netlist.outputs]
+
+    def state():
+        return {name: copy.copy(value) for name, value in vars(netlist).items()}
+
+    before = state()
+    calls = [
+        lambda: netlist.evaluate(dict.fromkeys(netlist.input_names, 1)),
+        lambda: netlist.evaluate({name: np.array([0, 1, 1], np.uint8) for name in netlist.input_names}),
+        *(lambda nets=nets: netlist.simulate_planes(dict.fromkeys(netlist.input_names, np.ones(2, np.uint64)), 2, nets)
+          for nets in (None, outputs, outputs[:3])),
+        lambda: check_random(netlist, width, 100, seed=1),
+        lambda: swept(monkeypatch, check_exhaustive, netlist, width),
+        lambda: swept(monkeypatch, probe_invariant_carry_exclusive, netlist, width),
+    ]
+    for k, call in enumerate(calls):
+        call()
+        assert state() == before, k
 
 
 # -- planes of the chunk packer against per-case integer sums -----------------------
