@@ -289,7 +289,9 @@ def _check_spec(spec) -> None:
 def build_adder(spec: AdderSpec) -> Netlist:
     """Dispatch on the architecture; the netlist name encodes the shape."""
     _check_spec(spec)
-    if spec.arch is Architecture.RCA:
+    if spec.arch is Architecture.RCA:  # ripple gates take no limit, but a bad one is refused as for the others
+        _check_width(spec.width)
+        _check_fanin(spec.max_fanin)
         return build_rca(spec.width)
     if spec.arch is Architecture.CLA:
         return build_cla_block(spec.width, spec.max_fanin)

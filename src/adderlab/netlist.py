@@ -21,24 +21,23 @@ bit-planes, 64 cases per word (parallel-pattern simulation), run by the
 one loop of ``_run``.  ``_plan`` lowers the gates into one such program
 for the nets a caller keeps (None: every net), anew on each call: a
 netlist keeps no state, so each caller lowers once per call or sweep
-and hands that plan to ``_run`` for every chunk.  The lowering folds
-constants (x & 0 is 0, x & 1, x | 0 and x ^ 0 are x, x | 1 is 1) and
-is hash-consed (structural hashing): gates' operands are sorted, a step
+and hands that plan to ``_run`` for every chunk.  The lowering is
+hash-consed (structural hashing): gates' operands are sorted, a step
 computed once is never emitted again, and nets whose values are the same
 step, an input or a constant share one slot.  So the product terms that
-lookahead carries share run once, a w12 lookahead adder runs 192 steps,
-not the 478 of lowering each gate on its own, and a carry-increment
-adder skips the steps its constant carries decide.  A plan then skips
-steps none of the kept nets depends on.  A run writes into one slab of planes in which any
-other slot's row is reused once its last reader has run, so the slab
-holds far fewer planes than there are nets.  Every run goes through
-``_run``, unchecked; ``simulate_planes`` is the checked public entry
-point.  ``evaluate`` packs 0/1 integers or numpy arrays of them into
-planes and keeps its output taps, so a whole input space runs in one
-pass, with one lowering.  Timing and the exporters never see the
-program: they walk the stored gates.  Timing uses a ``DelayModel`` that
-assigns a base delay per gate kind, optionally scaled by
-ceil(log2(fan-in)) for wide gates.
+lookahead carries share run once, and a w12 lookahead adder runs 192
+steps, not the 478 of lowering each gate on its own.  A constant operand
+is the zeros or ones row, read by its steps like any other.  A plan then
+skips steps none of the kept nets depends on.  A run writes into one
+slab of planes in which any other slot's row is reused once its last
+reader has run, so the slab holds far fewer planes than there are nets.
+Every run goes through ``_run``, unchecked; ``simulate_planes`` is the
+checked public entry point.  ``evaluate`` packs 0/1 integers or numpy
+arrays of them into planes and keeps its output taps, so a whole input
+space runs in one pass, with one lowering.  Timing and the exporters
+never see the program: they walk the stored gates.  Timing uses a
+``DelayModel`` that assigns a base delay per gate kind, optionally
+scaled by ceil(log2(fan-in)) for wide gates.
 """
 
 from __future__ import annotations
@@ -483,15 +482,13 @@ class Netlist:
         input net holds its own slot, a constant net the zeros or ones
         slot.  In stored order, a gate's operands are its inputs' slots
         sorted ascending, NOT x running as x XOR ones, chained left to
-        right.  A link with a constant operand that decides it emits no
-        step: its value is the constant's slot (x & 0, x | 1) or the other
-        operand's (x & 1, x | 0, x ^ 0).  The other links are hash-consed:
-        all three ops commute, so each is keyed on (op, left, right) with
-        left <= right and emitted once; a gate's net maps to the slot of
-        its last link.  Shared product terms thus run once, and kept nets
-        that share a slot share a row.  Steps no kept net depends on are
-        dropped.  A slot takes a free row when first written and frees it
-        after its last reader, unless it is kept.
+        right.  Every link is hash-consed: all three ops commute, so each
+        is keyed on (op, left, right) with left <= right and emitted once;
+        a gate's net maps to the slot of its last link.  Shared product
+        terms thus run once, and kept nets that share a slot share a row.
+        Steps no kept net depends on are dropped.  A slot takes a free row
+        when first written and frees it after its last reader, unless it
+        is kept.
         """
         n, k = len(self.drivers), len(self.inputs)
         for net in nets or ():
@@ -501,9 +498,6 @@ class Netlist:
         slots = list(range(n))
         for value, net in self.constants:
             slots[net] = ones if value else zeros
-        folds = {  # op -> (identity, absorbing) slots
-            np.bitwise_and: (ones, zeros), np.bitwise_or: (zeros, ones), np.bitwise_xor: (zeros, None)
-        }
         seen: dict[tuple[np.ufunc, int, int], int] = {}
         fresh = itertools.count(n + 2)
         program = []
@@ -512,19 +506,13 @@ class Netlist:
             if gate.kind is GateKind.NOT:
                 operands.append(ones)
             operands.sort()
-            identity, absorbing = folds[op]
             value = operands[0]
             for j, operand in enumerate(operands[1:], 2):
-                if absorbing in (value, operand):
-                    value = absorbing
-                elif value == identity:
-                    value = operand
-                elif operand != identity:
-                    key = (op, min(value, operand), max(value, operand))
-                    if key not in seen:
-                        seen[key] = gate.output if j == len(operands) else next(fresh)
-                        program.append((*key, seen[key]))
-                    value = seen[key]
+                key = (op, min(value, operand), max(value, operand))
+                if key not in seen:
+                    seen[key] = gate.output if j == len(operands) else next(fresh)
+                    program.append((*key, seen[key]))
+                value = seen[key]
             slots[gate.output] = value
         kept = tuple(map(slots.__getitem__, range(n) if nets is None else nets))
         live, needed = set(kept), []

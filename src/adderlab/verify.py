@@ -28,7 +28,8 @@ w31, past which it raises ExhaustiveTooLarge), as
 random checks run over theirs: one numpy packer (``_chunks``) packs the
 operands' 32-bit words and cin into chunks of up to 131,072 cases, 64 per
 uint64 word, and sums a + b + cin word by word into expected planes, which
-the output nets are compared with in one XOR/OR pass (``_sweep``).  Random
+the output nets are compared with in one XOR/OR pass (``_sweep``); the
+probe's sweep packs the inputs alone.  Random
 checks draw from a seeded PCG64 stream and always include the corner cases.
 """
 
@@ -217,11 +218,12 @@ def _prove(netlists: list[Netlist], width: int) -> list[tuple[int, tuple[Failure
     return results
 
 
-def _index_chunks(width: int):
+def _index_chunks(width: int, expected: bool = True):
     """Yield the ``_chunks`` of every case, ``_WORDS`` words of consecutive case numbers (``_split``) each.
 
-    A case number must fit one uint64, and so each operand one 32-bit
-    word: past w31 this raises ExhaustiveTooLarge on the first chunk.
+    ``expected`` is passed on to ``_chunks``.  A case number must fit one
+    uint64, and so each operand one 32-bit word: past w31 this raises
+    ExhaustiveTooLarge on the first chunk.
     """
     if 2 * width + 1 > 64:
         raise ExhaustiveTooLarge(
@@ -232,30 +234,35 @@ def _index_chunks(width: int):
         # the narrowest dtype that holds every case number: the packer shifts it fastest
         index = np.arange(start, min(total, start + _WORDS * 64), dtype=np.min_scalar_type(total - 1))
         a, b, cin = _split(index, width)
-        yield from _chunks([a], [b], cin, width)
+        yield from _chunks([a], [b], cin, width, expected)
 
 
-def _chunks(a, b, cin, width: int):
+def _chunks(a, b, cin, width: int, expected: bool = True):
     """Yield (input planes, expected planes, case count) of up to ``_WORDS`` words of cases each, in order.
 
     ``a`` and ``b`` are each operand's 32-bit words, least significant
     first, as unsigned arrays with one case per entry, and ``cin`` is a 0/1
     array.  The expected planes are bits 0..width of a + b + cin, summed
-    word by word with the carry.  Each plane is a row of one 0/1 matrix,
-    filled by shifts and packed by ``_to_planes``; zero cases pad the last word.
+    word by word with the carry; with ``expected`` False none are summed
+    or packed, and that entry is empty.  Each plane is a row of one 0/1
+    matrix, filled by shifts and packed by ``_to_planes``; zero cases pad
+    the last word.
     """
     names = adder_port_names(width)[0]
     for start in range(0, len(cin), _WORDS * 64):
         cut = slice(start, start + _WORDS * 64)
-        ports = [[x[cut] for x in a], [y[cut] for y in b], [cin[cut]]]
-        carry, sums = ports[2][0].astype(np.uint64), []
-        for x, y in zip(*ports[:2]):
-            sums.append(x.astype(np.uint64) + y + carry)  # bit 32 is the carry out
-            carry = sums[-1] >> np.uint64(32)
-        n = len(carry)
-        bits = np.zeros((3 * width + 2, -(-n // 64) * 64), np.uint8)
+        ports, counts = [[x[cut] for x in a], [y[cut] for y in b], [cin[cut]]], [width, width, 1]
+        if expected:
+            carry, sums = ports[2][0].astype(np.uint64), []
+            for x, y in zip(*ports[:2]):
+                sums.append(x.astype(np.uint64) + y + carry)  # bit 32 is the carry out
+                carry = sums[-1] >> np.uint64(32)
+            ports.append([*sums, carry])
+            counts.append(width + 1)
+        n = len(ports[2][0])
+        bits = np.zeros((sum(counts), -(-n // 64) * 64), np.uint8)
         rows = iter(bits[:, :n])
-        for words, count in zip([*ports, [*sums, carry]], (width, width, 1, width + 1)):
+        for words, count in zip(ports, counts):
             for i in range(count):
                 np.right_shift(words[i // 32], i % 32, out=next(rows), casting="unsafe")
         planes = _to_planes(np.bitwise_and(bits, 1, out=bits))
@@ -425,8 +432,8 @@ def probe_invariant_carry_exclusive(
     except OverBudget:
         pass
     plan = netlist._plan(pairs)
-    for planes, expected, _ in _index_chunks(width):
-        carries = netlist._run(plan, planes, len(expected[0]))
+    for planes, _, n in _index_chunks(width, expected=False):
+        carries = netlist._run(plan, planes, -(-n // 64))
         if any((carries[j] & carries[j + 1]).any() for j in range(0, len(pairs), 2)):
             return False
     return True

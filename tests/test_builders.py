@@ -295,6 +295,18 @@ def test_build_adder_names_encode_the_spec():
     assert build_adder(AdderSpec(Architecture.CIA_RCA, 12, 3)).name == "cia_rca_w12_b3"
 
 
+@pytest.mark.parametrize("arch", list(Architecture))
+@pytest.mark.parametrize("max_fanin", [1, 0, -3])
+def test_build_adder_refuses_a_bad_fanin_for_every_architecture(arch, max_fanin):
+    with pytest.raises(BadFanIn, match=f"^max_fanin must be >= 2 or unlimited, got {max_fanin}$"):
+        build_adder(AdderSpec(arch, 4, 2, max_fanin))
+
+
+@pytest.mark.parametrize("max_fanin", [2, 3, None])
+def test_rca_ignores_a_valid_fanin(max_fanin):
+    assert export_json(build_adder(AdderSpec(Architecture.RCA, 4, max_fanin=max_fanin))) == export_json(build_rca(4))
+
+
 def test_build_adder_propagates_builder_errors():
     with pytest.raises(BlockTooLarge):
         build_adder(AdderSpec(Architecture.CIA_RCA, 2, 4))

@@ -99,6 +99,18 @@ def test_build_domain_errors_exit_two(capsys):
     assert "ZeroWidth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--arch", "rca", "--width", "4", "--max-fanin", "1"],
+    ["analyze", "--arch", "rca", "--width", "4", "--max-fanin", "-3"],
+    ["build", "--arch", "cia_rca", "--width", "4", "--block", "2", "--max-fanin", "0"],
+])
+def test_a_bad_fanin_exits_two_for_every_architecture(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: BadFanIn: max_fanin must be >= 2 or unlimited, got {argv[-1]}\n"
+
+
 def test_build_max_fanin_changes_output(capsys):
     assert run(["build", "--arch", "cla", "--width", "4", "--max-fanin", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

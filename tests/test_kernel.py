@@ -242,8 +242,8 @@ def full_plan(netlist, nets=None):
 
 
 # per w12 adder: steps of its hashed program, and slab rows when every net is kept; the
-# cia adders' constant block carries fold away 6 (cia_rca) and 24 (cia_cla) steps
-HASHED = {"rca": (60, 62), "cla": (192, 128), "cia_rca": (72, 74), "cia_cla": (96, 86)}
+# cia adders' constant block carries run as steps that read the zeros row
+HASHED = {"rca": (60, 62), "cla": (192, 128), "cia_rca": (78, 80), "cia_cla": (120, 98)}
 
 
 @pytest.mark.parametrize("arch", ["rca", "cla", "cia_rca", "cia_cla"])
@@ -363,15 +363,15 @@ def test_hashed_programs_run_shared_terms_once(arch, width, steps):
     assert_ops_commute(nl)
 
 
-def test_lowering_folds_constant_operands():
-    # every block of cia_cla w64 b8 after the first adds a constant 0 carry-in; lowering folds
-    # each link a constant decides (936 steps unfolded, 63 of them reading a constant), so
-    # no step reads the zeros row and only NOT's XOR reads the ones row
+def test_constant_operands_run_as_steps():
+    # every block of cia_cla w64 b8 after the first adds a constant 0 carry-in; the lowering
+    # decides nothing from it, so its links are hash-consed steps that read the zeros row
     nl = build_cia(64, 8, Architecture.CLA)
     _, steps, _ = full_plan(nl, tuple(net for _, net in nl.outputs))
-    zeros, ones = len(nl.inputs), len(nl.inputs) + 1
-    assert len(steps) == 768
-    assert all(zeros not in step[1:3] and (ones not in step[1:3] or step[0] is np.bitwise_xor) for step in steps)
+    zeros = len(nl.inputs)
+    assert len(steps) == 936
+    assert any(zeros in step[1:3] for step in steps)
+    assert len(full_plan(build_cia(64, 8, Architecture.RCA))[1]) == 439
 
 
 @st.composite
@@ -620,6 +620,28 @@ def test_probe_fallback_lowers_once(monkeypatch):
     assert probe_invariant_carry_exclusive(netlist, 6)
     assert plans == [(netlist.name, 4)]
     assert runs == [(netlist.name, 16, 4)] * 8
+
+
+def spy_packer(monkeypatch) -> list:
+    """A list that collects the row count of every matrix ``verify._to_planes`` packs from now on."""
+    rows, pack = [], verify._to_planes
+    monkeypatch.setattr(verify, "_to_planes", lambda bits: rows.append(len(bits)) or pack(bits))
+    return rows
+
+
+@pytest.mark.parametrize("arch", [Architecture.CIA_RCA, Architecture.CIA_CLA])
+def test_probe_fallback_packs_only_input_rows(monkeypatch, arch):
+    # the probe reads no sums, so each of its 8 chunks packs the 2w + 1 input rows; the
+    # exhaustive sweep's chunks also pack the w + 1 expected sum rows
+    width = 6
+    monkeypatch.setattr(verify, "_WORDS", 16)
+    netlist = build_cia(width, 2, arch.block_kind)
+    rows = spy_packer(monkeypatch)
+    assert swept(monkeypatch, probe_invariant_carry_exclusive, netlist, width)
+    assert rows == [2 * width + 1] * 8
+    rows.clear()
+    assert swept(monkeypatch, check_exhaustive, netlist, width).ok
+    assert rows == [3 * width + 2] * 8
 
 
 def test_finished_netlist_keeps_no_state(monkeypatch):

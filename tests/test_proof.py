@@ -176,7 +176,7 @@ def test_a_wide_probe_falls_back_without_recursing(monkeypatch):
     # w240, but deep()'s merged AND chain and its NOT take a few thousand nodes, and their graphs
     # would recurse 1,202 calls deep: only the refused manager keeps them from the limit
     width, swept = 600, []
-    monkeypatch.setattr(verify, "_index_chunks", lambda width: swept.append(width) or iter(()))
+    monkeypatch.setattr(verify, "_index_chunks", lambda width, expected=True: swept.append(width) or iter(()))
     for netlist in (build_cia(width, 8, Architecture.RCA), deep(width, merge=True)):
         assert probe_invariant_carry_exclusive(netlist, width, case_cap=1 << 1201)
     assert swept == [width, width]
