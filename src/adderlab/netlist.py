@@ -48,7 +48,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -141,6 +141,8 @@ class DelayModel:
                 raise InvalidParameter(f"delay for {kind.value} must be >= 0")
 
     def gate_delay(self, kind: GateKind, fanin: int) -> float:
+        if type(kind) is not GateKind:  # a base may hold keys that are no kinds
+            raise InvalidParameter(f"gate kind must be a GateKind, got {kind!r}")
         if type(fanin) is not int:
             fanin = _require_int(fanin, "fan-in")
         d = self.base[kind]
@@ -226,69 +228,74 @@ class Netlist:
         self.inputs = inputs
         self.outputs = outputs
         self.constants = constants
-        try:  # a table that cannot even be read is refused here, one that reads but is no tuple last
-            self.input_names = tuple(name for name, _ in inputs)
-            self.output_names = tuple(name for name, _ in outputs)
-            for _, _ in constants:
-                pass
-            iter(gates)
-        except (TypeError, ValueError):
-            raise InvalidParameter(self._loose_table()) from None
         # The carry-increment builder's merge OR gates, by index, one per stage
         # after the first; None means "not an increment-style build", () one block.
         self.carry_merges = carry_merges
         self.drivers = self._derive_drivers()
+        self.input_names = tuple(name for name, _ in inputs)
+        self.output_names = tuple(name for name, _ in outputs)
         self._input_set = frozenset(self.input_names)
 
     # -- structure ---------------------------------------------------------
 
-    def _loose_table(self) -> str:
-        """Why a table is no tuple, of pairs for the ports and constants, or a gate's inputs no tuple; "" if none."""
-        for what, table in (("gates", self.gates), ("inputs", self.inputs), ("outputs", self.outputs),
-                            ("constants", self.constants)):
-            if type(table) is not tuple:
-                return f"{what} of netlist '{self.name}' must be a tuple, not {type(table).__name__}"
-            for k, entry in enumerate(table):
-                if isinstance(entry, Gate) and type(entry.inputs) is not tuple:
-                    return f"gate {k} of netlist '{self.name}': inputs must be a tuple, got {entry.inputs!r}"
-                if what != "gates" and (type(entry) is not tuple or len(entry) != 2):
-                    return f"{what} of netlist '{self.name}' must be a tuple of pairs, got {entry!r}"
-        return ""
-
     def _derive_drivers(self) -> tuple[int | None, ...]:
         """The gate driving each net, or None for an input or constant net.
 
-        Checks on the way that each gate is a ``Gate``, that each net
-        0..n-1 has exactly one source, that every net read or tapped is one
-        of these ints, and that each gate reads only inputs, constants and
-        earlier gates.  Once the sources pass, one test in C asks whether
-        the gate outputs strictly ascend in stored order, as they do in
-        every netlist that the builder, ``with_gate_kind`` and
-        ``import_json`` make.  If so, an int net from 0 up to a gate's
-        output has an earlier source, so such a fan-in entry costs one
-        type-and-range test; any other entry, and every entry of a table
-        whose outputs do not ascend, is looked up by its source's rank, so
-        the first error is the same either way.  Then, for the kernel and
-        the exporters, that each gate's kind is a ``GateKind`` whose fan-in
-        rule it meets (else FanInViolation) and its stage a str or None,
-        that each carry merge is a gate's index (else UnknownNet) and that
-        gate a two-input OR, that constants are 0 or 1, that all names are
-        strs, and that no input or output port name repeats (else
-        DuplicatePortName).  Last, that the tables and each gate's inputs
-        are tuples, and the ports and constants pairs, so that a netlist is
-        immutable and hashable; one that cannot even be read fails first.
-        The rest raise InvalidParameter.
+        Checks each table once, in this order, and raises on the first
+        defect: (1) the four tables are tuples, in turn, and each port and
+        constant entry is a pair, so that a netlist is immutable and
+        hashable; (2) the netlist and port names are strs,
+        and no input or output name repeats (DuplicatePortName); (3)
+        constants are 0 or 1; (4) every gate entry is a ``Gate``; (5) each
+        net 0..n-1 has exactly one source (else UnknownNet, or
+        InvariantViolation for a second one), and every output tap is one
+        of those nets (UnknownNet); (6) gate by gate, its inputs are a
+        tuple, its kind is a ``GateKind`` whose fan-in rule it meets
+        (FanInViolation), its stage is a str or None, and each input is an
+        int naming an input, a constant or an earlier gate (UnknownNet, or
+        CombinationalLoop); (7) carry merges are None or a tuple of gate
+        indices (UnknownNet) of two-input OR gates.  The rest raise
+        InvalidParameter.  Step 6 first asks once, in C, whether the gate
+        outputs strictly ascend in stored order, as they do in every
+        netlist that the builder, ``with_gate_kind`` and ``import_json``
+        make.  If so, an int net from 0 up to a gate's output has an
+        earlier source, so such a fan-in entry costs one type-and-range
+        test; any other entry, and every entry of a table whose outputs do
+        not ascend, is looked up by its source's rank, so the first error
+        is the same either way.
         """
-        ports = [net for _, net in (*self.inputs, *self.constants)]
-        for gi, gate in enumerate(self.gates):
+        name, gates = self.name, self.gates
+        for what, table in (("gates", gates), ("inputs", self.inputs), ("outputs", self.outputs),
+                            ("constants", self.constants)):
+            if type(table) is not tuple:
+                raise InvalidParameter(f"{what} of netlist '{name}' must be a tuple, not {type(table).__name__}")
+            if what != "gates":
+                for entry in table:
+                    if type(entry) is not tuple or len(entry) != 2:
+                        raise InvalidParameter(f"{what} of netlist '{name}' must be a tuple of pairs, got {entry!r}")
+        input_names = [port for port, _ in self.inputs]
+        output_names = [port for port, _ in self.outputs]
+        for port in (name, *input_names, *output_names):
+            if not isinstance(port, str):
+                raise InvalidParameter(f"netlist and port names must be strs, got {port!r}")
+        for what, names in (("input", input_names), ("output", output_names)):
+            if len(set(names)) < len(names):
+                port = next(port for k, port in enumerate(names) if port in names[:k])
+                raise DuplicatePortName(f"{what} port '{port}' already declared")
+        for value, _ in self.constants:
+            if type(value) is not int or value not in (0, 1):
+                raise InvalidParameter(f"constant of netlist '{name}' must be 0 or 1, got {value!r}")
+        for gi, gate in enumerate(gates):
             if not isinstance(gate, Gate):
-                raise InvalidParameter(f"gate {gi} of netlist '{self.name}' is a {type(gate).__name__}, not a Gate")
-        sources = ports + [gate.output for gate in self.gates]
-        n, first = len(sources), len(ports)
+                raise InvalidParameter(f"gate {gi} of netlist '{name}' is a {type(gate).__name__}, not a Gate")
+        sources = [net for _, net in (*self.inputs, *self.constants)]
+        first = len(sources)
+        sources += [gate.output for gate in gates]
+        n = len(sources)
         rank: list = [None] * n  # gate gi may read net i only if rank[i] < gi; ports and constants rank < 0
 
         def unknown(net) -> UnknownNet:
-            return UnknownNet(f"no net {net!r} in netlist '{self.name}'")
+            return UnknownNet(f"no net {net!r} in netlist '{name}'")
 
         for k, net in enumerate(sources):
             if type(net) is not int or not 0 <= net < n:
@@ -301,54 +308,36 @@ class Netlist:
                 raise unknown(net)
         # if the gate outputs ascend, each int net below a gate's output has an earlier source
         ascending = all(map(operator.lt, sources[first:], sources[first + 1 :]))
-        odd = None  # the first gate of a kind, fan-in or stage the kernel or an exporter cannot take
-        for gi, gate in enumerate(self.gates):
-            if type(gate.inputs) is not tuple and not isinstance(gate.inputs, Collection):
-                raise InvalidParameter(self._loose_table())
+        for gi, gate in enumerate(gates):
+            ins, kind, stage = gate.inputs, gate.kind, gate.stage
+            if type(ins) is not tuple:
+                raise InvalidParameter(f"gate {gi} of netlist '{name}': inputs must be a tuple, got {ins!r}")
+            if not isinstance(kind, GateKind):
+                raise InvalidParameter(f"gate {gi} of netlist '{name}': gate kind must be a GateKind, got {kind!r}")
+            if not kind.arity_ok(len(ins)):
+                raise FanInViolation(f"{kind.value} cannot take {len(ins)} input(s) at gate {gi} of netlist '{name}'")
+            if stage is not None and not isinstance(stage, str):
+                raise InvalidParameter(f"gate {gi} of netlist '{name}': stage must be a str or None, got {stage!r}")
             below = gate.output if ascending else 0
-            for net in gate.inputs:
+            for net in ins:
                 if type(net) is int and 0 <= net < below:
                     continue
                 if type(net) is not int or not 0 <= net < n:
                     raise unknown(net)
                 if rank[net] >= gi:
                     raise CombinationalLoop(
-                        f"gate {gi} of netlist '{self.name}' reads gate {rank[net]}, which is not earlier",
+                        f"gate {gi} of netlist '{name}' reads gate {rank[net]}, which is not earlier",
                         gates=(gi, rank[net]),
                     )
-            if odd is None and not (
-                isinstance(gate.kind, GateKind) and gate.kind.arity_ok(len(gate.inputs))
-                and (gate.stage is None or isinstance(gate.stage, str))
-            ):
-                odd = gi
-        if odd is not None:
-            gate, where = self.gates[odd], f"gate {odd} of netlist '{self.name}'"
-            if not isinstance(gate.kind, GateKind):
-                raise InvalidParameter(f"{where}: gate kind must be a GateKind, got {gate.kind!r}")
-            if not gate.kind.arity_ok(len(gate.inputs)):
-                raise FanInViolation(f"{gate.kind.value} cannot take {len(gate.inputs)} input(s) at {where}")
-            raise InvalidParameter(f"{where}: stage must be a str or None, got {gate.stage!r}")
         if self.carry_merges is not None and type(self.carry_merges) is not tuple:
-            raise InvalidParameter(f"carry merges of netlist '{self.name}' must be None or a tuple")
+            raise InvalidParameter(f"carry merges of netlist '{name}' must be None or a tuple")
         for gi in self.carry_merges or ():
-            if type(gi) is not int or not 0 <= gi < len(self.gates):
-                raise UnknownNet(f"no gate {gi!r} in netlist '{self.name}'")
-            if len(self.gates[gi].inputs) != 2:
-                raise InvalidParameter(f"carry merge gate {gi} of netlist '{self.name}' has no two inputs to merge")
-            if self.gates[gi].kind is not GateKind.OR:
-                raise InvalidParameter(f"carry merge gate {gi} of netlist '{self.name}' is no OR gate")
-        for value, _ in self.constants:
-            if type(value) is not int or value not in (0, 1):
-                raise InvalidParameter(f"constant of netlist '{self.name}' must be 0 or 1, got {value!r}")
-        for name in (self.name, *self.input_names, *self.output_names):
-            if not isinstance(name, str):
-                raise InvalidParameter(f"netlist and port names must be strs, got {name!r}")
-        for what, names in (("input", self.input_names), ("output", self.output_names)):
-            if len(set(names)) < len(names):
-                name = next(name for k, name in enumerate(names) if name in names[:k])
-                raise DuplicatePortName(f"{what} port '{name}' already declared")
-        if problem := self._loose_table():
-            raise InvalidParameter(problem)
+            if type(gi) is not int or not 0 <= gi < len(gates):
+                raise UnknownNet(f"no gate {gi!r} in netlist '{name}'")
+            if len(gates[gi].inputs) != 2:
+                raise InvalidParameter(f"carry merge gate {gi} of netlist '{name}' has no two inputs to merge")
+            if gates[gi].kind is not GateKind.OR:
+                raise InvalidParameter(f"carry merge gate {gi} of netlist '{name}' is no OR gate")
         return tuple(None if r < 0 else r for r in rank)
 
     def with_gate_kind(self, gate_index: int, kind: GateKind) -> "Netlist":

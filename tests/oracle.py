@@ -25,11 +25,11 @@ lane.  ``reference_case_planes`` gives those planes for any list of
 cases, one Python int per case and word, with no numpy until the end;
 ``reference_random_cases`` draws a random check's cases sample by sample.
 
-``reference_drivers`` is the net check that ``Netlist()`` runs on its
-tables, with no shortcut for gate outputs that ascend: every fan-in
-entry is looked up by its source's rank.  It raises the same exception
-with the same message as ``Netlist()``'s net checks, or returns the
-``drivers`` table, and runs no code of ``adderlab.netlist``.
+``reference_netlist_check`` is the check that ``Netlist()`` runs on its
+tables, in the same order, with no shortcut for gate outputs that
+ascend: every fan-in entry is looked up by its source's rank.  It raises
+the same exception with the same message as ``Netlist()``, or returns
+the ``drivers`` table, and runs no code of ``adderlab.netlist``.
 
 ``reference_doc_order`` is the quadratic form of the lowest-index-first
 topological sort that gives ``import_json``'s build order.
@@ -59,7 +59,11 @@ import numpy as np
 from adderlab import (
     AdderLabError,
     CombinationalLoop,
+    DuplicatePortName,
+    FanInViolation,
+    Gate,
     GateKind,
+    InvalidParameter,
     InvariantViolation,
     NetlistBuilder,
     ParseError,
@@ -133,16 +137,43 @@ def reference_evaluate(netlist, assignment):
 
 # -- net checks -----------------------------------------------------------------
 
-def reference_drivers(name, gates, inputs, outputs, constants):
-    """The ``drivers`` of tables whose net ints pass ``Netlist()``'s net checks, else its exception.
+def reference_netlist_check(name, gates, inputs, outputs, constants, carry_merges=None):
+    """The ``drivers`` of tables that ``Netlist()`` accepts, else the exception it raises.
 
-    Each net 0..n-1 must have one source (an input, a constant or a gate
-    output, n being their count), every tapped net must be one of these
-    ints, and a gate may read a net only if its source is a port or an
-    earlier gate: its rank, the gate's index or a negative number for a
-    port, is looked up for every fan-in entry.
+    Checks, in order, and raises on the first defect: the four tables are
+    tuples and the port and constant entries pairs; the names are strs
+    and no input or output name repeats; constants are 0 or 1; every
+    gate is a ``Gate``; each net 0..n-1 has one source (an input, a
+    constant or a gate output, n being their count) and every tapped net
+    is one of these ints; then gate by gate, its inputs are a tuple, its
+    kind a ``GateKind`` of a fan-in it allows, its stage a str or None,
+    and each input a net whose source is a port or an earlier gate: its
+    rank, the gate's index or a negative number for a port, is looked up
+    for every fan-in entry; last, carry merges name two-input OR gates.
     """
-    ports = [net for _, net in (*inputs, *constants)]
+    for what, table in (("gates", gates), ("inputs", inputs), ("outputs", outputs), ("constants", constants)):
+        if type(table) is not tuple:
+            raise InvalidParameter(f"{what} of netlist '{name}' must be a tuple, not {type(table).__name__}")
+        if what != "gates":
+            for entry in table:
+                if type(entry) is not tuple or len(entry) != 2:
+                    raise InvalidParameter(f"{what} of netlist '{name}' must be a tuple of pairs, got {entry!r}")
+    input_names = [port for port, _ in inputs]
+    output_names = [port for port, _ in outputs]
+    for port in [name] + input_names + output_names:
+        if not isinstance(port, str):
+            raise InvalidParameter(f"netlist and port names must be strs, got {port!r}")
+    for what, names in (("input", input_names), ("output", output_names)):
+        for k, port in enumerate(names):
+            if port in names[:k]:
+                raise DuplicatePortName(f"{what} port '{port}' already declared")
+    for value, _ in constants:
+        if type(value) is not int or value not in (0, 1):
+            raise InvalidParameter(f"constant of netlist '{name}' must be 0 or 1, got {value!r}")
+    for gi, gate in enumerate(gates):
+        if not isinstance(gate, Gate):
+            raise InvalidParameter(f"gate {gi} of netlist '{name}' is a {type(gate).__name__}, not a Gate")
+    ports = [net for _, net in inputs + constants]
     sources = ports + [gate.output for gate in gates]
     n, first = len(sources), len(ports)
     rank = [None] * n
@@ -160,14 +191,36 @@ def reference_drivers(name, gates, inputs, outputs, constants):
         if type(net) is not int or not 0 <= net < n:
             raise unknown(net)
     for gi, gate in enumerate(gates):
+        where = f"gate {gi} of netlist '{name}'"
+        if type(gate.inputs) is not tuple:
+            raise InvalidParameter(f"{where}: inputs must be a tuple, got {gate.inputs!r}")
+        if not isinstance(gate.kind, GateKind):
+            raise InvalidParameter(f"{where}: gate kind must be a GateKind, got {gate.kind!r}")
+        fanin = len(gate.inputs)
+        if gate.kind is GateKind.NOT:
+            allowed = fanin == 1
+        elif gate.kind is GateKind.XOR:
+            allowed = fanin == 2
+        else:
+            allowed = fanin >= 2
+        if not allowed:
+            raise FanInViolation(f"{gate.kind.value} cannot take {fanin} input(s) at {where}")
+        if gate.stage is not None and not isinstance(gate.stage, str):
+            raise InvalidParameter(f"{where}: stage must be a str or None, got {gate.stage!r}")
         for net in gate.inputs:
             if type(net) is not int or not 0 <= net < n:
                 raise unknown(net)
             if rank[net] >= gi:
-                raise CombinationalLoop(
-                    f"gate {gi} of netlist '{name}' reads gate {rank[net]}, which is not earlier",
-                    gates=(gi, rank[net]),
-                )
+                raise CombinationalLoop(f"{where} reads gate {rank[net]}, which is not earlier", gates=(gi, rank[net]))
+    if carry_merges is not None and type(carry_merges) is not tuple:
+        raise InvalidParameter(f"carry merges of netlist '{name}' must be None or a tuple")
+    for gi in carry_merges or ():
+        if type(gi) is not int or not 0 <= gi < len(gates):
+            raise UnknownNet(f"no gate {gi!r} in netlist '{name}'")
+        if len(gates[gi].inputs) != 2:
+            raise InvalidParameter(f"carry merge gate {gi} of netlist '{name}' has no two inputs to merge")
+        if gates[gi].kind is not GateKind.OR:
+            raise InvalidParameter(f"carry merge gate {gi} of netlist '{name}' is no OR gate")
     return tuple(None if r < 0 else r for r in rank)
 
 

@@ -39,7 +39,7 @@ from adderlab import (
     import_json,
     Architecture,
 )
-from oracle import brute_force_delay, reference_drivers
+from oracle import brute_force_delay, reference_netlist_check
 from strategies import netlists
 
 
@@ -435,16 +435,16 @@ def test_gate_reading_no_earlier_gate_is_rejected(gates, pair):
     assert exc.value.gates == pair
 
 
-def checked_nets(check, name, gates, inputs, outputs, constants):
+def checked_nets(check, *tables, **named):
     """("ok", ``check``'s drivers table of the tables), or the type, message and gates of what it raises."""
     try:
-        return "ok", check(name, gates, inputs, outputs, constants)
+        return "ok", check(*tables, **named)
     except AdderLabError as exc:
         return type(exc), str(exc), getattr(exc, "gates", None)
 
 
-def netlist_drivers(*tables):
-    return Netlist(*tables).drivers
+def netlist_drivers(*tables, **named):
+    return Netlist(*tables, **named).drivers
 
 
 # Fan-in entries that are no net whatever the net count
@@ -497,7 +497,7 @@ def relabelled_tables(draw):
 @given(relabelled_tables())
 def test_netlist_checks_nets_like_the_reference_rank_loop(tables):
     # accepts the same tables with the same drivers, or raises the same error with the same message
-    assert checked_nets(netlist_drivers, *tables) == checked_nets(reference_drivers, *tables)
+    assert checked_nets(netlist_drivers, *tables) == checked_nets(reference_netlist_check, *tables)
 
 
 @pytest.mark.parametrize("gates,inputs,constants,accepted", [
@@ -515,7 +515,7 @@ def test_netlist_checks_nets_like_the_reference_rank_loop(tables):
 def test_hand_built_tables_check_nets_like_the_reference(gates, inputs, constants, accepted):
     tables = ("hand", tuple(Gate(kind, ins, out) for kind, ins, out in gates), inputs, (), constants)
     got = checked_nets(netlist_drivers, *tables)
-    assert got == checked_nets(reference_drivers, *tables)
+    assert got == checked_nets(reference_netlist_check, *tables)
     assert (got[0] == "ok") is accepted
 
 
@@ -617,14 +617,182 @@ def test_netlist_rejects_carry_merges_that_are_no_tuple():
         Netlist(rca.name, rca.gates, rca.inputs, rca.outputs, rca.constants, carry_merges=[0])
 
 
-def test_a_table_that_reads_but_is_no_tuple_is_reported_last():
-    # a list where a tuple belongs does not hide any other fault
-    with pytest.raises(CombinationalLoop, match="^gate 0 of netlist 'hand' reads gate 0"):
+def tables_of(nl):
+    """The keyword arguments that rebuild ``nl`` with ``Netlist(**tables)``."""
+    return dict(name=nl.name, gates=nl.gates, inputs=nl.inputs, outputs=nl.outputs, constants=nl.constants,
+                carry_merges=nl.carry_merges)
+
+
+def with_entry(tables, key, k, change):
+    """``tables`` with entry k of table ``key`` replaced by ``change(entry, table)``, in a container of
+    the same type; None if that table has no entry k or ``change`` gives None."""
+    table = tables[key]
+    if type(table) not in (tuple, list) or not -len(table) <= k < len(table):
+        return None
+    entry = change(table[k], table)
+    if entry is None:
+        return None
+    entries = list(table)
+    entries[k] = entry
+    return tables | {key: type(table)(entries)}
+
+
+def pair(first=None, second=None):
+    """An entry change that replaces a port or constant pair's first or second item, if it is still a pair."""
+    def change(entry, table):
+        if type(entry) is not tuple or len(entry) != 2:
+            return None
+        return (entry[0] if first is None else first(entry, table),
+                entry[1] if second is None else second(entry, table))
+    return change
+
+
+def as_list(key):
+    """A defect that passes table ``key`` as a list."""
+    return lambda t, n, gi: t | {key: list(t[key])} if type(t[key]) is tuple else None
+
+
+def at_gate(change):
+    """A defect that replaces gate gi, if it is still a ``Gate``, by ``change(gate, n, gates)``."""
+    return lambda t, n, gi: with_entry(
+        t, "gates", gi, lambda gate, gates: change(gate, n, gates) if isinstance(gate, Gate) else None
+    )
+
+
+def fanin(value):
+    """A gate defect that replaces gate gi's first fan-in entry by ``value(gate, n, gates)``."""
+    def change(gate, n, gates):
+        if type(gate.inputs) not in (tuple, list) or not gate.inputs:
+            return None
+        ins = list(gate.inputs)
+        ins[0] = value(gate, n, gates)
+        return Gate(gate.kind, type(gate.inputs)(ins), gate.output, gate.stage)
+    return at_gate(change)
+
+
+# Table defects, grouped by the check of Netlist() that refuses them, in its order: one
+# group for the tables' shapes, then one for each check the docstring names, gate by gate
+# ones included.  Each maps (tables, n, gi) to defective tables, or to None where it does
+# not apply; n is the net count of the intact tables and gi a gate index, which only the
+# gate defects read.
+DEFECTS_BY_CHECK = [
+    {
+        **{f"{key} as a list": as_list(key) for key in ("gates", "inputs", "outputs", "constants")},
+        "inputs as 5": lambda t, n, gi: t | {"inputs": 5},
+        "input triple": lambda t, n, gi: with_entry(t, "inputs", 0, lambda e, _: (*e, 0) if type(e) is tuple else None),
+        "input list": lambda t, n, gi: with_entry(t, "inputs", 0, lambda e, _: list(e) if type(e) is tuple else None),
+        "constant 1-tuple": lambda t, n, gi: with_entry(t, "constants", 0,
+                                                        lambda e, _: e[:1] if type(e) is tuple else None),
+    },
+    {
+        "name 5": lambda t, n, gi: t | {"name": 5},
+        "input name None": lambda t, n, gi: with_entry(t, "inputs", 0, pair(first=lambda e, _: None)),
+        "input name list": lambda t, n, gi: with_entry(t, "inputs", 0, pair(first=lambda e, _: ["a"])),
+    },
+    {
+        "repeated input name": lambda t, n, gi: with_entry(t, "inputs", 1, pair(first=lambda e, table: table[0][0])),
+        "repeated output name": lambda t, n, gi: with_entry(t, "outputs", 1, pair(first=lambda e, table: table[0][0])),
+    },
+    {
+        "constant 2": lambda t, n, gi: with_entry(t, "constants", 0, pair(first=lambda e, _: 2)),
+        "constant True": lambda t, n, gi: with_entry(t, "constants", 0, pair(first=lambda e, _: True)),
+    },
+    {
+        "gate as a plain tuple": at_gate(lambda g, n, gates: (g.kind, g.inputs, g.output, g.stage)),
+    },
+    {
+        "gate output n": at_gate(lambda g, n, gates: Gate(g.kind, g.inputs, n, g.stage)),
+        "input on n": lambda t, n, gi: with_entry(t, "inputs", 0, pair(second=lambda e, _: n)),
+        "two sources": lambda t, n, gi: with_entry(t, "inputs", -1, pair(second=lambda e, table: table[0][1])),
+    },
+    {
+        "output on n": lambda t, n, gi: with_entry(t, "outputs", 0, pair(second=lambda e, _: n)),
+        "output on 1.0": lambda t, n, gi: with_entry(t, "outputs", 0, pair(second=lambda e, _: 1.0)),
+    },
+    {
+        "gate inputs as a list": at_gate(
+            lambda g, n, gates: Gate(g.kind, list(g.inputs), g.output, g.stage) if type(g.inputs) is tuple else None
+        ),
+        "gate inputs as 5": at_gate(lambda g, n, gates: Gate(g.kind, 5, g.output, g.stage)),
+    },
+    {
+        "kind 'AND'": at_gate(lambda g, n, gates: Gate("AND", g.inputs, g.output, g.stage)),
+    },
+    {
+        "NOT over doubled inputs": at_gate(
+            lambda g, n, gates: Gate(GateKind.NOT, g.inputs * 2, g.output, g.stage)
+            if type(g.inputs) in (tuple, list) else None
+        ),
+    },
+    {
+        "stage 7": at_gate(lambda g, n, gates: Gate(g.kind, g.inputs, g.output, 7)),
+    },
+    {
+        "gate input n": fanin(lambda g, n, gates: n),
+        "gate input -1": fanin(lambda g, n, gates: -1),
+        "gate input True": fanin(lambda g, n, gates: True),
+        "gate input own output": fanin(lambda g, n, gates: g.output),
+        "gate input last output": fanin(lambda g, n, gates: getattr(gates[-1], "output", g.output)),
+    },
+    {
+        "merges as a list": lambda t, n, gi: t | {"carry_merges": list(t["carry_merges"] or ())},
+        "merge past the gates": lambda t, n, gi: t | {"carry_merges": (n,)},
+        "merge (0,)": lambda t, n, gi: t | {"carry_merges": (0,)},
+    },
+]
+
+
+def small_adders(widths):
+    """The four architectures at ``widths``, carry-increment ones with blocks of 1 and 2 where they fit."""
+    return [build_adder(AdderSpec(arch, width, block)) for arch in Architecture for width in widths
+            for block in (range(1, min(width, 2) + 1) if arch.is_cia else (4,))]
+
+
+SMALL_ADDERS = small_adders(range(1, 7))
+
+
+@st.composite
+def defective_tables(draw):
+    """The tables of a random netlist or a small adder with one to three defects.
+
+    Each is drawn from a drawn group of DEFECTS_BY_CHECK, so that any two
+    checks meet often, at the first, middle or last gate where it takes
+    one, so that two gate defects often meet at one gate.
+    """
+    nl = draw(st.one_of(netlists(), st.sampled_from(SMALL_ADDERS)))
+    tables, n, g = tables_of(nl), len(nl.drivers), len(nl.gates)
+    for _ in range(draw(st.integers(1, 3))):
+        defect = draw(st.sampled_from(list(draw(st.sampled_from(DEFECTS_BY_CHECK)).values())))
+        tables = defect(tables, n, draw(st.sampled_from(sorted({0, g // 2, max(g - 1, 0)})))) or tables
+    return tables
+
+
+@settings(max_examples=500, deadline=None)
+@given(defective_tables())
+def test_netlist_checks_tables_like_the_reference(tables):
+    # the same drivers, or the same exception type, message and gates: the first defect in table order
+    assert checked_nets(netlist_drivers, **tables) == checked_nets(reference_netlist_check, **tables)
+
+
+def test_the_first_defect_in_table_order_is_reported():
+    ab = (("a", 0), ("b", 1))
+    with pytest.raises(InvalidParameter, match="^gates of netlist 'hand' must be a tuple, not list$"):
         Netlist("hand", [Gate(GateKind.NOT, [2], 2)], [("a", 0), ("b", 1)], ())
-    with pytest.raises(UnknownNet, match="^no net 9 in netlist 'hand'$"):
-        Netlist("hand", (Gate(GateKind.NOT, [0], 2),), (("a", 0), ["b", 1]), (("y", 9),))
+    # a repeated name comes before a kind, a stage and a gate that reads a later one
+    gates = (Gate("AND", (0, 1), 2, 7), Gate(GateKind.NOT, (3,), 3))
     with pytest.raises(DuplicatePortName, match="^input port 'a' already declared$"):
-        Netlist("hand", (), [("a", 0), ("a", 1)], ())
+        Netlist("hand", gates, (("a", 0), ("a", 1)), ())
+    # a name comes before a constant, a fan-in and an unknown net
+    with pytest.raises(InvalidParameter, match="^netlist and port names must be strs, got 5$"):
+        Netlist(5, (Gate(GateKind.NOT, (0, 1), 2),), ((None, 0), (None, 1)), (("y", 9),), ((2, 3),))
+    # a gate's kind comes before its unknown input
+    with pytest.raises(InvalidParameter, match="^gate 0 of netlist 'hand': gate kind must be a GateKind, got 'AND'$"):
+        Netlist("hand", (Gate("AND", (0, 9), 2),), ab, ())
+    # a gate's inputs that are no tuple come before its fan-in and stage, and its stage before a later gate it reads
+    with pytest.raises(InvalidParameter, match=r"^gate 0 of netlist 'hand': inputs must be a tuple, got \[0, 1\]$"):
+        Netlist("hand", (Gate(GateKind.NOT, [0, 1], 2, 7),), ab, ())
+    with pytest.raises(InvalidParameter, match="^gate 0 of netlist 'hand': stage must be a str or None, got 7$"):
+        Netlist("hand", (Gate(GateKind.AND, (0, 3), 2, 7), Gate(GateKind.NOT, (0,), 3)), ab, ())
 
 
 @pytest.mark.parametrize("declare", [
@@ -654,15 +822,6 @@ def test_builder_reports_a_name_that_is_no_str_from_finish():
         b.add_output("y", b.add_input(7 if b.name == "t" else "x"))
         with pytest.raises(InvalidParameter, match="^netlist and port names must be strs, got [57]$"):
             b.finish()
-
-
-def test_net_checks_come_before_the_gate_and_port_checks():
-    # a bad kind, stage or name does not hide a gate that reads a later one, nor an unknown net
-    gates = (Gate("AND", (0, 1), 2, 7), Gate(GateKind.NOT, (3,), 3))
-    with pytest.raises(CombinationalLoop, match="^gate 1 of netlist 'hand' reads gate 1, which is not earlier$"):
-        Netlist("hand", gates, (("a", 0), ("a", 1)), ())
-    with pytest.raises(UnknownNet, match="^no net 9 in netlist '5'$"):
-        Netlist(5, (Gate(GateKind.NOT, (0, 1), 2),), ((None, 0), (None, 1)), (("y", 9),), ((2, 3),))
 
 
 # -- delay models ----------------------------------------------------------------
@@ -701,6 +860,10 @@ def test_delay_model_validation():
     for bad in (5, None, [1.0, 1.0, 1.0, 1.0]):
         with pytest.raises(InvalidParameter, match="^delay model 'x' needs a mapping of delays, got "):
             DelayModel("x", bad)
+    # a kind that is no GateKind, which a base may even hold as a key
+    for bad in ("AND", None, [1]):
+        with pytest.raises(InvalidParameter, match="^gate kind must be a GateKind, got "):
+            DelayModel.unit().gate_delay(bad, 2)
 
 
 # -- critical path ------------------------------------------------------------------
